@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the output bytes of fixed campaigns.
+
+Runs the five shipped presets plus a BASE config (uma, ``link_state`` null,
+8x2 ULAs, moving UE) at seed 42 with 3 drops each and ``jobs=1``, then
+``chansim6g analyze --metrics ds,gini,rsrp,xcorr`` over each output
+directory, and hashes every ``.cir`` / ``.cir.sense`` file, ``metrics.csv``
+and ``analysis.csv``. ``tests/test_golden_digests.py`` compares the result
+with the committed ``tests/golden_digests.json``.
+
+    python3 scripts/golden_digests.py                  # print the digests
+    python3 scripts/golden_digests.py --write          # re-baseline the file
+
+chansim6g is imported from ``src/`` of the checkout this script sits in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden_digests.json"
+SEED = 42
+DROPS = 3
+PRESETS = ("thz", "emimo", "isac", "ris", "sagin")
+ANALYZE_METRICS = "ds,gini,rsrp,xcorr"
+
+# The BASE config of the benchmark's light workloads: the only covered
+# input with a link-state draw, MIMO synthesis and time evolution.
+BASE_CONFIG = {
+    "scenario": "uma",
+    "feature": "BASE",
+    "center_freq_hz": 3.5e9,
+    "bandwidth_hz": 20e6,
+    "link_state": None,
+    "bs_position": [0.0, 0.0, 25.0],
+    "ue_position": [120.0, 60.0, 1.5],
+    "bs_array": {"type": "ula", "n": 8, "spacing": "half_wavelength"},
+    "ue_array": {"type": "ula", "n": 2, "spacing": "half_wavelength"},
+    "ue_velocity": [3.0, 0.0, 0.0],
+    "time_samples": 4,
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def compute_digests() -> dict:
+    """``{"<config>/<file>": sha256}`` for every covered output file."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from chansim6g.campaign import run_campaign
+    from chansim6g.cli import main as cli_main
+    from chansim6g.config import config_from_dict, load_preset
+
+    configs = {name: load_preset(name, seed=SEED, drops=DROPS) for name in PRESETS}
+    configs["base"] = config_from_dict({**BASE_CONFIG, "seed": SEED, "drops": DROPS})
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cfg in configs.items():
+            out = Path(tmp) / name
+            run_campaign(cfg, out, jobs=1)
+            with contextlib.redirect_stdout(sys.stderr):
+                rc = cli_main(["analyze", "--in", str(out), "--metrics", ANALYZE_METRICS])
+            if rc != 0:
+                raise SystemExit(f"golden_digests: analyze failed on {name}")
+            files = sorted(out.glob("drop*.cir*")) + [out / "metrics.csv",
+                                                      out / "analysis.csv"]
+            for path in files:
+                digests[f"{name}/{path.name}"] = _sha256(path)
+    return digests
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--write", action="store_true",
+                   help=f"write the digests to {GOLDEN.relative_to(ROOT)}")
+    args = p.parse_args(argv)
+    text = json.dumps(compute_digests(), indent=1, sort_keys=True) + "\n"
+    if args.write:
+        GOLDEN.write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

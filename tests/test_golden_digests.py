@@ -1,0 +1,41 @@
+"""Golden output digests: the determinism contract as bytes.
+
+``tests/golden_digests.json`` pins the SHA-256 of every ``.cir`` /
+``.cir.sense`` file, ``metrics.csv`` and the ``analysis.csv`` of
+``chansim6g analyze --metrics ds,gini,rsrp,xcorr``, for the five presets
+plus a BASE config (uma, ``link_state`` null, 8x2 ULAs, moving UE) at
+seed 42, 3 drops each, ``jobs=1``. The digests were pinned on numpy 2.4.6,
+scipy 1.17.1 and OpenBLAS 0.3.31; another toolchain may round differently.
+A deliberate change of output bytes re-baselines them with
+``python3 scripts/golden_digests.py --write``.
+
+Each check runs in a fresh interpreter, once with ``OPENBLAS_NUM_THREADS=1``
+and once with it unset, so BLAS threading cannot change a byte.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "golden_digests.py"
+GOLDEN = ROOT / "tests" / "golden_digests.json"
+
+
+@pytest.mark.parametrize("openblas_threads", ["1", None], ids=["openblas-1", "openblas-unset"])
+def test_output_bytes_match_golden_digests(openblas_threads):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    proc = subprocess.run([sys.executable, str(SCRIPT)], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    want = json.loads(GOLDEN.read_text())
+    assert sorted(got) == sorted(want)
+    changed = sorted(k for k in want if got[k] != want[k])
+    assert not changed, f"output bytes changed: {changed}"
