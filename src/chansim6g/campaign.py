@@ -120,7 +120,9 @@ def _run_emimo(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
                     meta={"f_hz": fc, "state": state, "sns_region": region})
     cir = apply_large_scale(cir, _terrestrial_pl(cfg, state, lsps.sf_db))
     freqs = fc + np.linspace(-cfg.bandwidth_hz / 2, cfg.bandwidth_hz / 2, n_freq)
-    cfr = emimo.sns_cfr_band(paths, array, mask, freqs)
+    rows = sorted({0, array.element_count - 1})    # the two elements xcorr_last reads
+    cfr = emimo.sns_cfr_band(paths, array.element_positions[rows],
+                             emimo.SnsMask(s=mask.s[rows]), freqs)
     rho, _ = analysis.array_cross_correlation(cfr)
     metrics = {
         "ds_ns": rms_delay_spread(clusters.powers, clusters.delays_s) * 1e9,
@@ -283,8 +285,7 @@ def _run_ris(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
 
 def _run_sagin(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
     blk = cfg.feature_block()
-    state = cfg.link_state or "LOS"
-    cir = sagin.ntn_drop(cfg.scenario, state, cfg.center_freq_hz,
+    cir = sagin.ntn_drop(cfg.scenario, cfg.link_state, cfg.center_freq_hz,
                          float(blk.get("height_m", 600e3)),
                          math.radians(float(blk.get("elevation_deg", 30.0))),
                          streams,
@@ -299,7 +300,7 @@ def _run_sagin(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
         "pl_db": cir.meta["pl_db"],
         "slant_km": cir.meta["slant_range_m"] / 1e3,
         "k_total_db": cir.meta["k_total_db"],
-        "state": state,
+        "state": cfg.link_state,
     }
     return DropResult(drop=streams.drop, tensors={"": cir}, metrics=metrics)
 

@@ -54,7 +54,7 @@ def _tensor_metrics(path: Path, wanted):
     if "xcorr" in wanted and taps.shape[1] > 1:
         freqs = np.linspace(0.0, 1.0 / max(cir.tap_delays_s.max(), 1e-9), 64)
         basis = np.exp(-2j * np.pi * freqs[None, :] * cir.tap_delays_s[:, None])
-        cfr = taps[0, :, 0, :] @ basis
+        cfr = taps[0, [0, -1], 0, :] @ basis    # reference and last element
         rho, _ = analysis.array_cross_correlation(cfr)
         row["xcorr_last"] = float(rho[-1])
     return row

@@ -59,8 +59,10 @@ class ScenarioConfig:
             raise ConfigError("drops: must be >= 1")
         if self.time_samples < 1:
             raise ConfigError("time_samples: must be >= 1")
-        if self.link_state not in ("LOS", "NLOS", None):
-            raise ConfigError(f"link_state: LOS, NLOS or null, got {self.link_state!r}")
+        states = ("LOS", "NLOS") if self.feature == "SAGIN" else ("LOS", "NLOS", None)
+        if self.link_state not in states:     # null: a terrestrial LOS-curve draw
+            raise ConfigError(f"link_state: {self.feature} takes one of {states}, "
+                              f"got {self.link_state!r}")
         expected_block = _FEATURE_BLOCKS.get(self.feature)
         present = [k for k in _FEATURE_BLOCKS.values() if k in self.feature_params]
         if expected_block is None and present:
@@ -81,6 +83,8 @@ class ScenarioConfig:
             v = getattr(self, name)
             if len(v) != 3 or not all(math.isfinite(float(x)) for x in v):
                 raise ConfigError(f"{name}: need a finite [x, y, z] triple")
+        if self.feature != "SAGIN" and self.bs_position3d() == self.ue_position3d():
+            raise ConfigError("ue_position: coincides with bs_position")
         return self
 
     # ------------------------------------------------------------------

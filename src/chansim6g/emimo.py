@@ -120,14 +120,9 @@ def gen_sns_mask(m: int, k: int, stationary_region: int,
         raise ValueError(f"stationary region must be >= 1, got {stationary_region}")
     if m < 1 or k < 1:
         raise ValueError("mask dimensions must be >= 1")
-    p_flip = 1.0 / float(stationary_region)
     s = np.ones((m, k))
-    if m > 1 and k > 1:
-        flips = rng.uniform(size=(m - 1, k - 1)) < p_flip
-        states = np.ones(k - 1, dtype=bool)
-        for i in range(1, m):
-            states = states ^ flips[i - 1]
-            s[i, 1:] = states
+    u = rng.uniform(size=(m - 1, k - 1))   # draws nothing if m or k is 1
+    s[1:, 1:] = ~np.logical_xor.accumulate(u < 1.0 / float(stationary_region), axis=0)
     return SnsMask(s=s)
 
 

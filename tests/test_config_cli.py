@@ -10,7 +10,7 @@ import pytest
 from chansim6g.campaign import run_campaign, run_drop
 from chansim6g.cli import main as cli_main
 from chansim6g.config import (ConfigError, ScenarioConfig, config_from_dict,
-                              config_hash, load_config, load_preset)
+                              config_hash, load_config, load_preset, preset_path)
 
 
 def minimal_config(**over):
@@ -90,6 +90,31 @@ class TestValidation:
     def test_frequency_outside_band(self):
         with pytest.raises(Exception, match="GHz"):
             config_from_dict(minimal_config(center_freq_hz=999e9))
+
+    @pytest.mark.parametrize("name", ["base", "thz", "emimo", "isac", "ris"])
+    def test_coincident_tx_rx_rejected(self, name, tmp_path):
+        raw = minimal_config() if name == "base" else \
+            json.loads(preset_path(name).read_text())
+        raw["ue_position"] = raw.get("bs_position", [0.0, 0.0, 3.0])
+        with pytest.raises(ConfigError, match="ue_position"):
+            config_from_dict(raw)
+        path = tmp_path / "coincident.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", "--config", str(path)]) == 1
+
+    def test_sagin_ignores_positions(self):
+        cfg = load_preset("sagin", bs_position=[1.0, 2.0, 3.0],
+                          ue_position=[1.0, 2.0, 3.0])
+        assert run_drop(cfg, 0).metrics["state"] == "LOS"
+
+    def test_sagin_link_state_null_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="link_state"):
+            load_preset("sagin", link_state=None)
+        raw = json.loads(preset_path("sagin").read_text())
+        raw["link_state"] = None
+        path = tmp_path / "sagin_null.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", "--config", str(path)]) == 1
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):

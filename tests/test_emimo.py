@@ -1,8 +1,16 @@
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
+from chansim6g import emimo
+from chansim6g.analysis import array_cross_correlation
+from chansim6g.campaign import run_campaign, run_drop
+from chansim6g.cir import read_cir
+from chansim6g.cli import main as cli_main
+from chansim6g.config import config_from_dict, preset_path
 from chansim6g.constants import C_LIGHT, wavelength
 from chansim6g.emimo import (PathGeometry, SnsMask, assemble_sns_cfr,
                              gen_sns_mask, path_cfr, paths_from_clusters,
@@ -17,6 +25,18 @@ def make_paths(sources, alphas=None, taus=None):
     return [PathGeometry(source=np.asarray(s, dtype=float), alpha=complex(a),
                          tau_s=float(t))
             for s, a, t in zip(sources, alphas, taus)]
+
+
+def loop_sns_mask(m, k, stationary_region, rng):
+    """Per-element Markov walk: the reference for ``gen_sns_mask``."""
+    s = np.ones((m, k))
+    if m > 1 and k > 1:
+        flips = rng.uniform(size=(m - 1, k - 1)) < 1.0 / float(stationary_region)
+        states = np.ones(k - 1, dtype=bool)
+        for i in range(1, m):
+            states = states ^ flips[i - 1]
+            s[i, 1:] = states
+    return s
 
 
 def phase_discrepancy(array, distance, f):
@@ -89,6 +109,15 @@ class TestSnsMask:
     def test_invalid_region(self):
         with pytest.raises(ValueError):
             gen_sns_mask(16, 2, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("region", [1, 16])
+    @pytest.mark.parametrize("k", [1, 2, 13])
+    @pytest.mark.parametrize("m", [1, 2, 256])
+    def test_matches_per_element_loop(self, m, k, region):
+        rng, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+        mask = gen_sns_mask(m, k, region, rng)
+        assert np.array_equal(mask.s, loop_sns_mask(m, k, region, rng_ref))
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestAssembly:
@@ -206,3 +235,88 @@ class TestBirthCorrelationEffect:
             rho_born, _ = array_cross_correlation(born)
             deltas.append(rho_born[probe] - rho_dead[probe])
         assert np.median(deltas) > 0.0
+
+
+def _emimo_variant(**over):
+    raw = json.loads(preset_path("emimo").read_text())
+    blk = {**raw["emimo"], **over.pop("emimo", {})}
+    raw.update(over, emimo=blk, drops=4, seed=0)
+    return config_from_dict(raw)
+
+
+def _full_array_xcorr_last(cfg, paths, mask):
+    """``xcorr_last`` from the CFR of every element of the array."""
+    fc = cfg.center_freq_hz
+    n_freq = int(cfg.feature_block().get("freq_samples", 64))
+    freqs = fc + np.linspace(-cfg.bandwidth_hz / 2, cfg.bandwidth_hz / 2, n_freq)
+    cfr = sns_cfr_band(paths, cfg.build_array(cfg.bs_array), mask, freqs)
+    return float(array_cross_correlation(cfr)[0][-1])
+
+
+def _full_row_xcorr_last(path):
+    """Analyze's ``xcorr_last`` from every receive element's CFR."""
+    cir = read_cir(path)
+    freqs = np.linspace(0.0, 1.0 / max(cir.tap_delays_s.max(), 1e-9), 64)
+    basis = np.exp(-2j * np.pi * freqs[None, :] * cir.tap_delays_s[:, None])
+    return float(array_cross_correlation(cir.coefficients[0, :, 0, :] @ basis)[0][-1])
+
+
+EMIMO_VARIANTS = {
+    "preset": {},
+    "nlos": {"link_state": "NLOS"},
+    "link-state-null": {"link_state": None},
+    "single": {"bs_array": {"type": "single"}},
+    "ula2": {"bs_array": {"type": "ula", "n": 2}},
+    "ula3": {"bs_array": {"type": "ula", "n": 3}},
+    "ula64": {"bs_array": {"type": "ula", "n": 64}},
+    "freq2": {"emimo": {"freq_samples": 2}},
+    "freq128": {"emimo": {"freq_samples": 128}},
+    "region1": {"emimo": {"stationary_region": 1}},
+}
+
+
+class TestXcorrLast:
+    """``xcorr_last`` is computed from the two elements it correlates; it
+    must equal, bit for bit, the value read off the full-array correlation."""
+
+    @pytest.mark.parametrize("variant", EMIMO_VARIANTS)
+    def test_run_drop_matches_full_array(self, variant, monkeypatch):
+        cfg = _emimo_variant(**EMIMO_VARIANTS[variant])
+        seen = {}
+
+        def spy(name):
+            real = getattr(emimo, name)
+
+            def wrapper(*args, **kwargs):
+                seen[name] = real(*args, **kwargs)
+                return seen[name]
+            monkeypatch.setattr(emimo, name, wrapper)
+
+        spy("paths_from_clusters")
+        spy("gen_sns_mask")
+        for drop in range(cfg.drops):
+            got = run_drop(cfg, drop).metrics["xcorr_last"]
+            want = _full_array_xcorr_last(cfg, seen["paths_from_clusters"],
+                                          seen["gen_sns_mask"])
+            assert got == want
+
+    @pytest.mark.parametrize("variant", ["preset", "ula3", "base"])
+    def test_analyze_matches_full_rows(self, variant, tmp_path):
+        if variant == "base":
+            cfg = config_from_dict({"scenario": "uma", "feature": "BASE",
+                                    "center_freq_hz": 3.5e9, "bandwidth_hz": 20e6,
+                                    "link_state": None, "drops": 4, "seed": 0,
+                                    "bs_position": [0.0, 0.0, 25.0],
+                                    "ue_position": [120.0, 60.0, 1.5],
+                                    "bs_array": {"type": "ula", "n": 8},
+                                    "ue_array": {"type": "ula", "n": 2}})
+        else:
+            cfg = _emimo_variant(**EMIMO_VARIANTS[variant])
+        run_campaign(cfg, tmp_path)
+        assert cli_main(["analyze", "--in", str(tmp_path), "--metrics", "xcorr"]) == 0
+        with (tmp_path / "analysis.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == cfg.drops
+        for row in rows:
+            path = tmp_path / f"drop{int(row['drop']):05d}.cir"
+            assert float(row["xcorr_last"]) == _full_row_xcorr_last(path)
