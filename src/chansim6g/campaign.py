@@ -68,13 +68,20 @@ def _base_metrics(cfg: ScenarioConfig, clusters, cir: CirTensor) -> dict:
     }
 
 
-def _run_standard(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
+def _core(cfg: ScenarioConfig, streams: DropStreams):
+    """Shared drop prologue: link state, table entry, LSPs and the clusters
+    of the direct Tx-Rx link."""
     state = _link_state(cfg, streams)
     entry = lookup_lsp_table(cfg.scenario, state, cfg.center_freq_hz)
     lsps = generate_lsps(entry, streams.get("lsp"))
     dirs = los_directions(cfg.bs_position3d(), cfg.ue_position3d())
     clusters = generate_clusters(entry, lsps, dirs, state, cfg.ue_velocity,
                                  cfg.center_freq_hz, streams)
+    return state, entry, lsps, clusters
+
+
+def _run_standard(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
+    state, entry, lsps, clusters = _core(cfg, streams)
     if cfg.feature == "THZ":
         # Config value wins over the table entry's intra-cluster K.
         sparsity_k_db = cfg.feature_block().get("intra_cluster_k_db",
@@ -94,12 +101,7 @@ def _run_emimo(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
     blk = cfg.feature_block()
     region = int(blk.get("stationary_region", 16))
     n_freq = int(blk.get("freq_samples", 64))
-    state = _link_state(cfg, streams)
-    entry = lookup_lsp_table(cfg.scenario, state, cfg.center_freq_hz)
-    lsps = generate_lsps(entry, streams.get("lsp"))
-    dirs = los_directions(cfg.bs_position3d(), cfg.ue_position3d())
-    clusters = generate_clusters(entry, lsps, dirs, state, cfg.ue_velocity,
-                                 cfg.center_freq_hz, streams)
+    state, _, lsps, clusters = _core(cfg, streams)
     # The receive array sweeps the large aperture; the spherical manifold and
     # the visibility mask act along its elements.
     array = cfg.build_array(cfg.bs_array)

@@ -17,6 +17,7 @@ from pathlib import Path
 from .constants import wavelength
 from .geometry import ArrayGeometry, ConfigurationError, Position3D, \
     build_ula, single_element
+from .isac import cluster_budget
 from .largescale import data_dir, lookup_lsp_table
 
 FEATURES = ("BASE", "THZ", "EMIMO", "ISAC", "RIS", "SAGIN")
@@ -73,12 +74,26 @@ class ScenarioConfig:
                 f"block, found {present}")
         # Frequency must fall in a shipped band for the scenario/state.
         state = self.link_state or "LOS"
+        blk = self.feature_block()
         if self.feature == "SAGIN":
-            blk = self.feature_params["sagin"]
             lookup_lsp_table(self.scenario, state, self.center_freq_hz,
                              elevation_deg=blk.get("elevation_deg", 30.0))
         else:
-            lookup_lsp_table(self.scenario, state, self.center_freq_hz)
+            entry = lookup_lsp_table(self.scenario, state, self.center_freq_hz)
+        if self.feature == "RIS" and \
+                blk.get("codebook", "steering") not in ("steering", "uniform"):
+            raise ConfigError(f"ris.codebook: must be 'steering' or 'uniform', "
+                              f"got {blk['codebook']!r}")
+        if self.feature == "ISAC":
+            # Every state a drop can take must leave room for the clusters.
+            entries = [entry] if self.link_state else \
+                [entry, lookup_lsp_table(self.scenario, "NLOS", self.center_freq_hz)]
+            for e in entries:
+                try:
+                    cluster_budget(e, e.state == "los", int(blk.get("n_shared", 0)),
+                                   len(blk.get("targets", [])))
+                except (ConfigurationError, TypeError, ValueError) as exc:
+                    raise ConfigError(f"isac.n_shared: {exc}") from None
         for name in ("bs_position", "ue_position"):
             v = getattr(self, name)
             if len(v) != 3 or not all(math.isfinite(float(x)) for x in v):

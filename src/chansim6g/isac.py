@@ -17,7 +17,8 @@ import numpy as np
 from .constants import C_LIGHT
 from .geometry import ConfigurationError, Position3D, los_directions, unit_vector
 from .largescale import LSPSet, LspTableEntry
-from .smallscale import ClusterSet, gen_xpr_phases, ray_offsets, ray_powers
+from .smallscale import ClusterSet, _reflect_zenith, _wrap_pi, \
+    gen_cluster_powers, gen_xpr_phases, ray_offsets, ray_powers
 
 
 @dataclass(frozen=True)
@@ -44,21 +45,6 @@ class IsacChannelPair:
     comm_delay_offset_s: float     # absolute delay of comm tap 0
     sense_delay_offset_s: float    # absolute delay of sensing tap 0
     target_echo_delays_s: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-def _wrap_pi(a):
-    return (a + np.pi) % (2.0 * np.pi) - np.pi
-
-
-def _fold_zenith(a):
-    a = np.mod(a, 2.0 * np.pi)
-    return np.where(a > np.pi, 2.0 * np.pi - a, a)
-
-
-def _exp_powers(excess, r_tau, ds, zeta_db, rng):
-    z = rng.normal(0.0, zeta_db, size=excess.size) if zeta_db > 0 else np.zeros(excess.size)
-    p = np.exp(-excess * (r_tau - 1.0) / (r_tau * ds)) * 10.0 ** (-z / 10.0)
-    return p / p.sum()
 
 
 @dataclass
@@ -88,8 +74,10 @@ def _assemble_side(rows, entry, lsps, rng, f_hz, state, specular,
     zoa = np.array([r.zoa for r in rows])
     zod = np.array([r.zod for r in rows])
 
-    powers = _exp_powers(excess, entry.delay_scaling, lsps.ds_s,
-                         entry.per_cluster_shadow_db, rng)
+    # NLOS form: the LOS split below is ISAC's own, applied before the RCS
+    # weights.
+    powers = gen_cluster_powers(excess, lsps.ds_s, entry.delay_scaling,
+                                entry.per_cluster_shadow_db, None, "NLOS", rng)
     if specular:
         k_lin = 10.0 ** (lsps.k_db / 10.0)
         powers = powers / (k_lin + 1.0)
@@ -100,9 +88,9 @@ def _assemble_side(rows, entry, lsps, rng, f_hz, state, specular,
 
     offs = ray_offsets(m)
     az_a = _wrap_pi(aoa[:, None] + math.radians(entry.c_asa_deg) * offs[None, :])
-    zen_a = _fold_zenith(zoa[:, None] + math.radians(entry.c_zsa_deg) * offs[None, :])
+    zen_a = _reflect_zenith(zoa[:, None] + math.radians(entry.c_zsa_deg) * offs[None, :])
     az_d = _wrap_pi(aod[:, None] + math.radians(entry.c_asd_deg) * offs[None, :])
-    zen_d = _fold_zenith(zod[:, None] + math.radians(entry.c_zsd_deg) * offs[None, :])
+    zen_d = _reflect_zenith(zod[:, None] + math.radians(entry.c_zsd_deg) * offs[None, :])
 
     kappa, phases = gen_xpr_phases(entry, n, m, rng)
     rp = ray_powers(powers, m, los=specular, k_db=lsps.k_db if specular else None)
@@ -125,6 +113,20 @@ def _assemble_side(rows, entry, lsps, rng, f_hz, state, specular,
     return cs, shared_idx, shared_ids, target_idx, offset
 
 
+def cluster_budget(entry: LspTableEntry, los: bool, n_shared: int,
+                   n_targets: int) -> tuple:
+    """Environment cluster counts (comm, sensing) left from the table's
+    cluster count after the shared clusters, the LOS ray and the echoes."""
+    n_total = entry.n_clusters
+    n_comm_env = n_total - n_shared - (1 if los else 0)
+    n_sense_env = n_total - n_shared - n_targets
+    if n_shared < 0 or n_comm_env < 0 or n_sense_env < 0:
+        raise ConfigurationError(
+            f"cluster budget infeasible: total {n_total}, shared {n_shared}, "
+            f"targets {n_targets}, LOS {los}")
+    return n_comm_env, n_sense_env
+
+
 def gen_isac_drop(entry: LspTableEntry, lsps: LSPSet, tx_pos: Position3D,
                   rx_c_pos: Position3D, state: str, n_shared: int,
                   streams, f_hz: float, targets=(),
@@ -139,15 +141,9 @@ def gen_isac_drop(entry: LspTableEntry, lsps: LSPSet, tx_pos: Position3D,
     departure ray with delay 2|Tx-target|/c) and weighted by their RCS.
     Per-side shadowing, XPRs and phases come from per-channel streams.
     """
-    n_total = entry.n_clusters
     los = state.upper() == "LOS"
     n_targets = len(targets)
-    n_comm_env = n_total - n_shared - (1 if los else 0)
-    n_sense_env = n_total - n_shared - n_targets
-    if n_shared < 0 or n_comm_env < 0 or n_sense_env < 0:
-        raise ConfigurationError(
-            f"cluster budget infeasible: total {n_total}, shared {n_shared}, "
-            f"targets {n_targets}, LOS {los}")
+    n_comm_env, n_sense_env = cluster_budget(entry, los, n_shared, n_targets)
 
     mono_static = rx_s_pos is None
     rx_s = tx_pos if mono_static else rx_s_pos
@@ -176,8 +172,8 @@ def gen_isac_drop(entry: LspTableEntry, lsps: LSPSet, tx_pos: Position3D,
                 abs_delay_s=base_abs + float(shared_excess[sid]),
                 aod=float(shared_aod[sid]),
                 aoa=float(_wrap_pi(base_aoa + rng.normal(0.0, asa_rad))),
-                zoa=float(_fold_zenith(base_zoa + rng.normal(0.0, zsa_rad))),
-                zod=float(_fold_zenith(base_zod + rng.normal(0.0, zsd_rad))),
+                zoa=float(_reflect_zenith(base_zoa + rng.normal(0.0, zsa_rad))),
+                zod=float(_reflect_zenith(base_zod + rng.normal(0.0, zsd_rad))),
                 shared_id=sid, velocity=velocity))
         env_excess = -r_tau * ds * np.log(rng.uniform(size=n_env))
         for i in range(n_env):
@@ -185,8 +181,8 @@ def gen_isac_drop(entry: LspTableEntry, lsps: LSPSet, tx_pos: Position3D,
                 abs_delay_s=base_abs + float(env_excess[i]),
                 aod=float(_wrap_pi(dirs_c.aod + rng.normal(0.0, asd_rad))),
                 aoa=float(_wrap_pi(base_aoa + rng.normal(0.0, asa_rad))),
-                zoa=float(_fold_zenith(base_zoa + rng.normal(0.0, zsa_rad))),
-                zod=float(_fold_zenith(base_zod + rng.normal(0.0, zsd_rad))),
+                zoa=float(_reflect_zenith(base_zoa + rng.normal(0.0, zsa_rad))),
+                zod=float(_reflect_zenith(base_zod + rng.normal(0.0, zsd_rad))),
                 velocity=velocity))
         return rows
 

@@ -73,10 +73,6 @@ class LspTableEntry:
     intra_cluster_k_db: float | None = None
     clutter_loss_db: float = 0.0
 
-    @property
-    def is_los(self) -> bool:
-        return self.state == "los"
-
 
 @dataclass(frozen=True)
 class LSPSet:

@@ -21,7 +21,7 @@ import numpy as np
 from .constants import Z0_OHM, wavelength
 from .geometry import ArrayGeometry, ConfigurationError, unit_vector
 from .smallscale import ClusterSet
-from .cir import CirTensor, get_pattern
+from .cir import CirTensor, _polarization_matrices, pattern_isotropic
 
 # Directions within a degree of grazing (or behind the panel) are treated
 # as outside the panel's field of view; finite-thickness edges make the
@@ -108,7 +108,6 @@ class RisPanel:
     d_element: float                    # grid pitch, meters
     z_e: complex = 0.0                  # electric impedance, ohms
     z_m: complex = 0.0                  # magnetic impedance, ohms
-    element_size: float | None = None   # aperture edge, defaults to the pitch
     ideal: bool = False                 # unit-magnitude reflection, all angles
     ideal_reference: str = "pec"        # mirror signature of the ideal mode
     rotation: tuple = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
@@ -120,10 +119,6 @@ class RisPanel:
             raise ConfigurationError("element pitch must be positive")
         if self.ideal_reference not in ("pec", "pmc"):
             raise ConfigurationError("ideal_reference must be 'pec' or 'pmc'")
-
-    @property
-    def aperture_edge(self) -> float:
-        return self.element_size if self.element_size is not None else self.d_element
 
     @property
     def rotation_matrix(self) -> np.ndarray:
@@ -231,7 +226,7 @@ def _element_blocks(panel: RisPanel, in_dir, out_dir, f_hz: float,
 
     lam = wavelength(f_hz)
     k = 2.0 * math.pi / lam
-    edge = panel.aperture_edge
+    edge = panel.d_element              # square aperture filling the pitch
     area = edge * edge
 
     r_in, th_in, ph_in = _basis(zen_i, az_i)
@@ -271,65 +266,6 @@ def _element_blocks(panel: RisPanel, in_dir, out_dir, f_hz: float,
         l_ph = np.sum(m_s * ph_out, axis=-1)
         block_ref[..., p1, 0] = scale * (n_th + l_ph)
         block_ref[..., p1, 1] = scale * (n_ph - l_th)
-    return block_ref
-
-
-def _element_blocks_pairs(panel: RisPanel, in_zen, in_az, out_zen, out_az,
-                          f_hz: float, r_eval: float = 100.0):
-    """Factored evaluation of the element block on the outer product of an
-    incident direction list (I,) and an outgoing direction list (J,).
-
-    The equivalent currents depend only on the incident direction and the
-    out-basis projections only on the outgoing one, so everything except the
-    aperture taper reduces to (I, 3) x (3, J) products. Returns an
-    (I, J, 2, 2) array identical to ``_element_blocks`` on the corresponding
-    broadcast grid.
-    """
-    in_zen = np.asarray(in_zen, dtype=np.float64).ravel()
-    in_az = np.asarray(in_az, dtype=np.float64).ravel()
-    out_zen = np.asarray(out_zen, dtype=np.float64).ravel()
-    out_az = np.asarray(out_az, dtype=np.float64).ravel()
-
-    lam = wavelength(f_hz)
-    k = 2.0 * math.pi / lam
-    edge = panel.aperture_edge
-    area = edge * edge
-
-    r_in, th_in, ph_in = _basis(in_zen, in_az)        # (I, 3)
-    r_out, th_out, ph_out = _basis(out_zen, out_az)   # (J, 3)
-    k_i = -r_in
-    k_r = k_i.copy()
-    k_r[:, 2] = -k_r[:, 2]
-    v_r = th_in.copy()
-    v_r[:, 2] = -v_r[:, 2]
-    h_r = -ph_in
-    gamma_v = panel.reflection(in_zen, "V")
-    gamma_h = panel.reflection(in_zen, "H")
-
-    du = r_out[None, :, 0] + r_in[:, None, 0]
-    dv = r_out[None, :, 1] + r_in[:, None, 1]
-    taper = area * _sinc(0.5 * k * du * edge) * _sinc(0.5 * k * dv * edge)
-    prefactor = -1j * k * np.exp(-1j * k * r_eval) / (4.0 * math.pi * r_eval)
-    norm = (4.0 * math.pi / lam) * r_eval * np.exp(1j * k * r_eval)
-    scale = (norm * prefactor) * taper                # (I, J)
-
-    z_hat = np.array([0.0, 0.0, 1.0])
-
-    def radiate(e_vec, gamma):
-        field = gamma[:, None] * e_vec
-        h_vec = np.cross(k_r, field)
-        j_s = np.cross(np.broadcast_to(z_hat, h_vec.shape), h_vec)
-        m_s = -np.cross(np.broadcast_to(z_hat, field.shape), field)
-        n_th = j_s @ th_out.T                         # (I, J)
-        n_ph = j_s @ ph_out.T
-        l_th = m_s @ th_out.T
-        l_ph = m_s @ ph_out.T
-        return scale * (n_th + l_ph), scale * (n_ph - l_th)
-
-    shape = (in_zen.size, out_zen.size)
-    block_ref = np.empty(shape + (2, 2), dtype=np.complex128)
-    for p1, (e_r, gamma) in enumerate(((v_r, gamma_v), (h_r, gamma_h))):
-        block_ref[..., p1, 0], block_ref[..., p1, 1] = radiate(e_r, gamma)
     return block_ref
 
 
@@ -400,10 +336,6 @@ def _outer_sin(a, b):
     return np.outer(np.sin(a), np.cos(b)) + np.outer(np.cos(a), np.sin(b))
 
 
-def _outer_cos(a, b):
-    return np.outer(np.cos(a), np.cos(b)) - np.outer(np.sin(a), np.sin(b))
-
-
 def _dirichlet_outer(a, b, n: int):
     """Dirichlet kernel sin(n x)/sin(x) on the grid x = a_i + b_j, with the
     transcendentals evaluated only on the per-side vectors. Near-singular
@@ -444,17 +376,16 @@ def _cascade_chain_multi(panels, codebook: RisCodebook, in_zen, in_az,
     incident ray; the outgoing weights fold into two projection vectors per
     outgoing ray; each half then reduces to two (I,3)x(3,J) products.
 
-    ``panels`` must share geometry (grid, pitch, aperture) and may differ in
+    ``panels`` must share geometry (grid and pitch) and may differ in
     reflection behavior; shared grids are computed once. Returns one chain
     per panel.
     """
     if codebook.kind not in ("uniform", "steering"):
-        raise ConfigurationError("pair evaluation needs a separable codebook")
+        raise ConfigurationError("the cascade needs a separable codebook")
     ref_panel = panels[0]
     for p in panels[1:]:
-        if (p.nx, p.ny, p.d_element, p.aperture_edge) != \
-                (ref_panel.nx, ref_panel.ny, ref_panel.d_element,
-                 ref_panel.aperture_edge):
+        if (p.nx, p.ny, p.d_element) != \
+                (ref_panel.nx, ref_panel.ny, ref_panel.d_element):
             raise ConfigurationError("panels in one cascade must share geometry")
     in_zen = np.asarray(in_zen, dtype=np.float64).ravel()
     in_az = np.asarray(in_az, dtype=np.float64).ravel()
@@ -463,7 +394,7 @@ def _cascade_chain_multi(panels, codebook: RisCodebook, in_zen, in_az,
 
     lam = wavelength(f_hz)
     k = 2.0 * math.pi / lam
-    edge = ref_panel.aperture_edge
+    edge = ref_panel.d_element
     area = edge * edge
 
     r_in, th_in, ph_in = _basis(in_zen, in_az)
@@ -524,46 +455,13 @@ def _cascade_chain_multi(panels, codebook: RisCodebook, in_zen, in_az,
     return chains
 
 
-def _cascade_chain(panel: RisPanel, codebook: RisCodebook, in_zen, in_az,
-                   a_vec, out_zen, out_az, b_vec, f_hz: float) -> np.ndarray:
-    return _cascade_chain_multi([panel], codebook, in_zen, in_az, a_vec,
-                                out_zen, out_az, b_vec, f_hz)[0]
-
-
-def overall_pattern_pairs(panel: RisPanel, codebook: RisCodebook,
-                          in_zen, in_az, out_zen, out_az,
-                          f_hz: float) -> np.ndarray:
-    """Panel pattern on the outer product of incident directions (I,) and
-    outgoing directions (J,); separable codebooks only. Returns (I, J, 2, 2),
-    equal to ``overall_pattern`` on the broadcast grid."""
-    if codebook.kind not in ("uniform", "steering"):
-        raise ConfigurationError("pair evaluation needs a separable codebook")
-    in_zen = np.asarray(in_zen, dtype=np.float64).ravel()
-    in_az = np.asarray(in_az, dtype=np.float64).ravel()
-    out_zen = np.asarray(out_zen, dtype=np.float64).ravel()
-    out_az = np.asarray(out_az, dtype=np.float64).ravel()
-    k = 2.0 * math.pi / wavelength(f_hz)
-
-    ref = _element_blocks_pairs(panel, in_zen, in_az, out_zen, out_az, f_hz)
-    u_in = unit_vector(in_zen, in_az)
-    u_out = unit_vector(out_zen, out_az)
-    ux = u_in[:, None, 0] + u_out[None, :, 0]
-    uy = u_in[:, None, 1] + u_out[None, :, 1]
-    af_cb = (_dirichlet(k * (ux - codebook.design_u[0]) * panel.d_element, panel.nx)
-             * _dirichlet(k * (uy - codebook.design_u[1]) * panel.d_element, panel.ny))
-    front = ((in_zen < GRAZING_LIMIT_RAD)[:, None]
-             & (out_zen < GRAZING_LIMIT_RAD)[None, :])
-    return ref * af_cb[..., None, None] * front[..., None, None]
-
-
 # ---------------------------------------------------------------------------
 # Cascaded CIR
 # ---------------------------------------------------------------------------
 
 def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels,
                       codebook: RisCodebook, tx: ArrayGeometry,
-                      rx: ArrayGeometry, f_hz: float, times=None,
-                      tx_pattern="isotropic", rx_pattern="isotropic") -> list:
+                      rx: ArrayGeometry, f_hz: float, times=None) -> list:
     """Tx-RIS-Rx cascaded coefficients: double ray sum over the two legs with
     the panel pattern block between the per-leg polarization matrices; one
     tap per cluster pair at delay tau1 + tau2, Doppler from the RIS-Rx leg.
@@ -572,34 +470,20 @@ def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels,
     departure angles the outgoing direction, both rotated into the panel
     frame. Several panels sharing geometry (e.g. ideal vs non-ideal
     modulation) are evaluated against the same legs in one pass; one tensor
-    per panel is returned.
+    per panel is returned. Antennas are isotropic, and the codebook must be
+    separable (uniform or steering).
     """
     lam = wavelength(f_hz)
     t = np.zeros(1) if times is None else np.asarray(times, dtype=np.float64)
-    tx_pat = get_pattern(tx_pattern)
-    rx_pat = get_pattern(rx_pattern)
 
     n1, m1 = leg1.ray_powers.shape
     n2, m2 = leg2.ray_powers.shape
+    mat1 = _polarization_matrices(leg1).reshape(n1 * m1, 2, 2)
+    mat2 = _polarization_matrices(leg2).reshape(n2 * m2, 2, 2)
 
-    def pol_matrices(leg):
-        ph = leg.phases
-        inv = 1.0 / np.sqrt(leg.kappa)
-        mat = np.empty(ph.shape[:2] + (2, 2), dtype=np.complex128)
-        mat[..., 0, 0] = np.exp(1j * ph[..., 0])
-        mat[..., 0, 1] = inv * np.exp(1j * ph[..., 1])
-        mat[..., 1, 0] = inv * np.exp(1j * ph[..., 2])
-        mat[..., 1, 1] = np.exp(1j * ph[..., 3])
-        if leg.specular:
-            mat[0, 0] = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-        return mat
-
-    mat1 = pol_matrices(leg1).reshape(n1 * m1, 2, 2)
-    mat2 = pol_matrices(leg2).reshape(n2 * m2, 2, 2)
-
-    ftx_t, ftx_p = tx_pat(leg1.zod, leg1.aod)
+    ftx_t, ftx_p = pattern_isotropic(leg1.zod, leg1.aod)
     ftx = np.stack(np.broadcast_arrays(ftx_t, ftx_p), axis=-1).reshape(n1 * m1, 2)
-    frx_t, frx_p = rx_pat(leg2.zoa, leg2.aoa)
+    frx_t, frx_p = pattern_isotropic(leg2.zoa, leg2.aoa)
     frx = np.stack(np.broadcast_arrays(frx_t, frx_p), axis=-1).reshape(n2 * m2, 2)
     a_vec = np.einsum("ipq,iq->ip", mat1, ftx)        # (n1*m1, 2)
     b_vec = np.einsum("jq,jqp->jp", frx, mat2)        # (n2*m2, 2)
@@ -609,16 +493,8 @@ def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels,
     out_zen, out_az = panel0.to_local(leg2.zod.ravel(), leg2.aod.ravel())
     # chain[i, j] = sum_{q,p} a[i,q] F[i,j,q,p] b[j,p]; the pattern block is
     # indexed [incident, outgoing], so q pairs with the Tx half.
-    if codebook.kind in ("uniform", "steering"):
-        chains = _cascade_chain_multi(panels, codebook, in_zen, in_az, a_vec,
-                                      out_zen, out_az, b_vec, f_hz)
-    else:
-        chains = []
-        for panel in panels:
-            f_ris = overall_pattern(panel, codebook,
-                                    (in_zen[:, None], in_az[:, None]),
-                                    (out_zen[None, :], out_az[None, :]), f_hz)
-            chains.append(np.einsum("jp,ijqp,iq->ij", b_vec, f_ris, a_vec))
+    chains = _cascade_chain_multi(panels, codebook, in_zen, in_az, a_vec,
+                                  out_zen, out_az, b_vec, f_hz)
 
     amp = np.sqrt(np.outer(leg1.ray_powers.ravel(), leg2.ray_powers.ravel()))
     r_tx = unit_vector(leg1.zod, leg1.aod).reshape(n1 * m1, 3)
@@ -649,9 +525,7 @@ def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels,
 
 def cascade_cir(leg1: ClusterSet, leg2: ClusterSet, panel: RisPanel,
                 codebook: RisCodebook, tx: ArrayGeometry, rx: ArrayGeometry,
-                f_hz: float, times=None, tx_pattern="isotropic",
-                rx_pattern="isotropic") -> CirTensor:
+                f_hz: float, times=None) -> CirTensor:
     """Single-panel cascade; see ``cascade_cir_multi``."""
     return cascade_cir_multi(leg1, leg2, [panel], codebook, tx, rx, f_hz,
-                             times=times, tx_pattern=tx_pattern,
-                             rx_pattern=rx_pattern)[0]
+                             times=times)[0]

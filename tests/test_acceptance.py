@@ -276,10 +276,8 @@ def test_criterion_07_ris():
         zen = np.radians(np.arange(0.5, 88.0, 1.0))
         az = np.radians(np.arange(-180.0, 180.0, 1.0))
         zz, aa = np.meshgrid(zen, az, indexing="ij")
-        pat = ris.overall_pattern_pairs(ideal, cb, np.array([inc[0]]),
-                                        np.array([inc[1]]),
-                                        zz.ravel(), aa.ravel(), 28e9)
-        mag = np.abs(pat[0, :, 0, 0]).reshape(zz.shape)
+        pat = ris.overall_pattern(ideal, cb, inc, (zz, aa), 28e9)
+        mag = np.abs(pat[..., 0, 0])
         imax = np.unravel_index(np.argmax(mag), mag.shape)
         assert abs(math.degrees(zen[imax[0]] - target[0])) <= 1.0
         assert abs(math.degrees(az[imax[1]] - target[1])) <= 1.0

@@ -116,6 +116,58 @@ class TestValidation:
         path.write_text(json.dumps(raw))
         assert cli_main(["validate", "--config", str(path)]) == 1
 
+    def test_unknown_ris_codebook_rejected(self, tmp_path):
+        raw = json.loads(preset_path("ris").read_text())
+        raw["ris"]["codebook"] = "steerng"
+        with pytest.raises(ConfigError, match=r"ris\.codebook"):
+            config_from_dict(raw)
+        path = tmp_path / "ris_codebook.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", "--config", str(path)]) == 1
+        for name in ("steering", "uniform"):
+            raw["ris"]["codebook"] = name
+            config_from_dict(raw)
+
+    @staticmethod
+    def isac_raw(scenario, n_targets, link_state, n_shared):
+        raw = json.loads(preset_path("isac").read_text())
+        raw.update(scenario=scenario, link_state=link_state)
+        raw["isac"]["targets"] = raw["isac"]["targets"][:n_targets]
+        raw["isac"]["n_shared"] = n_shared
+        return raw
+
+    # Clusters at 28 GHz: inh_office 15 LOS / 19 NLOS, so with the preset's
+    # 3 targets up to 12 shared fit LOS and 16 NLOS; rma 11 LOS / 10 NLOS,
+    # so with 1 target up to 10 fit LOS and 9 NLOS.
+    @pytest.mark.parametrize("scenario, n_targets, link_state, n_shared", [
+        ("inh_office", 3, "LOS", 30), ("inh_office", 3, "LOS", 13),
+        ("inh_office", 3, "NLOS", 17), ("inh_office", 3, None, 13),
+        ("inh_office", 3, "LOS", -1), ("inh_office", 3, "LOS", "six"),
+        ("rma", 1, None, 10)])
+    def test_isac_cluster_budget_rejected(self, scenario, n_targets, link_state,
+                                          n_shared, tmp_path):
+        raw = self.isac_raw(scenario, n_targets, link_state, n_shared)
+        with pytest.raises(ConfigError, match=r"isac\.n_shared"):
+            config_from_dict(raw)
+        path = tmp_path / "isac_budget.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("scenario, n_targets, link_state, n_shared", [
+        ("inh_office", 3, "LOS", 12), ("inh_office", 3, "NLOS", 16),
+        ("inh_office", 3, None, 12), ("rma", 1, "LOS", 10),
+        ("rma", 1, "NLOS", 9)])
+    def test_isac_cluster_budget_edge_runs(self, scenario, n_targets,
+                                           link_state, n_shared):
+        cfg = config_from_dict(self.isac_raw(scenario, n_targets, link_state,
+                                             n_shared))
+        states = set()
+        for drop in range(4):     # seed 1 draws NLOS then LOS when null
+            m = run_drop(cfg, drop).metrics
+            assert 0.0 < m["sd_comm"] <= 1.0
+            states.add(m["state"])
+        assert states == ({"LOS", "NLOS"} if link_state is None else {link_state})
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             config_from_dict(minimal_config(bogus_field=1))

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from chansim6g.cir import _polarization_matrices
 from chansim6g.constants import Z0_OHM, wavelength
-from chansim6g.geometry import single_element
+from chansim6g.geometry import ConfigurationError, single_element
 from chansim6g.ris import (GRAZING_LIMIT_RAD, RisPanel, cascade_cir,
                            cascade_cir_multi, element_pattern,
                            element_reflection, overall_pattern,
-                           overall_pattern_pairs, rotation_facing,
-                           rotation_with_incidence, steering_codebook,
-                           table_codebook, uniform_codebook)
+                           rotation_facing, rotation_with_incidence,
+                           steering_codebook, table_codebook, uniform_codebook)
 from test_cir import make_clusters
 
 F = 28e9
@@ -152,9 +152,8 @@ class TestOverallPattern:
         zen = np.radians(np.arange(0.5, 88.0, 1.0))
         az = np.radians(np.arange(-180.0, 180.0, 1.0))
         zz, aa = np.meshgrid(zen, az, indexing="ij")
-        pat = overall_pattern_pairs(panel, cb, np.array([inc[0]]),
-                                    np.array([inc[1]]), zz.ravel(), aa.ravel(), F)
-        mag = np.abs(pat[0, :, 0, 0]).reshape(zz.shape)
+        pat = overall_pattern(panel, cb, inc, (zz, aa), F)
+        mag = np.abs(pat[..., 0, 0])
         imax = np.unravel_index(np.argmax(mag), mag.shape)
         assert abs(math.degrees(zen[imax[0]] - target[0])) <= 1.0
         assert abs(math.degrees(az[imax[1]] - target[1])) <= 1.0
@@ -170,6 +169,22 @@ def single_ray_leg(aoa, zoa, aod, zod, tau=0.0, power=1.0, doppler=0.0):
     return make_clusters([tau] if tau == 0 else [0.0], [power], aoa=[aoa],
                          zoa=[zoa], aod=[aod], zod=[zod], kappa=1e15,
                          doppler=doppler)
+
+
+def broadcast_cascade(leg1, leg2, panel, cb):
+    """Cascade taps of single-element isotropic arrays at t = 0 from the
+    broadcast panel pattern, summed over every ray pair."""
+    in_zen, in_az = panel.to_local(leg1.zoa, leg1.aoa)
+    out_zen, out_az = panel.to_local(leg2.zod, leg2.aod)
+    f_ris = overall_pattern(panel, cb, (in_zen[:, :, None, None],
+                                        in_az[:, :, None, None]),
+                            (out_zen, out_az), F)
+    a = _polarization_matrices(leg1)[..., :, 0]      # theta-polarized Tx
+    b = _polarization_matrices(leg2)[..., 0, :]      # theta-polarized Rx
+    amp = np.sqrt(leg1.ray_powers[:, :, None, None] * leg2.ray_powers)
+    taps = np.einsum("abq,abcdqp,cdp,abcd->ac", a, f_ris, b, amp)
+    delays = (leg1.delays_s[:, None] + leg2.delays_s).ravel()
+    return taps.ravel()[np.argsort(delays, kind="stable")]
 
 
 class TestCascade:
@@ -282,6 +297,25 @@ class TestCascade:
         assert np.abs(solo_ni.coefficients).max() > 0
         assert np.array_equal(pair[0].coefficients, solo_ni.coefficients)
         assert pair[1].meta["ideal_panel"]
+
+        # Two non-ideal panels with different impedances, each against the
+        # broadcast panel pattern.
+        ni2 = RisPanel(nx=4, ny=4, d_element=LAM / 2, z_e=60.0, z_m=2500.0)
+        cb = steering_codebook((0.3, 0.1), (0.5, 0.4))
+        got = cascade_cir_multi(leg1, leg2, [ni, ni2], cb, single_element(),
+                                single_element(), F)
+        for panel, cir in zip((ni, ni2), got):
+            expected = broadcast_cascade(leg1, leg2, panel, cb)
+            assert np.max(np.abs(cir.coefficients[0, 0, 0] - expected)) \
+                <= 1e-12 * np.max(np.abs(expected))
+        assert not np.allclose(got[0].coefficients, got[1].coefficients)
+
+    def test_table_codebook_rejected(self):
+        leg = make_clusters([0.0], [1.0], aoa=[0.3], zoa=[1.2])
+        panel = RisPanel(nx=2, ny=2, d_element=LAM / 2)
+        with pytest.raises(ConfigurationError, match="separable"):
+            cascade_cir_multi(leg, leg, [panel], table_codebook(np.zeros((2, 2))),
+                              single_element(), single_element(), F)
 
 
 class TestRotations:
