@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """SHA-256 digests of the output bytes of fixed campaigns.
 
-Runs the five shipped presets plus a BASE config (uma, ``link_state`` null,
-8x2 ULAs, moving UE) at seed 42 with 3 drops each and ``jobs=1``, then
+Runs the five shipped presets, a BASE config (uma, ``link_state`` null,
+8x2 ULAs, moving UE) and a RIS variant (4x2 ULAs, moving UE, two time
+samples, uniform codebook, 70 degree incidence) at seed 42 with 3 drops
+each and ``jobs=1``, then
 ``chansim6g analyze --metrics ds,gini,rsrp,xcorr`` over each output
 directory, and hashes every ``.cir`` / ``.cir.sense`` file, ``metrics.csv``
 and ``analysis.csv``. ``tests/test_golden_digests.py`` compares the result
@@ -48,6 +50,17 @@ BASE_CONFIG = {
 }
 
 
+# The ris preset with ULAs at both ends, two time samples and a moving UE,
+# so the cascade's array-phase and Doppler terms are not trivial.
+RIS_ULA_OVERRIDES = {
+    "bs_array": {"type": "ula", "n": 4, "spacing": "half_wavelength"},
+    "ue_array": {"type": "ula", "n": 2, "spacing": "half_wavelength"},
+    "time_samples": 2,
+    "ue_velocity": [1.0, 0.5, 0.0],
+}
+RIS_ULA_BLOCK = {"codebook": "uniform", "bs_incidence_deg": 70.0}
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -57,10 +70,14 @@ def compute_digests() -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     from chansim6g.campaign import run_campaign
     from chansim6g.cli import main as cli_main
-    from chansim6g.config import config_from_dict, load_preset
+    from chansim6g.config import config_from_dict, load_preset, preset_path
 
     configs = {name: load_preset(name, seed=SEED, drops=DROPS) for name in PRESETS}
     configs["base"] = config_from_dict({**BASE_CONFIG, "seed": SEED, "drops": DROPS})
+    ris_raw = json.loads(preset_path("ris").read_text())
+    configs["ris-ula"] = config_from_dict(
+        {**ris_raw, **RIS_ULA_OVERRIDES, "seed": SEED, "drops": DROPS,
+         "ris": {**ris_raw["ris"], **RIS_ULA_BLOCK}})
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in configs.items():

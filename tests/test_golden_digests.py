@@ -2,9 +2,10 @@
 
 ``tests/golden_digests.json`` pins the SHA-256 of every ``.cir`` /
 ``.cir.sense`` file, ``metrics.csv`` and the ``analysis.csv`` of
-``chansim6g analyze --metrics ds,gini,rsrp,xcorr``, for the five presets
-plus a BASE config (uma, ``link_state`` null, 8x2 ULAs, moving UE) at
-seed 42, 3 drops each, ``jobs=1``. The digests were pinned on numpy 2.4.6,
+``chansim6g analyze --metrics ds,gini,rsrp,xcorr``, for the five presets,
+a BASE config (uma, ``link_state`` null, 8x2 ULAs, moving UE) and a RIS
+variant (4x2 ULAs, moving UE, two time samples, uniform codebook) at
+seed 42, 3 drops each, ``jobs=1``: 38 digests. The digests were pinned on numpy 2.4.6,
 scipy 1.17.1 and OpenBLAS 0.3.31; another toolchain may round differently.
 A deliberate change of output bytes re-baselines them with
 ``python3 scripts/golden_digests.py --write``.
