@@ -331,54 +331,93 @@ def overall_pattern(panel: RisPanel, codebook: RisCodebook, in_dir, out_dir,
     return ref * af_cb[..., None, None] * front[..., None, None]
 
 
-def _outer_sin(a, b):
-    """sin(a_i + b_j) from per-side vectors (angle addition)."""
-    return np.outer(np.sin(a), np.cos(b)) + np.outer(np.cos(a), np.sin(b))
+# Leg-1 rays per tile of the cascade kernel. A one-row remainder joins the
+# previous tile, so the reused scratch grids hold CASCADE_TILE + 1 rows.
+CASCADE_TILE = 32
 
 
-def _dirichlet_outer(a, b, n: int):
-    """Dirichlet kernel sin(n x)/sin(x) on the grid x = a_i + b_j, with the
-    transcendentals evaluated only on the per-side vectors. Near-singular
-    entries (coherence points) are patched individually."""
-    num = _outer_sin(n * a, n * b)
-    den = _outer_sin(a, b)
-    rows, cols = np.where(np.abs(den) < 1e-12)
-    if rows.size:
-        den[rows, cols] = 1.0
-    num /= den
-    if rows.size:
-        x = a[rows] + b[cols]
-        num[rows, cols] = n * np.cos(n * x) / np.cos(x)
-    return num
+def _side(v):
+    """A per-side argument vector with its sines and cosines."""
+    return v, np.sin(v), np.cos(v)
 
 
-def _sinc_outer(a, b):
-    """sin(x)/x on the grid x = a_i + b_j."""
-    num = _outer_sin(a, b)
-    x = a[:, None] + b[None, :]
-    rows, cols = np.where(np.abs(x) < 1e-9)
-    if rows.size:
-        x[rows, cols] = 1.0
-    num /= x
-    if rows.size:
-        num[rows, cols] = 1.0
-    return num
+def _outer_sin(a, b, rows, out, tmp):
+    """sin(a_i + b_j) for i in ``rows`` into ``out`` by angle addition, so
+    no grid-sized transcendental is evaluated."""
+    np.multiply.outer(a[1][rows], b[2], out=out)
+    out += np.multiply.outer(a[2][rows], b[1], out=tmp)
+    return out
 
 
-def _cascade_chain_multi(panels, codebook: RisCodebook, in_zen, in_az,
-                         a_vec, out_zen, out_az, b_vec, f_hz: float) -> list:
-    """Fused pattern/polarization contraction for the cascade:
+def _sinc_tile(a, b, rows, out, work, mask):
+    """sin(x)/x on the grid x = a_i + b_j, i in ``rows``, into ``out``."""
+    tmp, x = work
+    _outer_sin(a, b, rows, out, tmp)
+    np.add.outer(a[0][rows], b[0], out=x)
+    np.less(np.abs(x, out=tmp), 1e-9, out=mask)
+    if mask.any():
+        x[mask] = 1.0
+        out /= x
+        out[mask] = 1.0
+    else:
+        out /= x
+    return out
 
-    chain[i, j] = sum_{q, p} a_vec[i, q] F_panel[i, j, q, p] b_vec[j, p]
+
+def _dirichlet_tile(a, na, b, nb, n: int, rows, out, work, mask):
+    """Dirichlet kernel sin(n x)/sin(x) on the grid x = a_i + b_j, i in
+    ``rows``, into ``out``; ``na``/``nb`` are the sides scaled by n.
+    Near-singular entries (coherence points) are patched individually."""
+    tmp, den = work
+    _outer_sin(na, nb, rows, out, tmp)
+    _outer_sin(a, b, rows, den, tmp)
+    np.less(np.abs(den, out=tmp), 1e-12, out=mask)
+    if not mask.any():
+        out /= den
+        return out
+    i, j = np.nonzero(mask)
+    den[i, j] = 1.0
+    out /= den
+    x = a[0][rows][i] + b[0][j]
+    out[i, j] = n * np.cos(n * x) / np.cos(x)
+    return out
+
+
+def _tiles(front):
+    """Leg-1 row indices per tile. No tile has exactly one row unless only
+    one row exists: numpy hands a one-row product to gemv, which rounds
+    differently from the gemm of a full-height product."""
+    cuts = list(range(CASCADE_TILE, front.size, CASCADE_TILE))
+    if cuts and front.size - cuts[-1] == 1:
+        cuts.pop()
+    return np.split(front, cuts)
+
+
+def _cascade_ray_terms(panels, codebook: RisCodebook, in_zen, in_az, a_vec,
+                       p_in, out_zen, out_az, b_vec, p_out, f_hz: float) -> list:
+    """Fused pattern/polarization contraction for the cascade, one (I, J)
+    ray-pair grid per panel:
+
+    term[i, j] = sqrt(p_in[i] p_out[j])
+                 * sum_{q, p} a_vec[i, q] F_panel[i, j, q, p] b_vec[j, p]
 
     computed without materializing the (I, J, 2, 2) pattern blocks. The
     incident-polarization weights fold into combined current vectors per
     incident ray; the outgoing weights fold into two projection vectors per
     outgoing ray; each half then reduces to two (I,3)x(3,J) products.
 
+    The pattern weight is real: with the r_eval factors cancelled, the block
+    scale is -1j k / lam times the taper, so term = 1j w amp (j.t1 + m.t2)
+    with w = (-k / lam) taper af. Rows of incident rays past the grazing
+    limit are zero and are not evaluated; the others run CASCADE_TILE at a
+    time through reused scratch grids. Every entry gets the roundings of
+    the full-grid evaluation in the same order, so each nonzero term is
+    bitwise the full grid's: the products keep all J columns (out-of-front
+    columns are masked in w) and the two K=3 products stay separate, as
+    narrower or fused products round differently.
+
     ``panels`` must share geometry (grid and pitch) and may differ in
-    reflection behavior; shared grids are computed once. Returns one chain
-    per panel.
+    reflection behavior; shared grids are computed once.
     """
     if codebook.kind not in ("uniform", "steering"):
         raise ConfigurationError("the cascade needs a separable codebook")
@@ -391,6 +430,17 @@ def _cascade_chain_multi(panels, codebook: RisCodebook, in_zen, in_az,
     in_az = np.asarray(in_az, dtype=np.float64).ravel()
     out_zen = np.asarray(out_zen, dtype=np.float64).ravel()
     out_az = np.asarray(out_az, dtype=np.float64).ravel()
+    n_in, n_out = in_zen.size, out_zen.size
+    terms = [np.zeros((n_in, n_out), dtype=np.complex128) for _ in panels]
+    front = np.flatnonzero(in_zen < GRAZING_LIMIT_RAD)
+    if front.size == 0:
+        return terms
+    # A lone front row is evaluated with a neighbor (see _tiles), whose
+    # term is reset to zero afterwards.
+    neighbor = None
+    if front.size == 1 and n_in > 1:
+        neighbor = front[0] + 1 if front[0] + 1 < n_in else front[0] - 1
+        front = np.sort(np.append(front, neighbor))
 
     lam = wavelength(f_hz)
     k = 2.0 * math.pi / lam
@@ -399,8 +449,7 @@ def _cascade_chain_multi(panels, codebook: RisCodebook, in_zen, in_az,
 
     r_in, th_in, ph_in = _basis(in_zen, in_az)
     r_out, th_out, ph_out = _basis(out_zen, out_az)
-    k_i = -r_in
-    k_r = k_i.copy()
+    k_r = -r_in
     k_r[:, 2] = -k_r[:, 2]
     v_r = th_in.copy()
     v_r[:, 2] = -v_r[:, 2]
@@ -418,41 +467,70 @@ def _cascade_chain_multi(panels, codebook: RisCodebook, in_zen, in_az,
     av, ah = a_vec[:, 0][:, None], a_vec[:, 1][:, None]
     j_v_r, m_v_r = currents(v_r, k_r)
     j_h_r, m_h_r = currents(h_r, k_r)
+    j_ref, m_ref = [], []
+    for panel in panels:
+        gv = (av * panel.reflection(in_zen, "V")[:, None])
+        gh = (ah * panel.reflection(in_zen, "H")[:, None])
+        j_ref.append(gv * j_v_r + gh * j_h_r)
+        m_ref.append(gv * m_v_r + gh * m_h_r)
 
     # Projection vectors per outgoing ray, weighted by the Rx half.
     b0, b1 = b_vec[:, 0][:, None], b_vec[:, 1][:, None]
     t1 = b0 * th_out + b1 * ph_out
     t2 = b0 * ph_out - b1 * th_out
 
-    # All big-grid trigonometry runs through per-side vectors; the (I, J)
-    # arguments are separable sums, so angle addition avoids grid-sized
-    # transcendental evaluations.
+    # The (I, J) arguments of the taper and the array factor are separable
+    # sums, so every transcendental runs on the per-side vectors.
     ux_i, ux_o = r_in[:, 0], r_out[:, 0]
     uy_i, uy_o = r_in[:, 1], r_out[:, 1]
-    taper = area * (_sinc_outer(0.5 * k * edge * ux_i, 0.5 * k * edge * ux_o)
-                    * _sinc_outer(0.5 * k * edge * uy_i, 0.5 * k * edge * uy_o))
-    scale = (-1j * k / lam) * taper   # r_eval factors cancel analytically
-
+    sx_i, sx_o = _side(0.5 * k * edge * ux_i), _side(0.5 * k * edge * ux_o)
+    sy_i, sy_o = _side(0.5 * k * edge * uy_i), _side(0.5 * k * edge * uy_o)
     hd = 0.5 * k * ref_panel.d_element
-    af_cb = (_dirichlet_outer(hd * (ux_i - codebook.design_u[0]), hd * ux_o,
-                              ref_panel.nx)
-             * _dirichlet_outer(hd * (uy_i - codebook.design_u[1]), hd * uy_o,
-                                ref_panel.ny))
+    nx, ny = ref_panel.nx, ref_panel.ny
+    dx_i = hd * (ux_i - codebook.design_u[0])
+    dy_i = hd * (uy_i - codebook.design_u[1])
+    dx_o, dy_o = hd * ux_o, hd * uy_o
+    dx = (_side(dx_i), _side(nx * dx_i), _side(dx_o), _side(nx * dx_o))
+    dy = (_side(dy_i), _side(ny * dy_i), _side(dy_o), _side(ny * dy_o))
+    scale = -k / lam                  # r_eval factors cancel analytically
+    out_front = out_zen < GRAZING_LIMIT_RAD
+    col_mask = None if out_front.all() else out_front.astype(np.float64)
+    p_in = np.asarray(p_in, dtype=np.float64).ravel()
+    p_out = np.asarray(p_out, dtype=np.float64).ravel()
 
-    front = ((in_zen < GRAZING_LIMIT_RAD)[:, None]
-             & (out_zen < GRAZING_LIMIT_RAD)[None, :])
-    base_ref = scale * af_cb * front
-
-    chains = []
-    for panel in panels:
-        gamma_v = panel.reflection(in_zen, "V")
-        gamma_h = panel.reflection(in_zen, "H")
-        gv = (av * gamma_v[:, None])
-        gh = (ah * gamma_h[:, None])
-        j_ref = gv * j_v_r + gh * j_h_r
-        m_ref = gv * m_v_r + gh * m_h_r
-        chains.append(base_ref * (j_ref @ t1.T + m_ref @ t2.T))
-    return chains
+    tiles = _tiles(front)
+    rows_max = max(t.size for t in tiles)
+    grid = np.empty((5, rows_max, n_out))
+    mask_buf = np.empty((rows_max, n_out), dtype=bool)
+    prod_buf = np.empty((2, rows_max, n_out), dtype=np.complex128)
+    for rows in tiles:
+        w, g_a, g_b, t_a, t_b = grid[:, :rows.size]
+        mask = mask_buf[:rows.size]
+        # w = (-k / lam) * (area * (Sx * Sy)) * (Dx * Dy), in that order.
+        _sinc_tile(sx_i, sx_o, rows, w, (t_a, t_b), mask)
+        w *= _sinc_tile(sy_i, sy_o, rows, g_a, (t_a, t_b), mask)
+        w *= area
+        w *= scale
+        _dirichlet_tile(*dx, nx, rows, g_a, (t_a, t_b), mask)
+        g_a *= _dirichlet_tile(*dy, ny, rows, g_b, (t_a, t_b), mask)
+        w *= g_a
+        if col_mask is not None:
+            w *= col_mask
+        amp = np.sqrt(np.multiply.outer(p_in[rows], p_out, out=g_a), out=g_a)
+        prod, prod_m = prod_buf[:, :rows.size]
+        for term, j_p, m_p in zip(terms, j_ref, m_ref):
+            np.matmul(j_p[rows], t1.T, out=prod)
+            prod += np.matmul(m_p[rows], t2.T, out=prod_m)
+            # amp * ((0 + 1j w) * prod) of the full grid, rounding for
+            # rounding: the weight's zero real part adds only exact zeros.
+            prod *= w
+            prod *= amp
+            prod *= 1j
+            term[rows] = prod
+    if neighbor is not None:
+        for term in terms:
+            term[neighbor] = 0.0
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +569,12 @@ def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels,
     panel0 = panels[0]
     in_zen, in_az = panel0.to_local(leg1.zoa.ravel(), leg1.aoa.ravel())
     out_zen, out_az = panel0.to_local(leg2.zod.ravel(), leg2.aod.ravel())
-    # chain[i, j] = sum_{q,p} a[i,q] F[i,j,q,p] b[j,p]; the pattern block is
-    # indexed [incident, outgoing], so q pairs with the Tx half.
-    chains = _cascade_chain_multi(panels, codebook, in_zen, in_az, a_vec,
-                                  out_zen, out_az, b_vec, f_hz)
+    # term[i, j] = amp[i, j] sum_{q,p} a[i,q] F[i,j,q,p] b[j,p]; the pattern
+    # block is indexed [incident, outgoing], so q pairs with the Tx half.
+    terms = _cascade_ray_terms(panels, codebook, in_zen, in_az, a_vec,
+                               leg1.ray_powers, out_zen, out_az, b_vec,
+                               leg2.ray_powers, f_hz)
 
-    amp = np.sqrt(np.outer(leg1.ray_powers.ravel(), leg2.ray_powers.ravel()))
     r_tx = unit_vector(leg1.zod, leg1.aod).reshape(n1 * m1, 3)
     r_rx = unit_vector(leg2.zoa, leg2.aoa).reshape(n2 * m2, 3)
     ph_tx = np.exp(2j * math.pi / lam * (r_tx @ tx.element_positions.T))
@@ -510,9 +588,9 @@ def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels,
     order = np.argsort(delays, kind="stable")
 
     out = []
-    for panel, chain in zip(panels, chains):
-        ray_term = (amp * chain).reshape(n1, m1, n2, m2)
-        taps = np.einsum("abcd,abs,cdu,cdt->tusac", ray_term, ph_tx, ph_rx,
+    for panel, term in zip(panels, terms):
+        taps = np.einsum("abcd,abs,cdu,cdt->tusac",
+                         term.reshape(n1, m1, n2, m2), ph_tx, ph_rx,
                          dop, optimize=True)
         nt, nu, ns = taps.shape[:3]
         taps = taps.reshape(nt, nu, ns, n1 * n2)

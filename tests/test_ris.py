@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from chansim6g import ris
 from chansim6g.cir import _polarization_matrices
 from chansim6g.constants import Z0_OHM, wavelength
-from chansim6g.geometry import ConfigurationError, single_element
-from chansim6g.ris import (GRAZING_LIMIT_RAD, RisPanel, cascade_cir,
+from chansim6g.geometry import ConfigurationError, build_ula, single_element
+from chansim6g.ris import (CASCADE_TILE, GRAZING_LIMIT_RAD, RisPanel, _basis,
+                           cascade_cir,
                            cascade_cir_multi, element_pattern,
                            element_reflection, overall_pattern,
                            rotation_facing, rotation_with_incidence,
@@ -316,6 +318,210 @@ class TestCascade:
         with pytest.raises(ConfigurationError, match="separable"):
             cascade_cir_multi(leg, leg, [panel], table_codebook(np.zeros((2, 2))),
                               single_element(), single_element(), F)
+
+
+def _outer_sin(a, b):
+    return np.outer(np.sin(a), np.cos(b)) + np.outer(np.cos(a), np.sin(b))
+
+
+def _dirichlet_outer(a, b, n):
+    num = _outer_sin(n * a, n * b)
+    den = _outer_sin(a, b)
+    rows, cols = np.where(np.abs(den) < 1e-12)
+    if rows.size:
+        den[rows, cols] = 1.0
+    num /= den
+    if rows.size:
+        x = a[rows] + b[cols]
+        num[rows, cols] = n * np.cos(n * x) / np.cos(x)
+    return num
+
+
+def _sinc_outer(a, b):
+    num = _outer_sin(a, b)
+    x = a[:, None] + b[None, :]
+    rows, cols = np.where(np.abs(x) < 1e-9)
+    if rows.size:
+        x[rows, cols] = 1.0
+    num /= x
+    if rows.size:
+        num[rows, cols] = 1.0
+    return num
+
+
+def full_grid_terms(panels, codebook, in_zen, in_az, a_vec, p_in, out_zen,
+                    out_az, b_vec, p_out, f_hz):
+    """The full-grid ray terms the tiled kernel must reproduce bit for bit:
+    every (I, J) entry evaluated with a complex pattern weight, the
+    grazing mask applied to the whole grid, amp multiplied in last."""
+    lam = wavelength(f_hz)
+    k = 2.0 * math.pi / lam
+    edge = panels[0].d_element
+    area = edge * edge
+    r_in, th_in, ph_in = _basis(in_zen, in_az)
+    r_out, th_out, ph_out = _basis(out_zen, out_az)
+    k_r = -r_in
+    k_r[:, 2] = -k_r[:, 2]
+    v_r = th_in.copy()
+    v_r[:, 2] = -v_r[:, 2]
+    h_r = -ph_in
+    z_hat = np.array([0.0, 0.0, 1.0])
+
+    def currents(e_vec, k_vec):
+        h_vec = np.cross(k_vec, e_vec)
+        j_s = np.cross(np.broadcast_to(z_hat, h_vec.shape), h_vec)
+        m_s = -np.cross(np.broadcast_to(z_hat, e_vec.shape), e_vec)
+        return j_s, m_s
+
+    av, ah = a_vec[:, 0][:, None], a_vec[:, 1][:, None]
+    j_v_r, m_v_r = currents(v_r, k_r)
+    j_h_r, m_h_r = currents(h_r, k_r)
+    b0, b1 = b_vec[:, 0][:, None], b_vec[:, 1][:, None]
+    t1 = b0 * th_out + b1 * ph_out
+    t2 = b0 * ph_out - b1 * th_out
+    ux_i, ux_o = r_in[:, 0], r_out[:, 0]
+    uy_i, uy_o = r_in[:, 1], r_out[:, 1]
+    taper = area * (_sinc_outer(0.5 * k * edge * ux_i, 0.5 * k * edge * ux_o)
+                    * _sinc_outer(0.5 * k * edge * uy_i, 0.5 * k * edge * uy_o))
+    scale = (-1j * k / lam) * taper
+    hd = 0.5 * k * edge
+    af_cb = (_dirichlet_outer(hd * (ux_i - codebook.design_u[0]), hd * ux_o,
+                              panels[0].nx)
+             * _dirichlet_outer(hd * (uy_i - codebook.design_u[1]), hd * uy_o,
+                                panels[0].ny))
+    front = ((in_zen < GRAZING_LIMIT_RAD)[:, None]
+             & (out_zen < GRAZING_LIMIT_RAD)[None, :])
+    base_ref = scale * af_cb * front
+    amp = np.sqrt(np.outer(np.ravel(p_in), np.ravel(p_out)))
+    terms = []
+    for panel in panels:
+        gv = av * panel.reflection(in_zen, "V")[:, None]
+        gh = ah * panel.reflection(in_zen, "H")[:, None]
+        j_ref = gv * j_v_r + gh * j_h_r
+        m_ref = gv * m_v_r + gh * m_h_r
+        terms.append(amp * (base_ref * (j_ref @ t1.T + m_ref @ t2.T)))
+    return terms
+
+
+def grazing_legs(rng, front_rows, n1=6, m1=8, n2=5, m2=8, away_cols=()):
+    """Two legs for an identity-rotation panel (panel frame = global frame):
+    leg-1 rays in ``front_rows`` (flat indices) arrive in front of the panel,
+    all others past the grazing limit; leg-2 rays in ``away_cols`` leave
+    past it."""
+    def zeniths(n, m, front):
+        z = rng.uniform(GRAZING_LIMIT_RAD + 1e-6, 2.6, n * m)
+        z[front] = rng.uniform(0.05, GRAZING_LIMIT_RAD - 1e-6, len(front))
+        return z.reshape(n, m)
+
+    def leg(n, m, zoa, zod):
+        delays = np.sort(rng.uniform(0, 1e-7, n))
+        return make_clusters(delays - delays[0], rng.dirichlet(np.ones(n)),
+                             aoa=rng.uniform(-3, 3, (n, m)), zoa=zoa,
+                             aod=rng.uniform(-3, 3, (n, m)), zod=zod, m=m,
+                             kappa=rng.uniform(2.0, 20.0), rng=rng,
+                             ray_powers=rng.dirichlet(np.ones(n * m)).reshape(n, m),
+                             doppler=rng.uniform(-300, 300))
+
+    all2 = np.arange(n2 * m2)
+    leg1 = leg(n1, m1, zeniths(n1, m1, np.asarray(front_rows, dtype=int)),
+               rng.uniform(0.2, 2.9, (n1, m1)))
+    leg2 = leg(n2, m2, rng.uniform(0.2, 2.9, (n2, m2)),
+               zeniths(n2, m2, np.setdiff1d(all2, away_cols)))
+    return leg1, leg2
+
+
+class TestTiledKernel:
+    """The tiled, front-rows-only kernel against the full-grid arithmetic,
+    bit for bit (``np.array_equal``), on the tile edge cases."""
+
+    PANELS = (RisPanel(nx=8, ny=6, d_element=LAM / 2, z_e=300.0 + 40.0j,
+                       z_m=2200.0 - 90.0j),
+              RisPanel(nx=8, ny=6, d_element=LAM / 2, ideal=True))
+
+    def compare(self, monkeypatch, leg1, leg2, codebook, tx=None, rx=None,
+                times=None):
+        tx = tx or single_element()
+        rx = rx or single_element()
+        got = cascade_cir_multi(leg1, leg2, list(self.PANELS), codebook, tx,
+                                rx, F, times)
+        monkeypatch.setattr(ris, "_cascade_ray_terms", full_grid_terms)
+        want = cascade_cir_multi(leg1, leg2, list(self.PANELS), codebook, tx,
+                                 rx, F, times)
+        monkeypatch.undo()
+        for g, w in zip(got, want):
+            assert np.array_equal(g.coefficients, w.coefficients)
+            assert np.array_equal(g.tap_delays_s, w.tap_delays_s)
+        return got
+
+    CASES = ("none", "first", "last", "two", "tile+1", "2tile+1", "all")
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("cb_kind", ["steering", "uniform"])
+    def test_front_row_counts(self, monkeypatch, case, cb_kind):
+        rng = np.random.default_rng([self.CASES.index(case), cb_kind == "uniform"])
+        n_in = 6 * 12
+        scattered = np.sort(rng.choice(n_in, n_in, replace=False))
+        front = {"none": [], "first": [0], "last": [n_in - 1],
+                 "two": scattered[:2], "tile+1": scattered[:CASCADE_TILE + 1],
+                 "2tile+1": scattered[:2 * CASCADE_TILE + 1],
+                 "all": np.arange(n_in)}[case]
+        leg1, leg2 = grazing_legs(rng, front, m1=12, away_cols=[3, 17, 18])
+        cb = (steering_codebook((0.4, 0.2), (0.7, -0.5))
+              if cb_kind == "steering" else uniform_codebook())
+        got = self.compare(monkeypatch, leg1, leg2, cb)
+        if len(front) == 0:
+            assert not np.any(got[0].coefficients)
+        else:
+            assert np.any(got[0].coefficients)
+
+    def test_lone_front_row_in_the_middle(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for row in (1, 17, 40):
+            leg1, leg2 = grazing_legs(rng, [row])
+            self.compare(monkeypatch, leg1, leg2,
+                         steering_codebook((0.3, 0.1), (0.5, 0.4)))
+
+    def test_single_incident_ray(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        leg1, leg2 = grazing_legs(rng, [0], n1=1, m1=1)
+        self.compare(monkeypatch, leg1, leg2, uniform_codebook())
+
+    def test_outgoing_rays_past_grazing(self, monkeypatch):
+        # A whole leg-2 cluster (rays 8..15) and scattered rays leave past
+        # the grazing limit; its cluster pairs are exactly zero.
+        rng = np.random.default_rng(13)
+        leg1, leg2 = grazing_legs(rng, np.arange(0, 48, 2),
+                                  away_cols=list(range(8, 16)) + [0, 33, 39])
+        got = self.compare(monkeypatch, leg1, leg2,
+                           steering_codebook((0.2, 0.3), (0.6, 0.1)))
+        delays = (leg1.delays_s[:, None] + leg2.delays_s[None, :]).ravel()
+        pair_c = np.tile(np.arange(5), 6)[np.argsort(delays, kind="stable")]
+        for cir in got:
+            assert not np.any(cir.coefficients[..., pair_c == 1])
+            assert np.all(np.any(cir.coefficients[..., pair_c != 1], axis=0))
+
+    def test_cluster_facing_away_gives_exact_zeros(self, monkeypatch):
+        # Leg-1 cluster 2 (rays 16..23) faces away; the others half face.
+        rng = np.random.default_rng(14)
+        front = [r for r in range(48) if r // 8 != 2 and r % 2 == 0]
+        leg1, leg2 = grazing_legs(rng, front)
+        got = self.compare(monkeypatch, leg1, leg2, uniform_codebook())
+        delays = (leg1.delays_s[:, None] + leg2.delays_s[None, :]).ravel()
+        pair_a = np.repeat(np.arange(6), 5)[np.argsort(delays, kind="stable")]
+        for cir in got:
+            away = cir.coefficients[..., pair_a == 2]
+            assert np.all(away == 0.0)
+            assert np.any(cir.coefficients[..., pair_a != 2])
+
+    def test_arrays_and_time_samples(self, monkeypatch):
+        # ULAs at both ends and two sample times exercise the einsum's
+        # array-phase and Doppler terms on the tiled ray terms.
+        rng = np.random.default_rng(15)
+        leg1, leg2 = grazing_legs(rng, rng.choice(48, CASCADE_TILE + 5,
+                                                  replace=False))
+        self.compare(monkeypatch, leg1, leg2, uniform_codebook(),
+                     tx=build_ula(4, LAM / 2), rx=build_ula(2, LAM / 2),
+                     times=np.array([0.0, 1e-3]))
 
 
 class TestRotations:
