@@ -19,7 +19,6 @@ import numpy as np
 from . import analysis, emimo, isac, ris, sagin, thz
 from .cir import CirTensor, apply_large_scale, synthesize_cir, write_cir
 from .config import ScenarioConfig, config_hash
-from .constants import wavelength
 from .geometry import Position3D, assign_link_state, los_directions
 from .largescale import generate_lsps, lookup_lsp_table, scenario_los_curve, \
     scenario_pathloss
@@ -188,27 +187,6 @@ def _run_isac(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
                       metrics=metrics)
 
 
-def _ris_panel(cfg: ScenarioConfig, ideal: bool) -> ris.RisPanel:
-    blk = cfg.feature_block()
-    pitch = blk.get("element_pitch", "half_wavelength")
-    if pitch == "half_wavelength":
-        pitch = wavelength(cfg.center_freq_hz) / 2.0
-    ris_pos = np.asarray(blk["position"], dtype=np.float64)
-    to_bs = np.asarray(cfg.bs_position, dtype=np.float64) - ris_pos
-    to_ue = np.asarray(cfg.ue_position, dtype=np.float64) - ris_pos
-    if "bs_incidence_deg" in blk:
-        rotation = ris.rotation_with_incidence(
-            to_bs, to_ue, math.radians(float(blk["bs_incidence_deg"])))
-    else:
-        rotation = ris.rotation_facing(0.5 * (to_bs + to_ue))
-    z_e = complex(*blk.get("z_e_ohm", (20000.0, 0.0)))
-    z_m = complex(*blk.get("z_m_ohm", (655000.0, 0.0)))
-    return ris.RisPanel(nx=int(blk.get("nx", 32)), ny=int(blk.get("ny", 32)),
-                        d_element=float(pitch), z_e=z_e, z_m=z_m, ideal=ideal,
-                        ideal_reference=blk.get("ideal_reference", "pec"),
-                        rotation=rotation)
-
-
 def _run_ris(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
     blk = cfg.feature_block()
     state = _link_state(cfg, streams)
@@ -246,8 +224,8 @@ def _run_ris(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
     leg2 = generate_clusters(entry, lsps2, dirs2, state, cfg.ue_velocity,
                              f_hz, s2)
 
-    panel_ni = _ris_panel(cfg, ideal=False)
-    panel_id = _ris_panel(cfg, ideal=True)
+    panel_ni = ris.build_panel(blk, cfg.bs_position, cfg.ue_position, f_hz)
+    panel_id = replace(panel_ni, ideal=True)
     if blk.get("codebook", "steering") == "steering":
         in_local = panel_ni.to_local(dirs1.zoa, dirs1.aoa)
         out_local = panel_ni.to_local(dirs2.zod, dirs2.aod)

@@ -19,6 +19,7 @@ from .geometry import ArrayGeometry, ConfigurationError, Position3D, \
     build_ula, single_element
 from .isac import cluster_budget
 from .largescale import data_dir, lookup_lsp_table
+from .ris import build_panel
 
 FEATURES = ("BASE", "THZ", "EMIMO", "ISAC", "RIS", "SAGIN")
 _FEATURE_BLOCKS = {"THZ": "thz", "EMIMO": "emimo", "ISAC": "isac",
@@ -80,10 +81,6 @@ class ScenarioConfig:
                              elevation_deg=blk.get("elevation_deg", 30.0))
         else:
             entry = lookup_lsp_table(self.scenario, state, self.center_freq_hz)
-        if self.feature == "RIS" and \
-                blk.get("codebook", "steering") not in ("steering", "uniform"):
-            raise ConfigError(f"ris.codebook: must be 'steering' or 'uniform', "
-                              f"got {blk['codebook']!r}")
         if self.feature == "ISAC":
             # Every state a drop can take must leave room for the clusters.
             entries = [entry] if self.link_state else \
@@ -100,6 +97,15 @@ class ScenarioConfig:
                 raise ConfigError(f"{name}: need a finite [x, y, z] triple")
         if self.feature != "SAGIN" and self.bs_position3d() == self.ue_position3d():
             raise ConfigError("ue_position: coincides with bs_position")
+        if self.feature == "RIS":
+            if blk.get("codebook", "steering") not in ("steering", "uniform"):
+                raise ConfigError(f"ris.codebook: must be 'steering' or 'uniform', "
+                                  f"got {blk['codebook']!r}")
+            try:
+                build_panel(blk, self.bs_position, self.ue_position,
+                            self.center_freq_hz)
+            except ConfigurationError as exc:
+                raise ConfigError(str(exc)) from None
         return self
 
     # ------------------------------------------------------------------

@@ -190,6 +190,99 @@ def rotation_with_incidence(toward_a, toward_b, incidence_a_rad: float) -> tuple
     return rotation_facing(n)
 
 
+def _block_value(block: dict, key: str, default, convert, need: str):
+    """``convert(block[key])``; a value it cannot take (TypeError or
+    ValueError) raises ConfigurationError naming the field."""
+    value = block.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"ris.{key}: must be {need}, got {value!r}") from None
+
+
+def _finite_triple(v) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (3,) or not np.all(np.isfinite(v)):
+        raise ValueError
+    return v
+
+
+def _grid_count(v) -> int:
+    n = int(v)
+    if n != v or n < 1:
+        raise ValueError
+    return n
+
+
+def _positive_pitch(v) -> float:
+    d = float(v)
+    if not (0.0 < d < math.inf):
+        raise ValueError
+    return d
+
+
+def _incidence(v) -> float:
+    deg = float(v)
+    if not (0.0 <= deg < 90.0):
+        raise ValueError
+    return deg
+
+
+def build_panel(block: dict, bs_position, ue_position, f_hz: float,
+                ideal: bool = False) -> RisPanel:
+    """The panel a ``ris`` config block describes, turned toward its
+    endpoints: with ``bs_incidence_deg`` the normal lies in the plane of the
+    two endpoint directions with the BS at that local zenith, otherwise it
+    bisects the two endpoint vectors.
+
+    Geometry the cascade cannot use raises ConfigurationError naming the
+    field: a panel on an endpoint, endpoints collinear with the panel, an
+    endpoint behind the panel, a grid under 1x1, a non-positive pitch or an
+    incidence outside [0, 90) degrees.
+    """
+    ris_pos = _block_value(block, "position", None, _finite_triple,
+                           "a finite [x, y, z] triple")
+    nx = _block_value(block, "nx", 32, _grid_count, "an integer >= 1")
+    ny = _block_value(block, "ny", 32, _grid_count, "an integer >= 1")
+    pitch = block.get("element_pitch", "half_wavelength")
+    pitch = wavelength(f_hz) / 2.0 if pitch == "half_wavelength" else \
+        _block_value(block, "element_pitch", None, _positive_pitch,
+                     "'half_wavelength' or a positive length in meters")
+    reference = block.get("ideal_reference", "pec")
+    if reference not in ("pec", "pmc"):
+        raise ConfigurationError(
+            f"ris.ideal_reference: must be 'pec' or 'pmc', got {reference!r}")
+    z_e = _block_value(block, "z_e_ohm", (20000.0, 0.0), lambda v: complex(*v),
+                       "a [real, imag] pair in ohms")
+    z_m = _block_value(block, "z_m_ohm", (655000.0, 0.0), lambda v: complex(*v),
+                       "a [real, imag] pair in ohms")
+
+    to_bs = np.asarray(bs_position, dtype=np.float64) - ris_pos
+    to_ue = np.asarray(ue_position, dtype=np.float64) - ris_pos
+    for name, v in (("bs_position", to_bs), ("ue_position", to_ue)):
+        if not np.any(v):
+            raise ConfigurationError(f"ris.position: coincides with {name}")
+    u_bs = to_bs / np.linalg.norm(to_bs)
+    u_ue = to_ue / np.linalg.norm(to_ue)
+    if np.linalg.norm(u_ue - (u_ue @ u_bs) * u_bs) < 1e-12:
+        raise ConfigurationError(
+            "ris.position: collinear with bs_position and ue_position")
+    if "bs_incidence_deg" in block:
+        field = "ris.bs_incidence_deg"
+        incidence = _block_value(block, "bs_incidence_deg", None, _incidence,
+                                 "a number of degrees in [0, 90)")
+        rotation = rotation_with_incidence(to_bs, to_ue, math.radians(incidence))
+    else:
+        field = "ris.position"
+        rotation = rotation_facing(0.5 * (to_bs + to_ue))
+    normal = np.asarray(rotation[6:])
+    for name, u in (("bs_position", u_bs), ("ue_position", u_ue)):
+        if not normal @ u > 0.0:
+            raise ConfigurationError(f"{field}: puts {name} behind the panel")
+    return RisPanel(nx=nx, ny=ny, d_element=float(pitch), z_e=z_e, z_m=z_m,
+                    ideal=ideal, ideal_reference=reference, rotation=rotation)
+
+
 # ---------------------------------------------------------------------------
 # Element radiation pattern (equivalence theorem, uniform rectangular patch)
 # ---------------------------------------------------------------------------

@@ -128,6 +128,59 @@ class TestValidation:
             raw["ris"]["codebook"] = name
             config_from_dict(raw)
 
+    # The preset has BS (0, 0, 3), UE (10, 10, 3), panel (6, -2, 3) and
+    # 85 degree BS incidence. Each case below validated before and then
+    # failed at run (coincident Tx/Rx, collinear endpoints, an all-zero
+    # channel from an endpoint behind the panel, a bad grid or pitch) or ran
+    # with the BS behind the panel (incidence 95).
+    @pytest.mark.parametrize("block, field", [
+        ({"position": [0.0, 0.0, 3.0]}, "position: coincides with bs_position"),
+        ({"position": [10.0, 10.0, 3.0]}, "position: coincides with ue_position"),
+        ({"position": [5.0, 5.0, 3.0]}, "position: collinear"),
+        ({"position": [5.0, 5.0, 3.0], "bs_incidence_deg": None},
+         "position: collinear"),
+        ({"position": [2.0, 2.0, 3.0], "bs_incidence_deg": None},
+         "position: collinear"),
+        ({"position": [20.0, 20.0, 3.0], "bs_incidence_deg": None},
+         "position: collinear"),
+        ({"position": [1.0, 0.9, 3.0], "bs_incidence_deg": None},
+         "position: puts bs_position behind"),
+        ({"position": [5.0, 4.9, 3.0], "bs_incidence_deg": 60.0},
+         "bs_incidence_deg: puts ue_position behind"),
+        ({"position": None}, "position"),
+        ({"position": [6.0, -2.0]}, "position"),
+        ({"nx": 0}, "nx"), ({"ny": -3}, "ny"), ({"nx": 2.5}, "nx"),
+        ({"element_pitch": 0.0}, "element_pitch"),
+        ({"element_pitch": -0.005}, "element_pitch"),
+        ({"element_pitch": "quarter_wavelength"}, "element_pitch"),
+        ({"bs_incidence_deg": 95.0}, "bs_incidence_deg"),
+        ({"bs_incidence_deg": 90.0}, "bs_incidence_deg"),
+        ({"bs_incidence_deg": -1.0}, "bs_incidence_deg"),
+        ({"z_e_ohm": 5.0}, "z_e_ohm"),
+        ({"ideal_reference": "pcc"}, "ideal_reference"),
+    ])
+    def test_unusable_ris_geometry_rejected(self, block, field, tmp_path):
+        raw = json.loads(preset_path("ris").read_text())
+        raw["ris"].update(block)
+        raw["ris"] = {k: v for k, v in raw["ris"].items() if v is not None}
+        with pytest.raises(ConfigError, match=r"ris\." + field):
+            config_from_dict(raw)
+        path = tmp_path / "ris_geometry.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("block", [
+        {"bs_incidence_deg": 0.0}, {"bs_incidence_deg": 89.5},
+        {"bs_incidence_deg": None}, {"nx": 1, "ny": 1},
+        {"nx": 8.0, "element_pitch": 0.004}])
+    def test_ris_geometry_edges_run(self, block):
+        raw = json.loads(preset_path("ris").read_text())
+        raw["ris"].update(block)
+        raw["ris"] = {k: v for k, v in raw["ris"].items() if v is not None}
+        res = run_drop(config_from_dict(raw), 0)
+        assert np.all(np.isfinite(res.tensors[""].coefficients))
+        assert np.isfinite(res.metrics["snr_nonideal_db"])
+
     @staticmethod
     def isac_raw(scenario, n_targets, link_state, n_shared):
         raw = json.loads(preset_path("isac").read_text())
