@@ -228,12 +228,11 @@ def _incidence(v) -> float:
     return deg
 
 
-def build_panel(block: dict, bs_position, ue_position, f_hz: float,
-                ideal: bool = False) -> RisPanel:
-    """The panel a ``ris`` config block describes, turned toward its
-    endpoints: with ``bs_incidence_deg`` the normal lies in the plane of the
-    two endpoint directions with the BS at that local zenith, otherwise it
-    bisects the two endpoint vectors.
+def build_panel(block: dict, bs_position, ue_position, f_hz: float) -> RisPanel:
+    """The non-ideal panel a ``ris`` config block describes, turned toward
+    its endpoints: with ``bs_incidence_deg`` the normal lies in the plane of
+    the two endpoint directions with the BS at that local zenith, otherwise
+    it bisects the two endpoint vectors.
 
     Geometry the cascade cannot use raises ConfigurationError naming the
     field: a panel on an endpoint, endpoints collinear with the panel, an
@@ -280,7 +279,7 @@ def build_panel(block: dict, bs_position, ue_position, f_hz: float,
         if not normal @ u > 0.0:
             raise ConfigurationError(f"{field}: puts {name} behind the panel")
     return RisPanel(nx=nx, ny=ny, d_element=float(pitch), z_e=z_e, z_m=z_m,
-                    ideal=ideal, ideal_reference=reference, rotation=rotation)
+                    ideal_reference=reference, rotation=rotation)
 
 
 # ---------------------------------------------------------------------------
