@@ -424,7 +424,7 @@ def overall_pattern(panel: RisPanel, codebook: RisCodebook, in_dir, out_dir,
 
 
 # Leg-1 rays per tile of the cascade kernel. A one-row remainder joins the
-# previous tile, so the reused scratch grids hold CASCADE_TILE + 1 rows.
+# previous tile, so the reused work grids hold CASCADE_TILE + 1 rows.
 CASCADE_TILE = 32
 
 
@@ -502,7 +502,7 @@ def _cascade_ray_terms(panels, codebook: RisCodebook, in_zen, in_az, a_vec,
     scale is -1j k / lam times the taper, so term = 1j w amp (j.t1 + m.t2)
     with w = (-k / lam) taper af. Rows of incident rays past the grazing
     limit are zero and are not evaluated; the others run CASCADE_TILE at a
-    time through reused scratch grids. Every entry gets the roundings of
+    time through reused work grids. Every entry gets the roundings of
     the full-grid evaluation in the same order, so each nonzero term is
     bitwise the full grid's: the products keep all J columns (out-of-front
     columns are masked in w) and the two K=3 products stay separate, as
