@@ -12,6 +12,11 @@ with the committed ``tests/golden_digests.json``.
 
     python3 scripts/golden_digests.py                  # print the digests
     python3 scripts/golden_digests.py --write          # re-baseline the file
+    python3 scripts/golden_digests.py --seeds 1-50     # one digest per config
+
+``--seeds A-B`` runs every config at each seed from A to B (3 drops, same
+analysis) and prints one combined SHA-256 per config over all those files, so
+two checkouts can be compared over many seeds at once.
 
 chansim6g is imported from ``src/`` of the checkout this script sits in.
 """
@@ -65,19 +70,26 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def compute_digests() -> dict:
-    """``{"<config>/<file>": sha256}`` for every covered output file."""
+def campaign_configs(seed: int = SEED, drops: int = DROPS) -> dict:
+    """``{name: CampaignConfig}`` of every covered config."""
     sys.path.insert(0, str(ROOT / "src"))
-    from chansim6g.campaign import run_campaign
-    from chansim6g.cli import main as cli_main
     from chansim6g.config import config_from_dict, load_preset, preset_path
 
-    configs = {name: load_preset(name, seed=SEED, drops=DROPS) for name in PRESETS}
-    configs["base"] = config_from_dict({**BASE_CONFIG, "seed": SEED, "drops": DROPS})
+    configs = {name: load_preset(name, seed=seed, drops=drops) for name in PRESETS}
+    configs["base"] = config_from_dict({**BASE_CONFIG, "seed": seed, "drops": drops})
     ris_raw = json.loads(preset_path("ris").read_text())
     configs["ris-ula"] = config_from_dict(
-        {**ris_raw, **RIS_ULA_OVERRIDES, "seed": SEED, "drops": DROPS,
+        {**ris_raw, **RIS_ULA_OVERRIDES, "seed": seed, "drops": drops,
          "ris": {**ris_raw["ris"], **RIS_ULA_BLOCK}})
+    return configs
+
+
+def compute_digests(seed: int = SEED) -> dict:
+    """``{"<config>/<file>": sha256}`` for every covered output file."""
+    configs = campaign_configs(seed)
+    from chansim6g.campaign import run_campaign
+    from chansim6g.cli import main as cli_main
+
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in configs.items():
@@ -94,11 +106,35 @@ def compute_digests() -> dict:
     return digests
 
 
+def sweep_digests(seeds) -> dict:
+    """``{config: sha256}`` over the file digests of every seed, in order."""
+    combined = {}
+    for seed in seeds:
+        for key, digest in sorted(compute_digests(seed).items()):
+            name, filename = key.split("/", 1)
+            h = combined.setdefault(name, hashlib.sha256())
+            h.update(f"{seed} {filename} {digest}\n".encode())
+    return {name: h.hexdigest() for name, h in combined.items()}
+
+
+def _seed_range(text: str) -> range:
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--write", action="store_true",
                    help=f"write the digests to {GOLDEN.relative_to(ROOT)}")
+    p.add_argument("--seeds", type=_seed_range, metavar="A-B",
+                   help="print one combined digest per config over seeds A..B")
     args = p.parse_args(argv)
+    if args.seeds is not None:
+        if args.write:
+            p.error("--seeds does not write the golden file")
+        sys.stdout.write(json.dumps(sweep_digests(args.seeds), indent=1,
+                                    sort_keys=True) + "\n")
+        return 0
     text = json.dumps(compute_digests(), indent=1, sort_keys=True) + "\n"
     if args.write:
         GOLDEN.write_text(text)

@@ -5,6 +5,7 @@ tensor file format.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -16,6 +17,20 @@ from .constants import wavelength
 from .geometry import ArrayGeometry, unit_vector
 from .pathloss import PathLossSample
 from .smallscale import ClusterSet
+
+
+def _einsum(subscripts: str, *operands):
+    """``np.einsum(subscripts, *operands, optimize=True)`` without the
+    per-call path search: the path numpy picks depends only on the operand
+    shapes, so it is looked up once per shape and passed explicitly."""
+    path = _einsum_path(subscripts, *(op.shape for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
+@functools.lru_cache(maxsize=64)
+def _einsum_path(subscripts: str, *shapes) -> tuple:
+    stand_ins = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return tuple(np.einsum_path(subscripts, *stand_ins, optimize=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +202,7 @@ def synthesize_cir(clusters: ClusterSet, tx: ArrayGeometry, rx: ArrayGeometry,
                       np.tensordot(r_tx, tx.element_positions.T, axes=1))  # (n, m, s)
     dop = np.exp(2j * np.pi * clusters.doppler_hz[..., None] * t)          # (n, m, t)
 
-    coeffs = np.einsum("nm,nmu,nms,nmt->tusn", amp, phase_rx, phase_tx, dop,
-                       optimize=True)
+    coeffs = _einsum("nm,nmu,nms,nmt->tusn", amp, phase_rx, phase_tx, dop)
     return CirTensor(coefficients=coeffs, tap_delays_s=clusters.delays_s.copy(),
                      sample_times_s=t,
                      meta={"f_hz": f_hz, "state": clusters.state})

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cir import _einsum
 from .constants import C_LIGHT
 from .geometry import ArrayGeometry, unit_vector
 from .smallscale import ClusterSet
@@ -159,4 +160,4 @@ def sns_cfr_band(paths, elements, mask: SnsMask, freqs_hz) -> np.ndarray:
     delay = tau[None, :] + (d_elem - d_ref[None, :]) / C_LIGHT     # (m, k)
     gain = mask.s * (d_ref[None, :] / d_elem) * alpha[None, :]
     phase = np.exp(-2j * np.pi * delay[:, :, None] * freqs[None, None, :])
-    return np.einsum("mk,mkf->mf", gain, phase, optimize=True)
+    return _einsum("mk,mkf->mf", gain, phase)

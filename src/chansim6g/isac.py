@@ -113,6 +113,37 @@ def _assemble_side(rows, entry, lsps, rng, f_hz, state, specular,
     return cs, shared_idx, shared_ids, target_idx, offset
 
 
+def _env_rows(rng, n_env, shared, base_abs, base_dirs, spreads, excess_scale,
+              velocity):
+    """One side's environment clusters: the shared ones, then ``n_env`` of
+    its own.
+
+    ``shared`` is the (excess delays, departure azimuths) of the shared
+    clusters; each draws its arrival azimuth, arrival zenith and departure
+    zenith deviation on ``rng``. The side's own clusters then draw excess
+    delays (``excess_scale * ln U``), then deviations of (aod, aoa, zoa, zod)
+    per cluster about ``base_dirs``. ``spreads`` holds the (asd, asa, zsa,
+    zsd) standard deviations in radians.
+    """
+    shared_excess, shared_aod = shared
+    base_aod, base_aoa, base_zoa, base_zod = base_dirs
+    asd, asa, zsa, zsd = spreads
+    n_shared = shared_excess.size
+    own_sh = rng.normal(0.0, [asa, zsa, zsd], size=(n_shared, 3))
+    env_excess = excess_scale * np.log(rng.uniform(size=n_env))
+    own_env = rng.normal(0.0, [asd, asa, zsa, zsd], size=(n_env, 4))
+    delay = base_abs + np.concatenate([shared_excess, env_excess])
+    aod = np.concatenate([shared_aod, _wrap_pi(base_aod + own_env[:, 0])])
+    aoa = _wrap_pi(base_aoa + np.concatenate([own_sh[:, 0], own_env[:, 1]]))
+    zoa = _reflect_zenith(base_zoa + np.concatenate([own_sh[:, 1], own_env[:, 2]]))
+    zod = _reflect_zenith(base_zod + np.concatenate([own_sh[:, 2], own_env[:, 3]]))
+    return [_Cluster(abs_delay_s=d, aod=a, aoa=b, zoa=c, zod=e,
+                     shared_id=i if i < n_shared else -1, velocity=velocity)
+            for i, (d, a, b, c, e) in enumerate(zip(
+                delay.tolist(), aod.tolist(), aoa.tolist(), zoa.tolist(),
+                zod.tolist()))]
+
+
 def cluster_budget(entry: LspTableEntry, los: bool, n_shared: int,
                    n_targets: int) -> tuple:
     """Environment cluster counts (comm, sensing) left from the table's
@@ -165,31 +196,14 @@ def gen_isac_drop(entry: LspTableEntry, lsps: LSPSet, tx_pos: Position3D,
     shared_excess = -r_tau * ds * np.log(rng_shared.uniform(size=n_shared))
     shared_aod = _wrap_pi(dirs_c.aod + rng_shared.normal(0.0, asd_rad, size=n_shared))
 
-    def env_rows(rng, n_env, base_abs, base_aoa, base_zoa, base_zod, velocity):
-        rows = []
-        for sid in range(n_shared):
-            rows.append(_Cluster(
-                abs_delay_s=base_abs + float(shared_excess[sid]),
-                aod=float(shared_aod[sid]),
-                aoa=float(_wrap_pi(base_aoa + rng.normal(0.0, asa_rad))),
-                zoa=float(_reflect_zenith(base_zoa + rng.normal(0.0, zsa_rad))),
-                zod=float(_reflect_zenith(base_zod + rng.normal(0.0, zsd_rad))),
-                shared_id=sid, velocity=velocity))
-        env_excess = -r_tau * ds * np.log(rng.uniform(size=n_env))
-        for i in range(n_env):
-            rows.append(_Cluster(
-                abs_delay_s=base_abs + float(env_excess[i]),
-                aod=float(_wrap_pi(dirs_c.aod + rng.normal(0.0, asd_rad))),
-                aoa=float(_wrap_pi(base_aoa + rng.normal(0.0, asa_rad))),
-                zoa=float(_reflect_zenith(base_zoa + rng.normal(0.0, zsa_rad))),
-                zod=float(_reflect_zenith(base_zod + rng.normal(0.0, zsd_rad))),
-                velocity=velocity))
-        return rows
+    shared = (shared_excess, shared_aod)
+    spreads = (asd_rad, asa_rad, zsa_rad, zsd_rad)
 
     # --- communication side --------------------------------------------
     ue_v = tuple(ue_velocity)
-    rows_c = env_rows(rng_c, n_comm_env, tau_link_c,
-                      dirs_c.aoa, dirs_c.zoa, dirs_c.zod, ue_v)
+    rows_c = _env_rows(rng_c, n_comm_env, shared, tau_link_c,
+                       (dirs_c.aod, dirs_c.aoa, dirs_c.zoa, dirs_c.zod),
+                       spreads, -r_tau * ds, ue_v)
     if los:
         rows_c.append(_Cluster(abs_delay_s=tau_link_c, aod=dirs_c.aod,
                                aoa=dirs_c.aoa, zoa=dirs_c.zoa, zod=dirs_c.zod,
@@ -208,8 +222,9 @@ def gen_isac_drop(entry: LspTableEntry, lsps: LSPSet, tx_pos: Position3D,
     else:
         d_s = los_directions(rx_s, tx_pos)
         base_aoa_s, base_zoa_s, base_zod_s = d_s.aod, d_s.zod, dirs_c.zod
-    rows_s = env_rows(rng_s, n_sense_env, base_abs_s,
-                      base_aoa_s, base_zoa_s, base_zod_s, None)
+    rows_s = _env_rows(rng_s, n_sense_env, shared, base_abs_s,
+                       (dirs_c.aod, base_aoa_s, base_zoa_s, base_zod_s),
+                       spreads, -r_tau * ds, None)
     for tid, (t, d) in enumerate(zip(targets, dirs_t)):
         if mono_static:
             aoa_t, zoa_t = d.aod, d.zod  # echo returns along the departure ray

@@ -34,10 +34,24 @@ class AssetError(ValueError):
 
 
 def data_dir() -> Path:
-    override = os.environ.get(DATA_ENV_VAR)
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
+    return _data_dir(os.environ.get(DATA_ENV_VAR))
+
+
+@functools.lru_cache(maxsize=4)
+def _data_dir(override: str | None) -> Path:
+    return Path(override) if override else Path(__file__).parent / "data"
+
+
+@functools.lru_cache(maxsize=4)
+def _default_scenarios(override: str | None) -> str:
+    return str(_data_dir(override) / "scenarios.json")
+
+
+def _scenarios_path(path) -> str:
+    """``path`` as a string; None means the data directory's asset."""
+    if path is None:
+        return _default_scenarios(os.environ.get(DATA_ENV_VAR))
+    return str(path)
 
 
 @dataclass(frozen=True)
@@ -144,9 +158,7 @@ def _load_raw(path_str: str) -> dict:
 
 
 def load_scenarios(path=None) -> dict:
-    if path is None:
-        path = data_dir() / "scenarios.json"
-    return _load_raw(str(path))
+    return _load_raw(_scenarios_path(path))
 
 
 def available_scenarios(path=None) -> list:
@@ -185,8 +197,16 @@ def lookup_lsp_table(scenario: str, state: str, f_hz: float,
 
     Frequency-dependent fields stored as lg(f) polynomials are evaluated at
     ``f_hz``. Satellite scenarios key entries additionally by 10-degree
-    elevation buckets; the nearest bucket is used.
+    elevation buckets; the nearest bucket is used. Entries are built once
+    per argument set and shared; their correlation matrix is read-only.
     """
+    return _lookup_lsp_table(scenario, state, f_hz, elevation_deg,
+                             _scenarios_path(path))
+
+
+@functools.lru_cache(maxsize=64)
+def _lookup_lsp_table(scenario: str, state: str, f_hz: float,
+                      elevation_deg: float | None, path: str) -> LspTableEntry:
     scen = _scenario(scenario, path)
     f_ghz = f_hz / 1e9
     state_l = state.lower()
@@ -220,6 +240,8 @@ def lookup_lsp_table(scenario: str, state: str, f_hz: float,
         return entry[key]
 
     spreads = fv("cluster_spread_deg")
+    corr = np.array(entry["corr"], dtype=np.float64)
+    corr.flags.writeable = False  # the entry is shared by every caller
     return LspTableEntry(
         scenario=scenario,
         state=state_l,
@@ -248,7 +270,7 @@ def lookup_lsp_table(scenario: str, state: str, f_hz: float,
         c_asd_deg=float(spreads["asd"]),
         c_zsa_deg=float(spreads["zsa"]),
         c_zsd_deg=float(spreads["zsd"]),
-        corr=np.asarray(entry["corr"], dtype=np.float64),
+        corr=corr,
         intra_cluster_k_db=(float(entry["intra_cluster_k_db"])
                             if "intra_cluster_k_db" in entry else None),
         clutter_loss_db=float(entry.get("clutter_loss_db", 0.0)),

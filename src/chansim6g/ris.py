@@ -21,7 +21,7 @@ import numpy as np
 from .constants import Z0_OHM, wavelength
 from .geometry import ArrayGeometry, ConfigurationError, unit_vector
 from .smallscale import ClusterSet
-from .cir import CirTensor, _polarization_matrices, pattern_isotropic
+from .cir import CirTensor, _einsum, _polarization_matrices, pattern_isotropic
 
 # Directions within a degree of grazing (or behind the panel) are treated
 # as outside the panel's field of view; finite-thickness edges make the
@@ -681,9 +681,8 @@ def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels,
 
     out = []
     for panel, term in zip(panels, terms):
-        taps = np.einsum("abcd,abs,cdu,cdt->tusac",
-                         term.reshape(n1, m1, n2, m2), ph_tx, ph_rx,
-                         dop, optimize=True)
+        taps = _einsum("abcd,abs,cdu,cdt->tusac",
+                       term.reshape(n1, m1, n2, m2), ph_tx, ph_rx, dop)
         nt, nu, ns = taps.shape[:3]
         taps = taps.reshape(nt, nu, ns, n1 * n2)
         out.append(CirTensor(coefficients=np.ascontiguousarray(taps[..., order]),

@@ -156,46 +156,127 @@ def _reflect_zenith(a: np.ndarray) -> np.ndarray:
     return np.where(a > np.pi, 2.0 * np.pi - a, a)
 
 
-def _calibrate_scale(dev: np.ndarray, offsets: np.ndarray, weights: np.ndarray,
-                     target_rad: float) -> float:
-    """Scale factor gamma so the circular spread of (gamma*dev + offsets)
-    under ``weights`` equals ``target_rad``.
+# Bisection of the angle-spread calibration: step cap, early-exit tolerance on
+# the spread (radians), and how many steps each vectorized round looks ahead.
+_CALIBRATION_STEPS = 48
+_CALIBRATION_TOL = 1e-10
+_CALIBRATION_LEVELS = 3
 
-    ``dev`` is per-cluster (n,), ``offsets`` per-ray (n, m). The per-ray sum
-    factors into per-cluster constants, so each bisection step costs O(n).
+
+def _bisection_tree(levels: int) -> tuple:
+    """(c, a, b) for every midpoint c = (a + b) // 2 of ``levels`` bisection
+    steps on points 0..2**levels, parents before children."""
+    nodes, spans = [], [(0, 2 ** levels)]
+    for _ in range(levels):
+        nxt = []
+        for a, b in spans:
+            c = (a + b) // 2
+            nodes.append((c, a, b))
+            nxt += [(a, c), (c, b)]
+        spans = nxt
+    return tuple(nodes)
+
+
+_TREE = _bisection_tree(_CALIBRATION_LEVELS)
+
+
+def _spread_of(phasor: complex, total: float) -> float:
+    """Circular spread sqrt(-2 ln r) of a summed phasor, r = |phasor|/total.
+
+    Scalar ``abs`` and ``math.log`` on purpose: numpy's vectorized complex
+    abs and log can round differently from libm (they do on AVX-512 hosts),
+    and a one-ulp change can flip a bisection decision.
     """
-    n = dev.size
-    if n < 2 or np.allclose(dev, 0.0):
-        return 1.0
+    r = min(abs(phasor) / total, 1.0 - 1e-16)
+    return math.sqrt(-2.0 * math.log(r))
+
+
+def _calibrate_scales(devs: np.ndarray, offsets: np.ndarray,
+                      weights: np.ndarray, targets) -> list:
+    """Scale factor gamma per lane so the circular spread of
+    (gamma*dev + offsets) under ``weights`` equals the lane's target.
+
+    ``devs`` is (lanes, n) per-cluster deviations, ``offsets`` (lanes, n, m)
+    per-ray offsets, ``weights`` (n, m) ray powers shared by all lanes. The
+    per-ray sum factors into per-cluster phasors q, so one spread costs O(n).
+
+    Each lane bisects gamma on [0, 0.9 pi / max|dev|] (within which the spread
+    is monotone) for up to 48 steps, stopping once the spread is within 1e-10
+    of the target. The lanes run in lockstep: a round evaluates, for every
+    unfinished lane, all 2**k - 1 midpoints its next k steps could visit in
+    one array expression, then walks each lane's path through them. Every
+    midpoint, phasor sum and spread equals the one a scalar bisection
+    computes, so the result does too.
+    """
+    n_lanes, n = devs.shape
+    gammas = [1.0] * n_lanes
+    if n < 2:
+        return gammas
 
     # q_n = sum_m w_nm exp(j o_nm): intra-cluster phasor, gamma-independent.
-    q = np.sum(weights * np.exp(1j * offsets), axis=1)
-    total = weights.sum()
+    q = np.sum(weights * np.exp(1j * offsets), axis=-1)
+    total = float(weights.sum())
+    dmax = np.abs(devs).max(axis=1).tolist()
+    # |dev| <= 1e-8 everywhere keeps gamma at 1 (a NaN or inf does not).
+    live = [lane for lane in range(n_lanes) if not dmax[lane] <= 1e-8]
+    lo = [0.0] * n_lanes
+    hi = [0.0] * n_lanes
+    for lane in live:
+        # Keep scaled deviations within +-0.9 pi so the spread stays monotone.
+        hi[lane] = (0.9 * math.pi) / dmax[lane]
+    steps_left = [_CALIBRATION_STEPS] * n_lanes
 
-    def spread(gamma: float) -> float:
-        r = abs(np.sum(q * np.exp(1j * gamma * dev))) / total
-        r = min(r, 1.0 - 1e-16)
-        return math.sqrt(-2.0 * math.log(r))
+    width = 2 ** _CALIBRATION_LEVELS
+    first, rows = True, None
+    while live:
+        if live != rows:
+            rows = live
+            q_rows, dev_rows = q[rows, None, :], devs[rows, None, :]
+        # Bracket ends at 0 and width, midpoint c of (a, b) at (a + b) // 2.
+        pts = []
+        for lane in live:
+            p = [0.0] * (width + 1)
+            p[0], p[width] = lo[lane], hi[lane]
+            for c, a, b in _TREE:
+                p[c] = 0.5 * (p[a] + p[b])
+            pts.append(p)
+        # The first round also evaluates the bracket ends, 0 and hi.
+        gam = np.array(pts) if first else np.array(pts)[:, 1:-1]
+        col0 = 0 if first else 1
+        sums = np.add.reduce(q_rows * np.exp(1j * gam[:, :, None] * dev_rows),
+                             axis=-1).tolist()
 
-    lo_s = spread(0.0)
-    if target_rad <= lo_s:
-        return 0.0  # intra-cluster dispersion alone already exceeds target
-    # Keep scaled deviations within +-0.9 pi so the spread stays monotone.
-    dmax = np.abs(dev).max()
-    hi = 0.9 * math.pi / dmax
-    if spread(hi) <= target_rad:
-        return hi
-    lo = 0.0
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        s = spread(mid)
-        if abs(s - target_rad) < 1e-10:
-            return mid
-        if s < target_rad:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        still = []
+        for p, row, lane in zip(pts, sums, live):
+            target = targets[lane]
+            if first:
+                if target <= _spread_of(row[0], total):
+                    gammas[lane] = 0.0  # intra-cluster dispersion alone exceeds target
+                    continue
+                if _spread_of(row[width], total) <= target:
+                    gammas[lane] = p[width]
+                    continue
+            a, b = 0, width
+            for _ in range(min(_CALIBRATION_LEVELS, steps_left[lane])):
+                c = (a + b) // 2
+                s = _spread_of(row[c - col0], total)
+                if abs(s - target) < _CALIBRATION_TOL:
+                    gammas[lane] = p[c]
+                    break
+                if s < target:
+                    a = c
+                else:
+                    b = c
+                steps_left[lane] -= 1
+            else:
+                lo[lane], hi[lane] = p[a], p[b]
+                if steps_left[lane]:
+                    still.append(lane)
+                else:
+                    gammas[lane] = 0.5 * (p[a] + p[b])
+        live = still
+        first = False
+    return gammas
 
 
 def _cluster_angles(powers: np.ndarray, spread_deg: float, reference: float,
@@ -238,20 +319,28 @@ def gen_ray_angles(lsps: LSPSet, powers: np.ndarray, los_dirs: LosDirections,
 
     ray_p = ray_powers(powers, m, los=los, k_db=lsps.k_db if los else None)
 
-    out = {}
     dims = (("aoa", lsps.asa_deg, entry.c_asa_deg, los_dirs.aoa, False),
             ("aod", lsps.asd_deg, entry.c_asd_deg, los_dirs.aod, False),
             ("zoa", lsps.zsa_deg, entry.c_zsa_deg, los_dirs.zoa, True),
             ("zod", lsps.zsd_deg, entry.c_zsd_deg, los_dirs.zod, True))
-    for name, spread_deg, c_deg, ref, zenith in dims:
+    # Draw every dimension's cluster angles first; the calibration draws no
+    # random numbers, so the stream is consumed in the same order.
+    devs = np.empty((len(dims), n))
+    offsets = np.empty((len(dims), n, m))
+    for i, (_, spread_deg, c_deg, ref, zenith) in enumerate(dims):
         cluster = _cluster_angles(powers, spread_deg, ref, los,
                                   lsps.k_db, zenith, rng)
-        offsets = math.radians(c_deg) * offs[None, :] * np.ones((n, 1))
-        if los:
-            offsets[0, 0] = 0.0  # specular ray exactly on the LOS direction
-        dev = cluster - ref
-        gamma = _calibrate_scale(dev, offsets, ray_p, math.radians(spread_deg))
-        ang = ref + gamma * dev[:, None] + offsets
+        devs[i] = cluster - ref
+        offsets[i] = math.radians(c_deg) * offs
+    if los:
+        offsets[:, 0, 0] = 0.0  # specular ray exactly on the LOS direction
+    gammas = _calibrate_scales(devs, offsets, ray_p,
+                               [math.radians(d[1]) for d in dims])
+
+    out = {}
+    for (name, _, _, ref, zenith), dev, off, gamma in zip(dims, devs, offsets,
+                                                          gammas):
+        ang = ref + gamma * dev[:, None] + off
         ang = _reflect_zenith(ang) if zenith else _wrap_pi(ang)
         if los:
             ang[0, 0] = ref  # exact geometric direction despite wrapping

@@ -1,10 +1,16 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chansim6g.cir import (CirTensor, GriddedPattern, apply_large_scale,
+from chansim6g import cir
+from chansim6g.campaign import run_drop
+from chansim6g.cir import (CirTensor, GriddedPattern, _einsum, apply_large_scale,
                            pattern_isotropic, pattern_sector, read_cir,
                            synthesize_cir, write_cir)
 from chansim6g.constants import wavelength
@@ -249,3 +255,67 @@ class TestFileFormat:
         path.write_bytes(blob[:-8])
         with pytest.raises(ValueError):
             read_cir(path)
+
+
+# ---------------------------------------------------------------------------
+# Cached einsum paths
+# ---------------------------------------------------------------------------
+
+EINSUM_SITES = ("nm,nmu,nms,nmt->tusn", "mk,mkf->mf", "abcd,abs,cdu,cdt->tusac")
+
+
+def _golden_configs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "golden_digests.py"
+    spec = importlib.util.spec_from_file_location("golden_digests", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.campaign_configs(seed=5, drops=2)
+
+
+def _complex_operands(rng, shapes):
+    return [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+
+
+def test_cached_path_is_numpy_optimize_path_on_every_config(monkeypatch):
+    seen = set()
+    real = cir._einsum_path
+
+    def recording(subscripts, *shapes):
+        seen.add((subscripts, shapes))
+        return real(subscripts, *shapes)
+
+    monkeypatch.setattr(cir, "_einsum_path", recording)
+    for cfg in _golden_configs().values():
+        for drop in range(cfg.drops):
+            run_drop(cfg, drop)
+    assert {subs for subs, _ in seen} == set(EINSUM_SITES)
+    rng = np.random.default_rng(0)
+    for subscripts, shapes in sorted(seen):
+        want = np.einsum_path(subscripts, *_complex_operands(rng, shapes),
+                              optimize=True)[0]
+        assert list(real(subscripts, *shapes)) == want, (subscripts, shapes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(site=st.sampled_from(EINSUM_SITES),
+       sizes=st.lists(st.integers(1, 6), min_size=7, max_size=7),
+       seed=st.integers(0, 2 ** 32 - 1), real_first=st.booleans())
+def test_cached_einsum_equals_uncached_call(site, sizes, seed, real_first):
+    size = dict(zip(sorted(set(site) - set(",->")), sizes))
+    inputs = site.split("->")[0].split(",")
+    rng = np.random.default_rng(seed)
+    ops = _complex_operands(rng, [tuple(size[c] for c in term) for term in inputs])
+    if real_first:
+        ops[0] = ops[0].real.copy()
+    want = np.einsum(site, *ops, optimize=True)
+    for _ in range(2):  # a cache miss or hit, then a hit
+        got = _einsum(site, *ops)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_cached_einsum_single_cluster_and_single_elements(n):
+    rng = np.random.default_rng(n)
+    ops = _complex_operands(rng, [(n, 1), (n, 1, 1), (n, 1, 1), (n, 1, 1)])
+    want = np.einsum("nm,nmu,nms,nmt->tusn", *ops, optimize=True)
+    assert np.array_equal(_einsum("nm,nmu,nms,nmt->tusn", *ops), want)

@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from chansim6g import isac
 from chansim6g.constants import C_LIGHT
 from chansim6g.geometry import ConfigurationError, Position3D
-from chansim6g.isac import (SensingTarget, clutter_power_ratio,
+from chansim6g.isac import (SensingTarget, _Cluster, clutter_power_ratio,
                             gen_isac_drop, sharing_degree)
 from chansim6g.largescale import LSPSet
 from chansim6g.seeding import DropStreams
+from chansim6g.smallscale import ClusterSet, _reflect_zenith, _wrap_pi
 from test_largescale import make_entry
 
 TX = Position3D(0.0, 0.0, 1.5)
@@ -215,3 +218,103 @@ class TestDeterminism:
         assert np.array_equal(a.comm.delays_s, b.comm.delays_s)
         assert np.array_equal(a.sense.aoa, b.sense.aoa)
         assert np.array_equal(a.comm.phases, b.comm.phases)
+
+
+# ---------------------------------------------------------------------------
+# Vectorized environment rows against the per-cluster scalar draws
+# ---------------------------------------------------------------------------
+
+def scalar_env_rows(rng, n_env, shared, base_abs, base_dirs, spreads,
+                    excess_scale, velocity):
+    """``isac._env_rows`` as one scalar draw and fold per cluster angle."""
+    shared_excess, shared_aod = shared
+    base_aod, base_aoa, base_zoa, base_zod = base_dirs
+    asd_rad, asa_rad, zsa_rad, zsd_rad = spreads
+    rows = []
+    for sid in range(shared_excess.size):
+        rows.append(_Cluster(
+            abs_delay_s=base_abs + float(shared_excess[sid]),
+            aod=float(shared_aod[sid]),
+            aoa=float(_wrap_pi(base_aoa + rng.normal(0.0, asa_rad))),
+            zoa=float(_reflect_zenith(base_zoa + rng.normal(0.0, zsa_rad))),
+            zod=float(_reflect_zenith(base_zod + rng.normal(0.0, zsd_rad))),
+            shared_id=sid, velocity=velocity))
+    env_excess = excess_scale * np.log(rng.uniform(size=n_env))
+    for i in range(n_env):
+        rows.append(_Cluster(
+            abs_delay_s=base_abs + float(env_excess[i]),
+            aod=float(_wrap_pi(base_aod + rng.normal(0.0, asd_rad))),
+            aoa=float(_wrap_pi(base_aoa + rng.normal(0.0, asa_rad))),
+            zoa=float(_reflect_zenith(base_zoa + rng.normal(0.0, zsa_rad))),
+            zod=float(_reflect_zenith(base_zod + rng.normal(0.0, zsd_rad))),
+            velocity=velocity))
+    return rows
+
+
+class RecordingStreams(DropStreams):
+    """DropStreams that keeps every generator it hands out."""
+
+    def __init__(self, seed, drop):
+        super().__init__(seed, drop)
+        self.handed = []
+
+    def get(self, stream):
+        rng = super().get(stream)
+        self.handed.append((stream, rng))
+        return rng
+
+    def states(self):
+        return [(name, rng.bit_generator.state) for name, rng in self.handed]
+
+
+def assert_pairs_equal(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, ClusterSet):
+            for g in dataclasses.fields(x):
+                u, v = getattr(x, g.name), getattr(y, g.name)
+                assert np.array_equal(u, v), (f.name, g.name)
+                assert np.asarray(u).dtype == np.asarray(v).dtype
+        else:
+            assert np.array_equal(x, y), f.name
+
+
+TWO_TARGETS = (SensingTarget(position=Position3D(6.0, 4.0, 1.5), rcs_dbsm=5.0,
+                             velocity=(1.0, -2.0, 0.0)),
+               SensingTarget(position=Position3D(-3.0, 8.0, 2.5), rcs_dbsm=-3.0))
+
+
+@pytest.mark.parametrize("case", [
+    dict(state="NLOS", n_shared=0),
+    dict(state="NLOS", n_shared=1),
+    dict(state="NLOS", n_shared=15),
+    dict(state="LOS", n_shared=14),
+    dict(state="LOS", n_shared=6, targets=TWO_TARGETS),
+    dict(state="LOS", n_shared=13, targets=TWO_TARGETS),
+    dict(state="NLOS", n_shared=5, targets=TWO_TARGETS,
+         rx_s_pos=Position3D(0.0, 5.0, 1.5)),
+    dict(state="NLOS", n_shared=0, targets=TWO_TARGETS[:1],
+         rx_s_pos=Position3D(2.0, -5.0, 3.0)),
+    dict(state="LOS", n_shared=4, targets=TWO_TARGETS,
+         self_interference_db=40.0),
+    dict(state="LOS", n_shared=1, self_interference_db=25.0,
+         ue_velocity=(3.0, 1.0, 0.0)),
+], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items() if k != "targets")
+   + f"-targets={len(c.get('targets', ()))}")
+@pytest.mark.parametrize("seed", [0, 1, 29])
+def test_env_rows_match_scalar_draws(monkeypatch, case, seed):
+    entry = make_entry(n_clusters=15, rays_per_cluster=10)
+    case = dict(case)
+    state, n_shared = case.pop("state"), case.pop("n_shared")
+
+    def run():
+        streams = RecordingStreams(seed, 3)
+        pair = gen_isac_drop(entry, make_lsps(), TX, RX, state, n_shared,
+                             streams, 28e9, **case)
+        return pair, streams.states()
+
+    vec_pair, vec_states = run()
+    monkeypatch.setattr(isac, "_env_rows", scalar_env_rows)
+    ref_pair, ref_states = run()
+    assert_pairs_equal(vec_pair, ref_pair)
+    assert vec_states == ref_states

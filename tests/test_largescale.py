@@ -1,12 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from chansim6g.geometry import ConfigurationError
-from chansim6g.largescale import (AssetError, LSP_ORDER, LspTableEntry,
-                                  generate_lsps, load_scenarios,
-                                  lookup_lsp_table)
+from chansim6g.largescale import (DATA_ENV_VAR, AssetError, LSP_ORDER,
+                                  LspTableEntry, data_dir, generate_lsps,
+                                  load_scenarios, lookup_lsp_table)
 
 
 def make_entry(corr=None, **overrides):
@@ -163,3 +164,41 @@ class TestAssetValidation:
         raw = load_scenarios()
         assert set(raw["scenarios"]) >= {"umi", "inh_office", "uma", "rma",
                                          "dense_urban"}
+
+
+class TestLookupCache:
+    def test_repeat_lookup_shares_one_entry(self):
+        a = lookup_lsp_table("umi", "LOS", 28e9)
+        assert lookup_lsp_table("umi", "LOS", 28e9) is a
+        assert lookup_lsp_table("umi", "NLOS", 28e9) is not a
+
+    def test_shared_entry_is_immutable(self):
+        for args in (("umi", "LOS", 28e9), ("uma", "NLOS", 3.5e9),
+                     ("dense_urban", "LOS", 2e9, 30.0)):
+            entry = lookup_lsp_table(*args)
+            for f in dataclasses.fields(entry):
+                value = getattr(entry, f.name)
+                if isinstance(value, np.ndarray):
+                    assert not value.flags.writeable, f.name
+                    with pytest.raises(ValueError):
+                        value[0, 0] = 0.5
+                else:
+                    assert isinstance(value, (str, int, float, tuple, type(None))), f.name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                entry.n_clusters = 3
+
+    def test_data_directory_override_is_followed(self, tmp_path, monkeypatch):
+        raw = load_scenarios()
+        umi = json.loads(json.dumps(raw["scenarios"]["umi"]))
+        for e in umi["entries"]:
+            e["n_clusters"] = 5
+        (tmp_path / "scenarios.json").write_text(
+            json.dumps({"version": 1, "scenarios": {"umi": umi}}))
+        shipped = lookup_lsp_table("umi", "LOS", 28e9).n_clusters
+        monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path))
+        assert data_dir() == tmp_path
+        assert lookup_lsp_table("umi", "LOS", 28e9).n_clusters == 5
+        assert set(load_scenarios()["scenarios"]) == {"umi"}
+        monkeypatch.delenv(DATA_ENV_VAR)
+        assert lookup_lsp_table("umi", "LOS", 28e9).n_clusters == shipped
+        assert "uma" in load_scenarios()["scenarios"]

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from chansim6g import smallscale
 from chansim6g.geometry import LosDirections
 from chansim6g.largescale import LSPSet
 from chansim6g.seeding import DropStreams
@@ -240,3 +243,202 @@ def _rms_ds(p, tau):
     m1 = np.sum(p * tau) / p.sum()
     m2 = np.sum(p * tau ** 2) / p.sum()
     return math.sqrt(max(m2 - m1 * m1, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# Angle-spread calibration: the lockstep solver against a scalar bisection
+# ---------------------------------------------------------------------------
+
+def calibrate_scale_oracle(dev, offsets, weights, target_rad):
+    """One lane solved by the straightforward scalar bisection.
+
+    Returns (gamma, exit): exit names the branch that returned.
+    """
+    n = dev.size
+    if n < 2:
+        return 1.0, "n<2"
+    if np.allclose(dev, 0.0):
+        return 1.0, "zero"
+
+    q = np.sum(weights * np.exp(1j * offsets), axis=1)
+    total = weights.sum()
+
+    def spread(gamma):
+        r = abs(np.sum(q * np.exp(1j * gamma * dev))) / total
+        r = min(r, 1.0 - 1e-16)
+        return math.sqrt(-2.0 * math.log(r))
+
+    lo_s = spread(0.0)
+    if target_rad <= lo_s:
+        return 0.0, "below"
+    dmax = np.abs(dev).max()
+    hi = 0.9 * math.pi / dmax
+    if spread(hi) <= target_rad:
+        return hi, "above"
+    lo = 0.0
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        s = spread(mid)
+        if abs(s - target_rad) < 1e-10:
+            return mid, "early"
+        if s < target_rad:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), "exhausted"
+
+
+def oracle_spread(dev, offsets, weights, gamma):
+    """Circular spread of the rays at gamma, summed ray by ray."""
+    z = np.sum(weights * np.exp(1j * (gamma * dev[:, None] + offsets)))
+    return math.sqrt(-2.0 * math.log(abs(z) / weights.sum()))
+
+
+def calibration_lanes(rng, lanes, n, m, los=False, dev_sigma=0.5):
+    devs = rng.normal(0.0, dev_sigma, size=(lanes, n))
+    offsets = np.empty((lanes, n, m))
+    for i in range(lanes):
+        offsets[i] = math.radians(rng.uniform(0.5, 15.0)) * ray_offsets(m)
+    p = rng.exponential(size=n)
+    p = p / p.sum() if n else p
+    if los and n:
+        devs -= devs[:, :1]
+        offsets[:, 0, 0] = 0.0
+        weights = ray_powers(p, m, los=True, k_db=rng.uniform(-5.0, 15.0))
+    else:
+        weights = ray_powers(p, m)
+    return devs, offsets, weights
+
+
+def check_lanes(devs, offsets, weights, targets):
+    """Solve all lanes in lockstep and compare each with the oracle by ==."""
+    got = smallscale._calibrate_scales(devs, offsets, weights, targets)
+    exits = []
+    for lane, target in enumerate(targets):
+        want, exit_ = calibrate_scale_oracle(devs[lane], offsets[lane],
+                                             weights, target)
+        assert got[lane] == want or (math.isnan(got[lane]) and math.isnan(want)), \
+            (lane, exit_, got[lane], want)
+        if exit_ == "early":
+            s = oracle_spread(devs[lane], offsets[lane], weights, got[lane])
+            assert abs(s - target) < 1e-10
+        exits.append(exit_)
+    return exits
+
+
+class TestCalibrationLockstep:
+    def test_every_exit(self):
+        rng = np.random.default_rng(11)
+        devs, offsets, w = calibration_lanes(rng, 6, 12, 20)
+        devs[1] = 0.0                             # all-zero deviations
+        devs[2, :] = 1e-9                         # below the zero threshold
+        lo_s = oracle_spread(devs[3], offsets[3], w, 0.0)
+        targets = [0.4, 0.4, 0.4, lo_s * 0.5, 3.0, float("nan")]
+        exits = check_lanes(devs, offsets, w, targets)
+        assert exits == ["early", "zero", "zero", "below", "above", "exhausted"]
+
+    def test_single_cluster_and_empty(self):
+        rng = np.random.default_rng(1)
+        for n in (0, 1):
+            devs, offsets, w = calibration_lanes(rng, 4, n, 20)
+            assert check_lanes(devs, offsets, w, [0.3] * 4) == ["n<2"] * 4
+
+    def test_quantized_spread_exhausts_steps(self):
+        # Near r = 1 the spread only takes the values sqrt(2 k eps), steps
+        # far wider than 1e-10: a target between two of them is never hit.
+        devs = np.array([[-0.5, 0.5]])
+        offsets = np.zeros((1, 2, 1))
+        w = np.full((2, 1), 0.5)
+        assert check_lanes(devs, offsets, w, [2.0e-8]) == ["exhausted"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_deviation(self, bad):
+        rng = np.random.default_rng(3)
+        devs, offsets, w = calibration_lanes(rng, 3, 8, 20)
+        devs[0, 2] = bad
+        devs[1, :] = 0.0
+        devs[1, 4] = bad
+        check_lanes(devs, offsets, w, [0.3, 0.3, 0.3])
+
+    def test_lanes_finish_in_different_rounds(self):
+        rng = np.random.default_rng(5)
+        devs, offsets, w = calibration_lanes(rng, 4, 16, 20, los=True)
+        lo_s = oracle_spread(devs[2], offsets[2], w, 0.0)
+        exits = check_lanes(devs, offsets, w, [0.05, 0.6, lo_s * 0.9, 1.2])
+        assert exits.count("early") >= 2 and "below" in exits
+
+    def test_bracket_ends_hit_exactly(self):
+        # A target equal to spread(0) or spread(hi) must take the same branch
+        # as the scalar bisection: spreads use libm log, not numpy's.
+        rng = np.random.default_rng(17)
+        for los in (False, True):
+            devs, offsets, w = calibration_lanes(rng, 2000, 10, 20, los=los)
+            q = np.sum(w * np.exp(1j * offsets), axis=-1)
+            total = w.sum()
+            targets = []
+            for lane in range(devs.shape[0]):
+                gamma = 0.0 if lane % 2 else 0.9 * math.pi / np.abs(devs[lane]).max()
+                r = abs(np.sum(q[lane] * np.exp(1j * gamma * devs[lane]))) / total
+                targets.append(math.sqrt(-2.0 * math.log(min(r, 1.0 - 1e-16))))
+            exits = check_lanes(devs, offsets, w, targets)
+            assert set(exits) <= {"below", "above"}
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(lanes=st.integers(1, 5), n=st.integers(0, 24),
+           m=st.sampled_from([1, 2, 3, 20]), los=st.booleans(),
+           dev_sigma=st.sampled_from([1e-9, 1e-3, 0.05, 0.5, 2.0, 40.0]),
+           targets=st.lists(st.floats(1e-4, 4.0), min_size=5, max_size=5),
+           special=st.sampled_from([None, np.nan, np.inf, -np.inf, 0.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_scalar_bisection(self, lanes, n, m, los, dev_sigma,
+                                      targets, special, seed):
+        rng = np.random.default_rng(seed)
+        devs, offsets, w = calibration_lanes(rng, lanes, n, m, los=los,
+                                             dev_sigma=dev_sigma)
+        if special is not None and n:
+            devs[0, rng.integers(n)] = special
+        check_lanes(devs, offsets, w, targets[:lanes])
+
+    def test_drops_match_per_dimension_oracle(self):
+        """gen_ray_angles gives the angles of a per-dimension scalar solve."""
+        entry = make_entry(n_clusters=16, c_asa_deg=8.0)
+        for seed in range(40):
+            state = "LOS" if seed % 2 else "NLOS"
+            lsps = make_lsps(asa_deg=5.0 + seed, zsd_deg=0.5 + seed / 10)
+            p = gen_cluster_powers(
+                gen_cluster_delays(lsps.ds_s, 2.3, 16, np.random.default_rng(seed)),
+                lsps.ds_s, 2.3, 3.0, None, "NLOS", np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            ang = gen_ray_angles(lsps, p, DIRS, entry, state, rng)
+            want = _reference_ray_angles(lsps, p, entry, state,
+                                         np.random.default_rng(seed))
+            for name in ("aoa", "aod", "zoa", "zod"):
+                assert np.array_equal(getattr(ang, name), want[name]), (seed, name)
+
+
+def _reference_ray_angles(lsps, powers, entry, state, rng):
+    """gen_ray_angles as one scalar calibration per dimension."""
+    los = state == "LOS"
+    n, m = powers.size, entry.rays_per_cluster
+    ray_p = ray_powers(powers, m, los=los, k_db=lsps.k_db if los else None)
+    dims = (("aoa", lsps.asa_deg, entry.c_asa_deg, DIRS.aoa, False),
+            ("aod", lsps.asd_deg, entry.c_asd_deg, DIRS.aod, False),
+            ("zoa", lsps.zsa_deg, entry.c_zsa_deg, DIRS.zoa, True),
+            ("zod", lsps.zsd_deg, entry.c_zsd_deg, DIRS.zod, True))
+    out = {}
+    for name, spread_deg, c_deg, ref, zenith in dims:
+        cluster = smallscale._cluster_angles(powers, spread_deg, ref, los,
+                                             lsps.k_db, zenith, rng)
+        offsets = math.radians(c_deg) * ray_offsets(m)[None, :] * np.ones((n, 1))
+        if los:
+            offsets[0, 0] = 0.0
+        dev = cluster - ref
+        gamma, _ = calibrate_scale_oracle(dev, offsets, ray_p,
+                                          math.radians(spread_deg))
+        ang = ref + gamma * dev[:, None] + offsets
+        ang = smallscale._reflect_zenith(ang) if zenith else smallscale._wrap_pi(ang)
+        if los:
+            ang[0, 0] = ref
+        out[name] = ang
+    return out
