@@ -34,24 +34,23 @@ class AssetError(ValueError):
 
 
 def data_dir() -> Path:
-    return _data_dir(os.environ.get(DATA_ENV_VAR))
+    override = os.environ.get(DATA_ENV_VAR)
+    if override:
+        return Path(override)
+    return Path(__file__).parent / "data"
 
 
-@functools.lru_cache(maxsize=4)
-def _data_dir(override: str | None) -> Path:
-    return Path(override) if override else Path(__file__).parent / "data"
+def _scenarios_path(path) -> str:
+    """``path`` as a string; None means scenarios.json under data_dir()."""
+    if path is None:
+        return _default_scenarios(os.environ.get(DATA_ENV_VAR))
+    return str(path)
 
 
 @functools.lru_cache(maxsize=4)
 def _default_scenarios(override: str | None) -> str:
-    return str(_data_dir(override) / "scenarios.json")
-
-
-def _scenarios_path(path) -> str:
-    """``path`` as a string; None means the data directory's asset."""
-    if path is None:
-        return _default_scenarios(os.environ.get(DATA_ENV_VAR))
-    return str(path)
+    # Keyed on the override, so a changed data directory is still followed.
+    return str(data_dir() / "scenarios.json")
 
 
 @dataclass(frozen=True)
