@@ -252,13 +252,14 @@ def _rms_ds(p, tau):
 def calibrate_scale_oracle(dev, offsets, weights, target_rad):
     """One lane solved by the straightforward scalar bisection.
 
-    Returns (gamma, exit): exit names the branch that returned.
+    Returns (gamma, exit, steps): exit names the branch that returned after
+    ``steps`` bisection steps.
     """
     n = dev.size
     if n < 2:
-        return 1.0, "n<2"
+        return 1.0, "n<2", 0
     if np.allclose(dev, 0.0):
-        return 1.0, "zero"
+        return 1.0, "zero", 0
 
     q = np.sum(weights * np.exp(1j * offsets), axis=1)
     total = weights.sum()
@@ -270,22 +271,22 @@ def calibrate_scale_oracle(dev, offsets, weights, target_rad):
 
     lo_s = spread(0.0)
     if target_rad <= lo_s:
-        return 0.0, "below"
+        return 0.0, "below", 0
     dmax = np.abs(dev).max()
     hi = 0.9 * math.pi / dmax
     if spread(hi) <= target_rad:
-        return hi, "above"
+        return hi, "above", 0
     lo = 0.0
-    for _ in range(48):
+    for step in range(1, 49):
         mid = 0.5 * (lo + hi)
         s = spread(mid)
         if abs(s - target_rad) < 1e-10:
-            return mid, "early"
+            return mid, "early", step
         if s < target_rad:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), "exhausted"
+    return 0.5 * (lo + hi), "exhausted", 48
 
 
 def oracle_spread(dev, offsets, weights, gamma):
@@ -310,13 +311,18 @@ def calibration_lanes(rng, lanes, n, m, los=False, dev_sigma=0.5):
     return devs, offsets, weights
 
 
-def check_lanes(devs, offsets, weights, targets):
-    """Solve all lanes in lockstep and compare each with the oracle by ==."""
+def check_lanes(devs, offsets, weights, targets, steps=None):
+    """Solve all lanes in lockstep and compare each with the oracle by ==.
+
+    Returns each lane's exit; ``steps``, if given, collects its step count.
+    """
     got = smallscale._calibrate_scales(devs, offsets, weights, targets)
     exits = []
     for lane, target in enumerate(targets):
-        want, exit_ = calibrate_scale_oracle(devs[lane], offsets[lane],
-                                             weights, target)
+        want, exit_, n_steps = calibrate_scale_oracle(devs[lane], offsets[lane],
+                                                      weights, target)
+        if steps is not None:
+            steps.append(n_steps)
         assert got[lane] == want or (math.isnan(got[lane]) and math.isnan(want)), \
             (lane, exit_, got[lane], want)
         if exit_ == "early":
@@ -362,10 +368,16 @@ class TestCalibrationLockstep:
 
     def test_lanes_finish_in_different_rounds(self):
         rng = np.random.default_rng(5)
-        devs, offsets, w = calibration_lanes(rng, 4, 16, 20, los=True)
+        devs, offsets, w = calibration_lanes(rng, 12, 16, 20, los=True)
         lo_s = oracle_spread(devs[2], offsets[2], w, 0.0)
-        exits = check_lanes(devs, offsets, w, [0.05, 0.6, lo_s * 0.9, 1.2])
-        assert exits.count("early") >= 2 and "below" in exits
+        targets = list(np.linspace(0.05, 1.2, 12))
+        targets[2] = lo_s * 0.9
+        steps = []
+        exits = check_lanes(devs, offsets, w, targets, steps)
+        assert exits[2] == "below"
+        rounds = {-(-k // smallscale._CALIBRATION_LEVELS)
+                  for k, e in zip(steps, exits) if e == "early"}
+        assert len(rounds) >= 2, steps
 
     def test_bracket_ends_hit_exactly(self):
         # A target equal to spread(0) or spread(hi) must take the same branch
@@ -434,8 +446,8 @@ def _reference_ray_angles(lsps, powers, entry, state, rng):
         if los:
             offsets[0, 0] = 0.0
         dev = cluster - ref
-        gamma, _ = calibrate_scale_oracle(dev, offsets, ray_p,
-                                          math.radians(spread_deg))
+        gamma = calibrate_scale_oracle(dev, offsets, ray_p,
+                                       math.radians(spread_deg))[0]
         ang = ref + gamma * dev[:, None] + offsets
         ang = smallscale._reflect_zenith(ang) if zenith else smallscale._wrap_pi(ang)
         if los:
