@@ -4,7 +4,7 @@
 Runs the five shipped presets, a BASE config (uma, ``link_state`` null,
 8x2 ULAs, moving UE) and a RIS variant (4x2 ULAs, moving UE, two time
 samples, uniform codebook, 70 degree incidence) at seed 42 with 3 drops
-each and ``jobs=1``, then
+each (``jobs=1`` unless ``--jobs N`` is given), then
 ``chansim6g analyze --metrics ds,gini,rsrp,xcorr`` over each output
 directory, and hashes every ``.cir`` / ``.cir.sense`` file, ``metrics.csv``
 and ``analysis.csv``. ``tests/test_golden_digests.py`` compares the result
@@ -13,6 +13,7 @@ with the committed ``tests/golden_digests.json``.
     python3 scripts/golden_digests.py                  # print the digests
     python3 scripts/golden_digests.py --write          # re-baseline the file
     python3 scripts/golden_digests.py --seeds 1-50     # one digest per config
+    python3 scripts/golden_digests.py --jobs 3         # campaigns at jobs=3
 
 ``--seeds A-B`` runs every config at each seed from A to B (3 drops, same
 analysis) and prints one combined SHA-256 per config over all those files, so
@@ -84,8 +85,9 @@ def campaign_configs(seed: int = SEED, drops: int = DROPS) -> dict:
     return configs
 
 
-def compute_digests(seed: int = SEED) -> dict:
-    """``{"<config>/<file>": sha256}`` for every covered output file."""
+def compute_digests(seed: int = SEED, jobs: int = 1) -> dict:
+    """``{"<config>/<file>": sha256}`` for every covered output file, with
+    every campaign run at ``jobs``."""
     configs = campaign_configs(seed)
     from chansim6g.campaign import run_campaign
     from chansim6g.cli import main as cli_main
@@ -94,7 +96,7 @@ def compute_digests(seed: int = SEED) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in configs.items():
             out = Path(tmp) / name
-            run_campaign(cfg, out, jobs=1)
+            run_campaign(cfg, out, jobs=jobs)
             with contextlib.redirect_stdout(sys.stderr):
                 rc = cli_main(["analyze", "--in", str(out), "--metrics", ANALYZE_METRICS])
             if rc != 0:
@@ -106,11 +108,11 @@ def compute_digests(seed: int = SEED) -> dict:
     return digests
 
 
-def sweep_digests(seeds) -> dict:
+def sweep_digests(seeds, jobs: int = 1) -> dict:
     """``{config: sha256}`` over the file digests of every seed, in order."""
     combined = {}
     for seed in seeds:
-        for key, digest in sorted(compute_digests(seed).items()):
+        for key, digest in sorted(compute_digests(seed, jobs).items()):
             name, filename = key.split("/", 1)
             h = combined.setdefault(name, hashlib.sha256())
             h.update(f"{seed} {filename} {digest}\n".encode())
@@ -128,14 +130,16 @@ def main(argv=None) -> int:
                    help=f"write the digests to {GOLDEN.relative_to(ROOT)}")
     p.add_argument("--seeds", type=_seed_range, metavar="A-B",
                    help="print one combined digest per config over seeds A..B")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="run every campaign with this many processes (default 1)")
     args = p.parse_args(argv)
     if args.seeds is not None:
         if args.write:
             p.error("--seeds does not write the golden file")
-        sys.stdout.write(json.dumps(sweep_digests(args.seeds), indent=1,
+        sys.stdout.write(json.dumps(sweep_digests(args.seeds, args.jobs), indent=1,
                                     sort_keys=True) + "\n")
         return 0
-    text = json.dumps(compute_digests(), indent=1, sort_keys=True) + "\n"
+    text = json.dumps(compute_digests(jobs=args.jobs), indent=1, sort_keys=True) + "\n"
     if args.write:
         GOLDEN.write_text(text)
     else:

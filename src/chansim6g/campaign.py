@@ -8,9 +8,11 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -305,32 +307,133 @@ def run_drop(cfg: ScenarioConfig, drop: int) -> DropResult:
     return result
 
 
-def _drop_worker(args):
-    cfg, drop, out_dir = args
-    result = run_drop(cfg, drop)
-    files = []
-    for suffix, tensor in result.tensors.items():
-        path = Path(out_dir) / f"drop{drop:05d}.cir{suffix}"
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        write_cir(tensor, tmp)
-        tmp.rename(path)
-        files.append(str(path))
-    return drop, result.metrics, files
+def _add_note(exc: BaseException, note: str) -> None:
+    if hasattr(exc, "add_note"):        # Python 3.11+
+        exc.add_note(note)
+
+
+def _run_slice(cfg: ScenarioConfig, drops: range, out: Path) -> list:
+    """Run ``drops`` in order and write their tensors; one
+    ``(drop, metrics, files)`` row per drop. A failure is re-raised with a
+    note naming the drop, so ``run_drop(cfg, drop)`` replays it alone."""
+    rows = []
+    for drop in drops:
+        try:
+            result = run_drop(cfg, drop)
+            files = []
+            for suffix, tensor in result.tensors.items():
+                path = out / f"drop{drop:05d}.cir{suffix}"
+                tmp = path.with_suffix(path.suffix + ".tmp")
+                write_cir(tensor, tmp)
+                tmp.rename(path)
+                files.append(str(path))
+        except Exception as exc:
+            _add_note(exc, f"drop {drop} (seed {cfg.seed}) failed; "
+                           f"run_drop(cfg, {drop}) replays it alone")
+            raise
+        rows.append((drop, result.metrics, files))
+    return rows
+
+
+def _slice_process(cfg: ScenarioConfig, drops: range, out: Path, conn) -> None:
+    """Child process body: send the slice's rows, or its exception with the
+    child's traceback as a note, over the write end ``conn``."""
+    try:
+        conn.send(_run_slice(cfg, drops, out))
+    except Exception as exc:
+        _add_note(exc, "Traceback in the drop process (most recent call last):\n"
+                       + "".join(traceback.format_tb(exc.__traceback__)).rstrip())
+        conn.send(exc)
+    finally:
+        conn.close()
+
+
+# OpenBLAS's set-num-threads symbol, by build: numpy's bundled 64-bit-integer
+# library, other 64-bit-integer builds, the plain build.
+_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
+                         "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS loaded in this process to one thread.
+
+    Forked children inherit the setting and so never start a BLAS thread of
+    their own. It is made here, before any fork, and never undone: raising
+    the count after a fork, or setting it inside a child, re-creates the
+    BLAS thread pool, which then spins about 0.1 s of CPU.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split(maxsplit=5)[5].strip() for line in fh
+                    if "openblas" in line}
+    except OSError:             # no procfs: leave the BLAS as it is
+        return
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_SET_THREADS:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+                fn(1)
+                break
+
+
+def _run_slices(cfg: ScenarioConfig, out: Path, n: int) -> list:
+    """Rows of every drop, from ``n`` processes: the caller runs drops
+    ``0, n, 2n, ...`` and child ``k`` runs ``k, k + n, ...``. Every child
+    is joined before this returns or raises; if anything raised, children
+    still running are terminated first."""
+    children = []
+    try:
+        for k in range(1, n):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(
+                target=_slice_process, args=(cfg, range(k, cfg.drops, n), out, send))
+            proc.start()
+            send.close()
+            children.append((proc, recv))
+        rows = _run_slice(cfg, range(0, cfg.drops, n), out)
+        for proc, recv in children:
+            try:
+                got = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"drop process {proc.pid} exited with code "
+                                   f"{proc.exitcode} before sending its drops") from None
+            if isinstance(got, BaseException):
+                raise got
+            rows += got
+        return rows
+    except BaseException:
+        for proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in children:
+            proc.join()
+            recv.close()
 
 
 def run_campaign(cfg: ScenarioConfig, out_dir, jobs: int = 1) -> dict:
     """Run all configured drops and write tensors, metrics.csv and
-    summary.json into ``out_dir``. Returns the summary dict."""
+    summary.json into ``out_dir``. Returns the summary dict.
+
+    ``min(jobs, cfg.drops)`` processes share the drops round-robin, the
+    calling process among them, so ``jobs=1`` or a one-drop campaign starts
+    no process. A parallel run first sets the process's OpenBLAS to one
+    thread and leaves it there. A failing drop's exception is re-raised
+    with its type and a note naming the drop and seed.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(cfg, drop, str(out)) for drop in range(cfg.drops)]
-    results = []
+    n = max(1, min(jobs, cfg.drops))
+    if n > 1:
+        _one_blas_thread()
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_drop_worker, tasks))
-        else:
-            results = [_drop_worker(t) for t in tasks]
+        results = _run_slices(cfg, out, n)
     except BaseException:
         for tmp in out.glob("*.tmp"):
             tmp.unlink(missing_ok=True)

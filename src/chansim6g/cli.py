@@ -19,6 +19,9 @@ from .geometry import ConfigurationError
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        print(f"run: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     if args.config:
         cfg = load_config(args.config)
     elif args.preset:
@@ -125,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--drops", type=int, default=None)
     run.add_argument("--out", default="out", help="output directory")
-    run.add_argument("--jobs", type=int, default=1, help="parallel drop workers")
+    run.add_argument("--jobs", type=int, default=1,
+                     help="processes that share the drops, this one included")
     run.set_defaults(func=_cmd_run)
 
     an = sub.add_parser("analyze", help="compute metrics over campaign outputs")

@@ -1,6 +1,9 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -11,6 +14,8 @@ from chansim6g.campaign import run_campaign, run_drop
 from chansim6g.cli import main as cli_main
 from chansim6g.config import (ConfigError, ScenarioConfig, config_from_dict,
                               config_hash, load_config, load_preset, preset_path)
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def minimal_config(**over):
@@ -254,12 +259,59 @@ class TestCampaign:
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes(), fa.name
 
-    def test_parallel_matches_serial(self, tmp_path):
-        cfg = load_preset("isac", drops=4, seed=11)
+    @pytest.mark.parametrize("preset", ["isac", "ris"])
+    @pytest.mark.parametrize("drops,jobs", [(1, 2), (2, 2), (5, 2), (5, 3), (3, 8)])
+    def test_parallel_matches_serial(self, tmp_path, preset, drops, jobs):
+        # ris runs BLAS products, so it also covers the one-thread BLAS step
+        cfg = load_preset(preset, drops=drops, seed=11)
         run_campaign(cfg, tmp_path / "serial", jobs=1)
-        run_campaign(cfg, tmp_path / "par", jobs=3)
-        for f in sorted((tmp_path / "serial").iterdir()):
-            assert f.read_bytes() == (tmp_path / "par" / f.name).read_bytes(), f.name
+        run_campaign(cfg, tmp_path / "par", jobs=jobs)
+        names = sorted(f.name for f in (tmp_path / "serial").iterdir())
+        assert sorted(f.name for f in (tmp_path / "par").iterdir()) == names
+        for name in names:
+            assert ((tmp_path / "serial" / name).read_bytes()
+                    == (tmp_path / "par" / name).read_bytes()), name
+        assert not multiprocessing.active_children()
+
+    def test_one_drop_campaign_starts_no_process(self, tmp_path, monkeypatch):
+        def no_start(self):
+            raise AssertionError("a one-drop campaign started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
+        run_campaign(load_preset("thz", drops=1, seed=3), tmp_path / "out", jobs=4)
+        assert (tmp_path / "out" / "drop00000.cir").exists()
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_campaign(load_preset("thz", drops=2), tmp_path / "out", jobs=jobs)
+
+    def test_parallel_run_sets_openblas_to_one_thread(self):
+        # A fresh interpreter with the BLAS thread count as the host gives it.
+        script = textwrap.dedent("""
+            import ctypes, sys, tempfile
+            import numpy
+            from chansim6g.campaign import run_campaign
+            from chansim6g.config import load_preset
+            with open("/proc/self/maps") as fh:
+                libs = [line.split(maxsplit=5)[5].strip() for line in fh
+                        if "scipy_openblas64_" in line]
+            if not libs:
+                sys.exit(3)
+            get = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+            get.restype = ctypes.c_int
+            with tempfile.TemporaryDirectory() as out:
+                run_campaign(load_preset("ris", drops=2, seed=5), out, jobs=2)
+            print(get())
+        """)
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        if proc.returncode == 3:
+            pytest.skip("numpy does not load its bundled OpenBLAS here")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1"]
 
     def test_isac_writes_sense_tensor(self, tmp_path):
         cfg = load_preset("isac", drops=1)
@@ -290,23 +342,28 @@ class TestCampaign:
         tb = b.tensors[""].tap_delays_s
         assert np.array_equal(ta, tb)
 
-    def test_failure_cleans_partial_files(self, tmp_path, monkeypatch):
+    # 5 drops at jobs=3: the caller runs drops 0 and 3, the children 1, 4 and 2.
+    @pytest.mark.parametrize("jobs,bad_drop", [(1, 2), (3, 3), (3, 4)],
+                             ids=["serial", "caller-slice", "child-slice"])
+    def test_failure_cleans_partial_files(self, tmp_path, monkeypatch, jobs, bad_drop):
         import chansim6g.campaign as campaign
 
         real_write = campaign.write_cir
-        calls = {"n": 0}
 
         def flaky(tensor, path):
-            calls["n"] += 1
-            if calls["n"] >= 3:
+            real_write(tensor, path)        # leaves a complete .tmp behind
+            if path.name.startswith(f"drop{bad_drop:05d}"):
                 raise OSError("disk full")
-            real_write(tensor, path)
 
         monkeypatch.setattr(campaign, "write_cir", flaky)
         cfg = load_preset("thz", drops=5, seed=1)
-        with pytest.raises(OSError):
-            run_campaign(cfg, tmp_path / "out")
+        with pytest.raises(OSError, match="disk full") as info:
+            run_campaign(cfg, tmp_path / "out", jobs=jobs)
+        assert type(info.value) is OSError
         assert not list((tmp_path / "out").glob("*.tmp"))
+        assert not multiprocessing.active_children()
+        if sys.version_info >= (3, 11):
+            assert f"drop {bad_drop} (seed 1) failed" in info.value.__notes__[0]
 
     def test_base_campaign_wall_clock(self, tmp_path):
         cfg = config_from_dict(minimal_config(drops=1000, seed=3))
@@ -337,6 +394,14 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(minimal_config(bandwidth_hz=-1)))
         assert cli_main(["validate", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_run_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        rc = cli_main(["run", "--preset", "thz", "--jobs", jobs,
+                       "--out", str(tmp_path / "out")])
+        assert rc != 0
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_entry_point_installed(self):
         proc = subprocess.run([sys.executable, "-m", "chansim6g.cli", "--help"],
