@@ -369,7 +369,10 @@ def _one_blas_thread() -> None:
     except OSError:             # no procfs: leave the BLAS as it is
         return
     for path in sorted(libs):
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:         # e.g. the file was replaced since it was mapped
+            continue
         for name in _OPENBLAS_SET_THREADS:
             fn = getattr(lib, name, None)
             if fn is not None:
