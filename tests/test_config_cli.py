@@ -290,7 +290,6 @@ class TestCampaign:
         # A fresh interpreter with the BLAS thread count as the host gives it.
         script = textwrap.dedent("""
             import ctypes, sys, tempfile
-            import numpy
             from chansim6g.campaign import run_campaign
             from chansim6g.config import load_preset
             with open("/proc/self/maps") as fh:
