@@ -9,6 +9,15 @@ observer. Pattern blocks are indexed [incident pol, outgoing pol] with V
 along the zenith basis vector and H along the azimuth basis vector. The
 programmable codebook phase modulates the reflected-field part only; the
 incident-field part of the equivalent currents is codebook-independent.
+
+The cascade kernel (``_cascade_taps``) never forms the (I, J) grid of
+leg-1/leg-2 ray pairs. It takes the leg-1 rays in front of the panel
+CASCADE_TILE at a time; builds the tile's real pattern weight (two sincs
+and two Dirichlet kernels, each a ratio of angle-addition or sum grids)
+from K=2 GEMMs of per-side vectors, with one division; contracts the
+polarizations with one K=4 GEMM per panel, all scalings folded into the
+per-side matrices; and reduces the tile straight onto leg-2 clusters. The
+leg-1 cluster reduction follows once per drop.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import numpy as np
 from .constants import Z0_OHM, wavelength
 from .geometry import ArrayGeometry, ConfigurationError, unit_vector
 from .smallscale import ClusterSet
-from .cir import CirTensor, _einsum, _polarization_matrices, pattern_isotropic
+from .cir import CirTensor, _polarization_matrices, pattern_isotropic
 
 # Directions within a degree of grazing (or behind the panel) are treated
 # as outside the panel's field of view; finite-thickness edges make the
@@ -423,93 +432,67 @@ def overall_pattern(panel: RisPanel, codebook: RisCodebook, in_dir, out_dir,
     return ref * af_cb[..., None, None] * front[..., None, None]
 
 
-# Leg-1 rays per tile of the cascade kernel. A one-row remainder joins the
-# previous tile, so the reused work grids hold CASCADE_TILE + 1 rows.
+# Front leg-1 rays per tile of the cascade kernel: the per-tile work
+# buffers hold CASCADE_TILE rows of the ray-pair grid.
 CASCADE_TILE = 32
 
 
-def _side(v):
-    """A per-side argument vector with its sines and cosines."""
-    return v, np.sin(v), np.cos(v)
+def _weight_factors(k: float, panel: RisPanel, design_u, r_in, r_out):
+    """Per-side stacks of the pattern weight w = Sx Sy Dx Dy on the ray-pair
+    grid: ``left`` (8, I, 2) @ ``right`` (8, 2, J) gives the numerator grids
+    sin(n (p_i + q_j)) of the four factors, then their denominators: the
+    sums p_i + q_j of the two sincs and sin(p_i + q_j) of the two Dirichlet
+    kernels. ``p`` (4, I) and ``q`` (4, J) are the per-side arguments and
+    ``n`` (4, 1) the factor orders (1 for the sincs)."""
+    edge = panel.d_element
+    half = 0.5 * k * edge
+    p = np.stack([half * r_in[:, 0], half * r_in[:, 1],
+                  half * (r_in[:, 0] - design_u[0]),
+                  half * (r_in[:, 1] - design_u[1])])
+    q = np.stack([half * r_out[:, 0], half * r_out[:, 1],
+                  half * r_out[:, 0], half * r_out[:, 1]])
+    n = np.array([1.0, 1.0, panel.nx, panel.ny])[:, None]
+    left = np.empty((8,) + p.shape[1:] + (2,))
+    right = np.empty((8, 2) + q.shape[1:])
+    # sin(a + b) = [sin a, cos a] . [cos b, sin b]; a + b = [a, 1] . [1, b].
+    left[:4, :, 0], left[:4, :, 1] = np.sin(n * p), np.cos(n * p)
+    right[:4, 0], right[:4, 1] = np.cos(n * q), np.sin(n * q)
+    left[4:6, :, 0], left[4:6, :, 1] = p[:2], 1.0
+    right[4:6, 0], right[4:6, 1] = 1.0, q[:2]
+    left[6:, :, 0], left[6:, :, 1] = np.sin(p[2:]), np.cos(p[2:])
+    right[6:, 0], right[6:, 1] = np.cos(q[2:]), np.sin(q[2:])
+    return left, right, p, q, n
 
 
-def _outer_sin(a, b, rows, out, tmp):
-    """sin(a_i + b_j) for i in ``rows`` into ``out`` by angle addition, so
-    no grid-sized transcendental is evaluated."""
-    np.multiply.outer(a[1][rows], b[2], out=out)
-    out += np.multiply.outer(a[2][rows], b[1], out=tmp)
-    return out
+def _cascade_taps(panels, codebook: RisCodebook, in_zen, in_az, a_vec, p_in,
+                  out_zen, out_az, b_vec, p_out, row_w, col_w,
+                  f_hz: float) -> list:
+    """Cluster-pair taps of the cascade, one (N1, S, N2 K) array per panel:
 
-
-def _sinc_tile(a, b, rows, out, work, mask):
-    """sin(x)/x on the grid x = a_i + b_j, i in ``rows``, into ``out``."""
-    tmp, x = work
-    _outer_sin(a, b, rows, out, tmp)
-    np.add.outer(a[0][rows], b[0], out=x)
-    np.less(np.abs(x, out=tmp), 1e-9, out=mask)
-    if mask.any():
-        x[mask] = 1.0
-        out /= x
-        out[mask] = 1.0
-    else:
-        out /= x
-    return out
-
-
-def _dirichlet_tile(a, na, b, nb, n: int, rows, out, work, mask):
-    """Dirichlet kernel sin(n x)/sin(x) on the grid x = a_i + b_j, i in
-    ``rows``, into ``out``; ``na``/``nb`` are the sides scaled by n.
-    Near-singular entries (coherence points) are patched individually."""
-    tmp, den = work
-    _outer_sin(na, nb, rows, out, tmp)
-    _outer_sin(a, b, rows, den, tmp)
-    np.less(np.abs(den, out=tmp), 1e-12, out=mask)
-    if not mask.any():
-        out /= den
-        return out
-    i, j = np.nonzero(mask)
-    den[i, j] = 1.0
-    out /= den
-    x = a[0][rows][i] + b[0][j]
-    out[i, j] = n * np.cos(n * x) / np.cos(x)
-    return out
-
-
-def _tiles(front):
-    """Leg-1 row indices per tile. No tile has exactly one row unless only
-    one row exists: numpy hands a one-row product to gemv, which rounds
-    differently from the gemm of a full-height product."""
-    cuts = list(range(CASCADE_TILE, front.size, CASCADE_TILE))
-    if cuts and front.size - cuts[-1] == 1:
-        cuts.pop()
-    return np.split(front, cuts)
-
-
-def _cascade_ray_terms(panels, codebook: RisCodebook, in_zen, in_az, a_vec,
-                       p_in, out_zen, out_az, b_vec, p_out, f_hz: float) -> list:
-    """Fused pattern/polarization contraction for the cascade, one (I, J)
-    ray-pair grid per panel:
-
+    taps[a, s, (c, k)] = sum_{b, d} row_w[a, s, b] term[(a, b), (c, d)] col_w[c, d, k],
     term[i, j] = sqrt(p_in[i] p_out[j])
-                 * sum_{q, p} a_vec[i, q] F_panel[i, j, q, p] b_vec[j, p]
+                 * sum_{q, p} a_vec[i, q] F_panel[i, j, q, p] b_vec[j, p],
 
-    computed without materializing the (I, J, 2, 2) pattern blocks. The
-    incident-polarization weights fold into combined current vectors per
-    incident ray; the outgoing weights fold into two projection vectors per
-    outgoing ray; each half then reduces to two (I,3)x(3,J) products.
+    reduced one tile of front leg-1 rays at a time onto leg-2 clusters, so
+    the (I, J) ray-pair grid is never formed; the leg-1 cluster reduction
+    follows once. Rays are ordered by cluster (a or c), then ray (b or d).
+    ``row_w`` (N1, S, M1) holds the leg-1 array phases, ``col_w``
+    (N2, M2, K) the leg-2 array phases and Doppler. Every product is small
+    enough to stay on one BLAS thread, so the thread count changes no bit.
 
-    The pattern weight is real: with the r_eval factors cancelled, the block
-    scale is -1j k / lam times the taper, so term = 1j w amp (j.t1 + m.t2)
-    with w = (-k / lam) taper af. Rows of incident rays past the grazing
-    limit are zero and are not evaluated; the others run CASCADE_TILE at a
-    time through reused work grids. Every entry gets the roundings of
-    the full-grid evaluation in the same order, so each nonzero term is
-    bitwise the full grid's: the products keep all J columns (out-of-front
-    columns are masked in w) and the two K=3 products stay separate, as
-    narrower or fused products round differently.
+    The block scale is -1j k / lam times the taper, so with the r_eval
+    factors cancelled term = 1j (-k / lam) area w amp (j.t1 + m.t2) with a
+    real pattern weight w = Sx Sy Dx Dy. The currents j, m are tangential,
+    so the incident-side factors, the 1j and sqrt(p_in) fold into one (I, 4)
+    matrix [j_x, j_y, m_x, m_y] per panel; sqrt(p_out) and the grazing mask
+    fold into the (4, J) projection onto [t1; t2]. Each tile then costs one
+    K=2 GEMM per grid of w (see ``_weight_factors``), one division, and per
+    panel one K=4 GEMM, the product with w and a per-cluster column
+    reduction. Leg-1 rays past the grazing limit contribute nothing and are
+    skipped.
 
     ``panels`` must share geometry (grid and pitch) and may differ in
-    reflection behavior; shared grids are computed once.
+    reflection behavior; the weight grids are computed once.
     """
     if codebook.kind not in ("uniform", "steering"):
         raise ConfigurationError("the cascade needs a separable codebook")
@@ -518,26 +501,16 @@ def _cascade_ray_terms(panels, codebook: RisCodebook, in_zen, in_az, a_vec,
         if (p.nx, p.ny, p.d_element) != \
                 (ref_panel.nx, ref_panel.ny, ref_panel.d_element):
             raise ConfigurationError("panels in one cascade must share geometry")
-    in_zen = np.asarray(in_zen, dtype=np.float64).ravel()
-    in_az = np.asarray(in_az, dtype=np.float64).ravel()
-    out_zen = np.asarray(out_zen, dtype=np.float64).ravel()
-    out_az = np.asarray(out_az, dtype=np.float64).ravel()
-    n_in, n_out = in_zen.size, out_zen.size
-    terms = [np.zeros((n_in, n_out), dtype=np.complex128) for _ in panels]
+    n1, ns, m1 = row_w.shape
+    n2, m2, n_k = col_w.shape
+    taps = [np.zeros((n1, ns, n2 * n_k), dtype=np.complex128) for _ in panels]
     front = np.flatnonzero(in_zen < GRAZING_LIMIT_RAD)
     if front.size == 0:
-        return terms
-    # A lone front row is evaluated with a neighbor (see _tiles), whose
-    # term is reset to zero afterwards.
-    neighbor = None
-    if front.size == 1 and n_in > 1:
-        neighbor = front[0] + 1 if front[0] + 1 < n_in else front[0] - 1
-        front = np.sort(np.append(front, neighbor))
-
+        return taps
+    in_zen, in_az, a_vec = in_zen[front], in_az[front], a_vec[front]
     lam = wavelength(f_hz)
     k = 2.0 * math.pi / lam
     edge = ref_panel.d_element
-    area = edge * edge
 
     r_in, th_in, ph_in = _basis(in_zen, in_az)
     r_out, th_out, ph_out = _basis(out_zen, out_az)
@@ -547,82 +520,71 @@ def _cascade_ray_terms(panels, codebook: RisCodebook, in_zen, in_az, a_vec,
     v_r[:, 2] = -v_r[:, 2]
     h_r = -ph_in
 
-    z_hat = np.array([0.0, 0.0, 1.0])
+    def currents(e):
+        # (x, y) of J = z x (k_r x E) and M = -z x E; both have no z part.
+        return (k_r[:, :2] * e[:, 2:] - k_r[:, 2:] * e[:, :2],
+                np.stack([e[:, 1], -e[:, 0]], axis=1))
 
-    def currents(e_vec, k_vec):
-        h_vec = np.cross(k_vec, e_vec)
-        j_s = np.cross(np.broadcast_to(z_hat, h_vec.shape), h_vec)
-        m_s = -np.cross(np.broadcast_to(z_hat, e_vec.shape), e_vec)
-        return j_s, m_s
-
-    # Combined current vectors per incident ray, weighted by the Tx half.
-    av, ah = a_vec[:, 0][:, None], a_vec[:, 1][:, None]
-    j_v_r, m_v_r = currents(v_r, k_r)
-    j_h_r, m_h_r = currents(h_r, k_r)
-    j_ref, m_ref = [], []
+    # Incident side: combined currents [j | m] per ray and panel, weighted by
+    # the Tx half and scaled by 1j (-k / lam) area sqrt(p_in).
+    (j_v, m_v), (j_h, m_h) = currents(v_r), currents(h_r)
+    scale = (1j * (-k / lam) * edge * edge) * np.sqrt(p_in[front])[:, None]
+    cur = []
     for panel in panels:
-        gv = (av * panel.reflection(in_zen, "V")[:, None])
-        gh = (ah * panel.reflection(in_zen, "H")[:, None])
-        j_ref.append(gv * j_v_r + gh * j_h_r)
-        m_ref.append(gv * m_v_r + gh * m_h_r)
+        gv = a_vec[:, :1] * panel.reflection(in_zen, "V")[:, None]
+        gh = a_vec[:, 1:] * panel.reflection(in_zen, "H")[:, None]
+        cur.append(scale * np.concatenate([gv * j_v + gh * j_h,
+                                           gv * m_v + gh * m_h], axis=1))
+    # Outgoing side: projections [t1; t2] weighted by the Rx half.
+    b0, b1 = b_vec[:, :1], b_vec[:, 1:]
+    gain = np.sqrt(p_out) * (out_zen < GRAZING_LIMIT_RAD)
+    th_out, ph_out = th_out[:, :2], ph_out[:, :2]
+    proj = (gain[:, None] * np.concatenate(
+        [b0 * th_out + b1 * ph_out, b0 * ph_out - b1 * th_out], axis=1)).T
 
-    # Projection vectors per outgoing ray, weighted by the Rx half.
-    b0, b1 = b_vec[:, 0][:, None], b_vec[:, 1][:, None]
-    t1 = b0 * th_out + b1 * ph_out
-    t2 = b0 * ph_out - b1 * th_out
-
-    # The (I, J) arguments of the taper and the array factor are separable
-    # sums, so every transcendental runs on the per-side vectors.
-    ux_i, ux_o = r_in[:, 0], r_out[:, 0]
-    uy_i, uy_o = r_in[:, 1], r_out[:, 1]
-    sx_i, sx_o = _side(0.5 * k * edge * ux_i), _side(0.5 * k * edge * ux_o)
-    sy_i, sy_o = _side(0.5 * k * edge * uy_i), _side(0.5 * k * edge * uy_o)
-    hd = 0.5 * k * ref_panel.d_element
-    nx, ny = ref_panel.nx, ref_panel.ny
-    dx_i = hd * (ux_i - codebook.design_u[0])
-    dy_i = hd * (uy_i - codebook.design_u[1])
-    dx_o, dy_o = hd * ux_o, hd * uy_o
-    dx = (_side(dx_i), _side(nx * dx_i), _side(dx_o), _side(nx * dx_o))
-    dy = (_side(dy_i), _side(ny * dy_i), _side(dy_o), _side(ny * dy_o))
-    scale = -k / lam                  # r_eval factors cancel analytically
-    out_front = out_zen < GRAZING_LIMIT_RAD
-    col_mask = None if out_front.all() else out_front.astype(np.float64)
-    p_in = np.asarray(p_in, dtype=np.float64).ravel()
-    p_out = np.asarray(p_out, dtype=np.float64).ravel()
-
-    tiles = _tiles(front)
-    rows_max = max(t.size for t in tiles)
-    grid = np.empty((5, rows_max, n_out))
-    mask_buf = np.empty((rows_max, n_out), dtype=bool)
-    prod_buf = np.empty((2, rows_max, n_out), dtype=np.complex128)
-    for rows in tiles:
-        w, g_a, g_b, t_a, t_b = grid[:, :rows.size]
-        mask = mask_buf[:rows.size]
-        # w = (-k / lam) * (area * (Sx * Sy)) * (Dx * Dy), in that order.
-        _sinc_tile(sx_i, sx_o, rows, w, (t_a, t_b), mask)
-        w *= _sinc_tile(sy_i, sy_o, rows, g_a, (t_a, t_b), mask)
-        w *= area
-        w *= scale
-        _dirichlet_tile(*dx, nx, rows, g_a, (t_a, t_b), mask)
-        g_a *= _dirichlet_tile(*dy, ny, rows, g_b, (t_a, t_b), mask)
-        w *= g_a
-        if col_mask is not None:
-            w *= col_mask
-        amp = np.sqrt(np.multiply.outer(p_in[rows], p_out, out=g_a), out=g_a)
-        prod, prod_m = prod_buf[:, :rows.size]
-        for term, j_p, m_p in zip(terms, j_ref, m_ref):
-            np.matmul(j_p[rows], t1.T, out=prod)
-            prod += np.matmul(m_p[rows], t2.T, out=prod_m)
-            # amp * ((0 + 1j w) * prod) of the full grid, rounding for
-            # rounding: the weight's zero real part adds only exact zeros.
+    left, right, p_arg, q_arg, n = _weight_factors(k, ref_panel, codebook.design_u,
+                                                   r_in, r_out)
+    # Angle addition loses relative accuracy as a denominator nears zero,
+    # where w peaks. Entries whose denominator product falls under this
+    # bound (every singular one does: a sinc argument under 1e-9 or a
+    # Dirichlet |sin| under 1e-12, the other factors being at most k edge
+    # and 1) are evaluated one by one with _sinc and _dirichlet, which also
+    # apply the singular limits.
+    bound = 1e-7 * max(1.0, k * edge) ** 2
+    rows_max = min(CASCADE_TILE, front.size)
+    n_out = r_out.shape[0]
+    grids = np.empty((8, rows_max, n_out))
+    prod_buf = np.empty((rows_max, n_out), dtype=np.complex128)
+    reduced = [np.empty((n2, front.size, n_k), dtype=np.complex128)
+               for _ in panels]
+    for lo in range(0, front.size, CASCADE_TILE):
+        rows = slice(lo, min(lo + CASCADE_TILE, front.size))
+        g = np.matmul(left[:, rows], right, out=grids[:, :rows.stop - lo])
+        w, den = g[0], g[4]
+        for m in (1, 2, 3):
+            w *= g[m]
+            den *= g[m + 4]
+        near = np.abs(den) < bound
+        if near.any():
+            i, j = np.nonzero(near)
+            den[i, j] = 1.0
+            w /= den
+            x = p_arg[:, lo + i] + q_arg[:, j]
+            w[i, j] = np.prod(_sinc(x[:2]), axis=0) \
+                * np.prod(_dirichlet(2.0 * x[2:], n[2:]), axis=0)
+        else:
+            w /= den
+        prod = prod_buf[:rows.stop - lo]
+        by_cluster = prod.reshape(-1, n2, m2).transpose(1, 0, 2)
+        for c, red in zip(cur, reduced):
+            np.matmul(c[rows], proj, out=prod)
             prod *= w
-            prod *= amp
-            prod *= 1j
-            term[rows] = prod
-    if neighbor is not None:
-        for term in terms:
-            term[neighbor] = 0.0
-    return terms
+            np.matmul(by_cluster, col_w, out=red[:, rows])
+    rays = np.zeros((n1 * m1, n2, n_k), dtype=np.complex128)
+    for t, red in zip(taps, reduced):
+        rays[front] = red.transpose(1, 0, 2)
+        np.matmul(row_w, rays.reshape(n1, m1, n2 * n_k), out=t)
+    return taps
 
 
 # ---------------------------------------------------------------------------
@@ -658,34 +620,34 @@ def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels,
     a_vec = np.einsum("ipq,iq->ip", mat1, ftx)        # (n1*m1, 2)
     b_vec = np.einsum("jq,jqp->jp", frx, mat2)        # (n2*m2, 2)
 
-    panel0 = panels[0]
-    in_zen, in_az = panel0.to_local(leg1.zoa.ravel(), leg1.aoa.ravel())
-    out_zen, out_az = panel0.to_local(leg2.zod.ravel(), leg2.aod.ravel())
-    # term[i, j] = amp[i, j] sum_{q,p} a[i,q] F[i,j,q,p] b[j,p]; the pattern
-    # block is indexed [incident, outgoing], so q pairs with the Tx half.
-    terms = _cascade_ray_terms(panels, codebook, in_zen, in_az, a_vec,
-                               leg1.ray_powers, out_zen, out_az, b_vec,
-                               leg2.ray_powers, f_hz)
-
+    # Tx array phases [a, s, b] of leg-1 ray b of cluster a; Rx array phase
+    # times Doppler [c, d, (t, u)] of leg-2 ray d of cluster c.
     r_tx = unit_vector(leg1.zod, leg1.aod).reshape(n1 * m1, 3)
     r_rx = unit_vector(leg2.zoa, leg2.aoa).reshape(n2 * m2, 3)
     ph_tx = np.exp(2j * math.pi / lam * (r_tx @ tx.element_positions.T))
     ph_rx = np.exp(2j * math.pi / lam * (r_rx @ rx.element_positions.T))
     dop = np.exp(2j * math.pi * np.outer(leg2.doppler_hz.ravel(), t))
-    ph_tx = ph_tx.reshape(n1, m1, -1)
-    ph_rx = ph_rx.reshape(n2, m2, -1)
-    dop = dop.reshape(n2, m2, -1)
+    ns, nu, nt = ph_tx.shape[1], ph_rx.shape[1], t.size
+    row_w = ph_tx.reshape(n1, m1, ns).transpose(0, 2, 1)
+    col_w = (dop[:, :, None] * ph_rx[:, None, :]).reshape(n2, m2, nt * nu)
+
+    panel0 = panels[0]
+    in_zen, in_az = panel0.to_local(leg1.zoa.ravel(), leg1.aoa.ravel())
+    out_zen, out_az = panel0.to_local(leg2.zod.ravel(), leg2.aod.ravel())
+    # The pattern block is indexed [incident, outgoing], so q pairs with the
+    # Tx half.
+    taps = _cascade_taps(panels, codebook, in_zen, in_az, a_vec,
+                         leg1.ray_powers.ravel(), out_zen, out_az, b_vec,
+                         leg2.ray_powers.ravel(), row_w, col_w, f_hz)
 
     delays = (leg1.delays_s[:, None] + leg2.delays_s[None, :]).ravel()
     order = np.argsort(delays, kind="stable")
 
     out = []
-    for panel, term in zip(panels, terms):
-        taps = _einsum("abcd,abs,cdu,cdt->tusac",
-                       term.reshape(n1, m1, n2, m2), ph_tx, ph_rx, dop)
-        nt, nu, ns = taps.shape[:3]
-        taps = taps.reshape(nt, nu, ns, n1 * n2)
-        out.append(CirTensor(coefficients=np.ascontiguousarray(taps[..., order]),
+    for panel, tap in zip(panels, taps):
+        tap = tap.reshape(n1, ns, n2, nt, nu).transpose(3, 4, 1, 0, 2)
+        tap = tap.reshape(nt, nu, ns, n1 * n2)
+        out.append(CirTensor(coefficients=np.ascontiguousarray(tap[..., order]),
                              tap_delays_s=delays[order], sample_times_s=t,
                              meta={"f_hz": f_hz, "cascade": True,
                                    "ideal_panel": panel.ideal}))

@@ -261,7 +261,7 @@ class TestFileFormat:
 # Cached einsum paths
 # ---------------------------------------------------------------------------
 
-EINSUM_SITES = ("nm,nmu,nms,nmt->tusn", "mk,mkf->mf", "abcd,abs,cdu,cdt->tusac")
+EINSUM_SITES = ("nm,nmu,nms,nmt->tusn", "mk,mkf->mf")
 
 
 def _golden_configs():

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from chansim6g import ris
 from chansim6g.cir import _polarization_matrices
 from chansim6g.constants import Z0_OHM, wavelength
-from chansim6g.geometry import ConfigurationError, build_ula, single_element
-from chansim6g.ris import (CASCADE_TILE, GRAZING_LIMIT_RAD, RisPanel, _basis,
+from chansim6g.geometry import (ConfigurationError, build_ula, single_element,
+                                unit_vector)
+from chansim6g.ris import (CASCADE_TILE, GRAZING_LIMIT_RAD, RisPanel,
                            cascade_cir,
                            cascade_cir_multi, element_pattern,
                            element_reflection, overall_pattern,
@@ -173,9 +173,12 @@ def single_ray_leg(aoa, zoa, aod, zod, tau=0.0, power=1.0, doppler=0.0):
                          doppler=doppler)
 
 
-def broadcast_cascade(leg1, leg2, panel, cb):
-    """Cascade taps of single-element isotropic arrays at t = 0 from the
-    broadcast panel pattern, summed over every ray pair."""
+def broadcast_cascade(leg1, leg2, panel, cb, tx=None, rx=None, times=None):
+    """Cascade coefficients (T, U, S, cluster pairs) from the broadcast panel
+    pattern: every ray pair's term, theta-polarized isotropic elements,
+    then the array phases and Doppler summed per cluster pair."""
+    tx, rx = tx or single_element(), rx or single_element()
+    t = np.zeros(1) if times is None else np.asarray(times, dtype=np.float64)
     in_zen, in_az = panel.to_local(leg1.zoa, leg1.aoa)
     out_zen, out_az = panel.to_local(leg2.zod, leg2.aod)
     f_ris = overall_pattern(panel, cb, (in_zen[:, :, None, None],
@@ -184,9 +187,15 @@ def broadcast_cascade(leg1, leg2, panel, cb):
     a = _polarization_matrices(leg1)[..., :, 0]      # theta-polarized Tx
     b = _polarization_matrices(leg2)[..., 0, :]      # theta-polarized Rx
     amp = np.sqrt(leg1.ray_powers[:, :, None, None] * leg2.ray_powers)
-    taps = np.einsum("abq,abcdqp,cdp,abcd->ac", a, f_ris, b, amp)
+    ph_tx = np.exp(2j * np.pi / LAM * (unit_vector(leg1.zod, leg1.aod)
+                                       @ tx.element_positions.T))
+    ph_rx = np.exp(2j * np.pi / LAM * (unit_vector(leg2.zoa, leg2.aoa)
+                                       @ rx.element_positions.T))
+    dop = np.exp(2j * np.pi * leg2.doppler_hz[..., None] * t)
+    taps = np.einsum("abq,abcdqp,cdp,abcd,abs,cdu,cdt->tusac", a, f_ris, b, amp,
+                     ph_tx, ph_rx, dop)
     delays = (leg1.delays_s[:, None] + leg2.delays_s).ravel()
-    return taps.ravel()[np.argsort(delays, kind="stable")]
+    return taps.reshape(taps.shape[:3] + (-1,))[..., np.argsort(delays, kind="stable")]
 
 
 class TestCascade:
@@ -308,7 +317,7 @@ class TestCascade:
                                 single_element(), F)
         for panel, cir in zip((ni, ni2), got):
             expected = broadcast_cascade(leg1, leg2, panel, cb)
-            assert np.max(np.abs(cir.coefficients[0, 0, 0] - expected)) \
+            assert np.max(np.abs(cir.coefficients - expected)) \
                 <= 1e-12 * np.max(np.abs(expected))
         assert not np.allclose(got[0].coefficients, got[1].coefficients)
 
@@ -318,89 +327,6 @@ class TestCascade:
         with pytest.raises(ConfigurationError, match="separable"):
             cascade_cir_multi(leg, leg, [panel], table_codebook(np.zeros((2, 2))),
                               single_element(), single_element(), F)
-
-
-def _outer_sin(a, b):
-    return np.outer(np.sin(a), np.cos(b)) + np.outer(np.cos(a), np.sin(b))
-
-
-def _dirichlet_outer(a, b, n):
-    num = _outer_sin(n * a, n * b)
-    den = _outer_sin(a, b)
-    rows, cols = np.where(np.abs(den) < 1e-12)
-    if rows.size:
-        den[rows, cols] = 1.0
-    num /= den
-    if rows.size:
-        x = a[rows] + b[cols]
-        num[rows, cols] = n * np.cos(n * x) / np.cos(x)
-    return num
-
-
-def _sinc_outer(a, b):
-    num = _outer_sin(a, b)
-    x = a[:, None] + b[None, :]
-    rows, cols = np.where(np.abs(x) < 1e-9)
-    if rows.size:
-        x[rows, cols] = 1.0
-    num /= x
-    if rows.size:
-        num[rows, cols] = 1.0
-    return num
-
-
-def full_grid_terms(panels, codebook, in_zen, in_az, a_vec, p_in, out_zen,
-                    out_az, b_vec, p_out, f_hz):
-    """The full-grid ray terms the tiled kernel must reproduce bit for bit:
-    every (I, J) entry evaluated with a complex pattern weight, the
-    grazing mask applied to the whole grid, amp multiplied in last."""
-    lam = wavelength(f_hz)
-    k = 2.0 * math.pi / lam
-    edge = panels[0].d_element
-    area = edge * edge
-    r_in, th_in, ph_in = _basis(in_zen, in_az)
-    r_out, th_out, ph_out = _basis(out_zen, out_az)
-    k_r = -r_in
-    k_r[:, 2] = -k_r[:, 2]
-    v_r = th_in.copy()
-    v_r[:, 2] = -v_r[:, 2]
-    h_r = -ph_in
-    z_hat = np.array([0.0, 0.0, 1.0])
-
-    def currents(e_vec, k_vec):
-        h_vec = np.cross(k_vec, e_vec)
-        j_s = np.cross(np.broadcast_to(z_hat, h_vec.shape), h_vec)
-        m_s = -np.cross(np.broadcast_to(z_hat, e_vec.shape), e_vec)
-        return j_s, m_s
-
-    av, ah = a_vec[:, 0][:, None], a_vec[:, 1][:, None]
-    j_v_r, m_v_r = currents(v_r, k_r)
-    j_h_r, m_h_r = currents(h_r, k_r)
-    b0, b1 = b_vec[:, 0][:, None], b_vec[:, 1][:, None]
-    t1 = b0 * th_out + b1 * ph_out
-    t2 = b0 * ph_out - b1 * th_out
-    ux_i, ux_o = r_in[:, 0], r_out[:, 0]
-    uy_i, uy_o = r_in[:, 1], r_out[:, 1]
-    taper = area * (_sinc_outer(0.5 * k * edge * ux_i, 0.5 * k * edge * ux_o)
-                    * _sinc_outer(0.5 * k * edge * uy_i, 0.5 * k * edge * uy_o))
-    scale = (-1j * k / lam) * taper
-    hd = 0.5 * k * edge
-    af_cb = (_dirichlet_outer(hd * (ux_i - codebook.design_u[0]), hd * ux_o,
-                              panels[0].nx)
-             * _dirichlet_outer(hd * (uy_i - codebook.design_u[1]), hd * uy_o,
-                                panels[0].ny))
-    front = ((in_zen < GRAZING_LIMIT_RAD)[:, None]
-             & (out_zen < GRAZING_LIMIT_RAD)[None, :])
-    base_ref = scale * af_cb * front
-    amp = np.sqrt(np.outer(np.ravel(p_in), np.ravel(p_out)))
-    terms = []
-    for panel in panels:
-        gv = av * panel.reflection(in_zen, "V")[:, None]
-        gh = ah * panel.reflection(in_zen, "H")[:, None]
-        j_ref = gv * j_v_r + gh * j_h_r
-        m_ref = gv * m_v_r + gh * m_h_r
-        terms.append(amp * (base_ref * (j_ref @ t1.T + m_ref @ t2.T)))
-    return terms
 
 
 def grazing_legs(rng, front_rows, n1=6, m1=8, n2=5, m2=8, away_cols=()):
@@ -431,33 +357,32 @@ def grazing_legs(rng, front_rows, n1=6, m1=8, n2=5, m2=8, away_cols=()):
 
 
 class TestTiledKernel:
-    """The tiled, front-rows-only kernel against the full-grid arithmetic,
-    bit for bit (``np.array_equal``), on the tile edge cases."""
+    """The tiled kernel against the broadcast panel pattern on the tile edge
+    cases, within 1e-12 of the largest tap, with exact zeros where no front
+    ray pair exists."""
 
     PANELS = (RisPanel(nx=8, ny=6, d_element=LAM / 2, z_e=300.0 + 40.0j,
                        z_m=2200.0 - 90.0j),
               RisPanel(nx=8, ny=6, d_element=LAM / 2, ideal=True))
 
-    def compare(self, monkeypatch, leg1, leg2, codebook, tx=None, rx=None,
-                times=None):
-        tx = tx or single_element()
-        rx = rx or single_element()
-        got = cascade_cir_multi(leg1, leg2, list(self.PANELS), codebook, tx,
-                                rx, F, times)
-        monkeypatch.setattr(ris, "_cascade_ray_terms", full_grid_terms)
-        want = cascade_cir_multi(leg1, leg2, list(self.PANELS), codebook, tx,
-                                 rx, F, times)
-        monkeypatch.undo()
-        for g, w in zip(got, want):
-            assert np.array_equal(g.coefficients, w.coefficients)
-            assert np.array_equal(g.tap_delays_s, w.tap_delays_s)
+    def compare(self, leg1, leg2, codebook, tx=None, rx=None, times=None):
+        got = cascade_cir_multi(leg1, leg2, list(self.PANELS), codebook,
+                                tx or single_element(), rx or single_element(),
+                                F, times)
+        delays = np.sort((leg1.delays_s[:, None] + leg2.delays_s).ravel())
+        for panel, cir in zip(self.PANELS, got):
+            want = broadcast_cascade(leg1, leg2, panel, codebook, tx, rx, times)
+            assert cir.coefficients.shape == want.shape
+            assert np.max(np.abs(cir.coefficients - want)) \
+                <= 1e-12 * np.max(np.abs(want))
+            assert np.array_equal(cir.tap_delays_s, delays)
         return got
 
     CASES = ("none", "first", "last", "two", "tile+1", "2tile+1", "all")
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("cb_kind", ["steering", "uniform"])
-    def test_front_row_counts(self, monkeypatch, case, cb_kind):
+    def test_front_row_counts(self, case, cb_kind):
         rng = np.random.default_rng([self.CASES.index(case), cb_kind == "uniform"])
         n_in = 6 * 12
         scattered = np.sort(rng.choice(n_in, n_in, replace=False))
@@ -468,44 +393,50 @@ class TestTiledKernel:
         leg1, leg2 = grazing_legs(rng, front, m1=12, away_cols=[3, 17, 18])
         cb = (steering_codebook((0.4, 0.2), (0.7, -0.5))
               if cb_kind == "steering" else uniform_codebook())
-        got = self.compare(monkeypatch, leg1, leg2, cb)
         if len(front) == 0:
-            assert not np.any(got[0].coefficients)
-        else:
-            assert np.any(got[0].coefficients)
+            got = cascade_cir_multi(leg1, leg2, list(self.PANELS), cb,
+                                    single_element(), single_element(), F)
+            assert all(np.all(cir.coefficients == 0.0) for cir in got)
+            return
+        got = self.compare(leg1, leg2, cb)
+        # Leg-1 clusters without a front ray give exact zeros.
+        delays = (leg1.delays_s[:, None] + leg2.delays_s[None, :]).ravel()
+        pair_a = np.repeat(np.arange(6), 5)[np.argsort(delays, kind="stable")]
+        dark = np.setdiff1d(np.arange(6), np.asarray(front, dtype=int) // 12)
+        for cir in got:
+            assert np.all(cir.coefficients[..., np.isin(pair_a, dark)] == 0.0)
+            assert np.any(cir.coefficients)
 
-    def test_lone_front_row_in_the_middle(self, monkeypatch):
+    def test_lone_front_row_in_the_middle(self):
         rng = np.random.default_rng(11)
         for row in (1, 17, 40):
             leg1, leg2 = grazing_legs(rng, [row])
-            self.compare(monkeypatch, leg1, leg2,
-                         steering_codebook((0.3, 0.1), (0.5, 0.4)))
+            self.compare(leg1, leg2, steering_codebook((0.3, 0.1), (0.5, 0.4)))
 
-    def test_single_incident_ray(self, monkeypatch):
+    def test_single_incident_ray(self):
         rng = np.random.default_rng(12)
         leg1, leg2 = grazing_legs(rng, [0], n1=1, m1=1)
-        self.compare(monkeypatch, leg1, leg2, uniform_codebook())
+        self.compare(leg1, leg2, uniform_codebook())
 
-    def test_outgoing_rays_past_grazing(self, monkeypatch):
+    def test_outgoing_rays_past_grazing(self):
         # A whole leg-2 cluster (rays 8..15) and scattered rays leave past
         # the grazing limit; its cluster pairs are exactly zero.
         rng = np.random.default_rng(13)
         leg1, leg2 = grazing_legs(rng, np.arange(0, 48, 2),
                                   away_cols=list(range(8, 16)) + [0, 33, 39])
-        got = self.compare(monkeypatch, leg1, leg2,
-                           steering_codebook((0.2, 0.3), (0.6, 0.1)))
+        got = self.compare(leg1, leg2, steering_codebook((0.2, 0.3), (0.6, 0.1)))
         delays = (leg1.delays_s[:, None] + leg2.delays_s[None, :]).ravel()
         pair_c = np.tile(np.arange(5), 6)[np.argsort(delays, kind="stable")]
         for cir in got:
-            assert not np.any(cir.coefficients[..., pair_c == 1])
+            assert np.all(cir.coefficients[..., pair_c == 1] == 0.0)
             assert np.all(np.any(cir.coefficients[..., pair_c != 1], axis=0))
 
-    def test_cluster_facing_away_gives_exact_zeros(self, monkeypatch):
+    def test_cluster_facing_away_gives_exact_zeros(self):
         # Leg-1 cluster 2 (rays 16..23) faces away; the others half face.
         rng = np.random.default_rng(14)
         front = [r for r in range(48) if r // 8 != 2 and r % 2 == 0]
         leg1, leg2 = grazing_legs(rng, front)
-        got = self.compare(monkeypatch, leg1, leg2, uniform_codebook())
+        got = self.compare(leg1, leg2, uniform_codebook())
         delays = (leg1.delays_s[:, None] + leg2.delays_s[None, :]).ravel()
         pair_a = np.repeat(np.arange(6), 5)[np.argsort(delays, kind="stable")]
         for cir in got:
@@ -513,15 +444,31 @@ class TestTiledKernel:
             assert np.all(away == 0.0)
             assert np.any(cir.coefficients[..., pair_a != 2])
 
-    def test_arrays_and_time_samples(self, monkeypatch):
-        # ULAs at both ends and two sample times exercise the einsum's
-        # array-phase and Doppler terms on the tiled ray terms.
+    def test_arrays_and_time_samples(self):
+        # ULAs at both ends and two sample times exercise the row map's Tx
+        # phases and the column weights' Rx phases and Doppler.
         rng = np.random.default_rng(15)
         leg1, leg2 = grazing_legs(rng, rng.choice(48, CASCADE_TILE + 5,
                                                   replace=False))
-        self.compare(monkeypatch, leg1, leg2, uniform_codebook(),
-                     tx=build_ula(4, LAM / 2), rx=build_ula(2, LAM / 2),
-                     times=np.array([0.0, 1e-3]))
+        self.compare(leg1, leg2, uniform_codebook(), tx=build_ula(4, LAM / 2),
+                     rx=build_ula(2, LAM / 2), times=np.array([0.0, 1e-3]))
+
+    @pytest.mark.parametrize("cb_kind", ["steering", "uniform"])
+    def test_singular_pattern_entries(self, cb_kind):
+        # Rays at the panel normal on both legs put every sinc and Dirichlet
+        # argument of their pairs at exactly 0 (uniform codebook); rays at
+        # the steering design directions put the Dirichlet arguments within
+        # rounding of 0. Both need the kernel's singular limits.
+        rng = np.random.default_rng([16, cb_kind == "uniform"])
+        leg1, leg2 = grazing_legs(rng, np.arange(0, 48, 3))
+        design = ((0.5, 0.7), (0.3, -2.0))
+        for leg, zen, az, (z0, a0) in ((leg1, leg1.zoa, leg1.aoa, design[0]),
+                                       (leg2, leg2.zod, leg2.aod, design[1])):
+            zen[1, 1], az[1, 1] = 0.0, 0.4
+            zen[2, 3], az[2, 3] = z0, a0
+        cb = (steering_codebook(*design) if cb_kind == "steering"
+              else uniform_codebook())
+        self.compare(leg1, leg2, cb)
 
 
 class TestRotations:
@@ -549,6 +496,19 @@ class TestPairedComparison:
         for d in range(60):
             m = c.run_drop(cfg, d).metrics
             assert m["snr_gap_db"] >= 0.0
+
+    @pytest.mark.parametrize("seed, drop, gap_db", [
+        (3904102532, 0, -0.20658411402988),
+        (2505821015, 3, -0.03935784158693),
+        (3440270943, 0, -0.18167078876479)])
+    def test_known_dominance_cases(self, seed, drop, gap_db):
+        """Preset drops where the non-ideal panel beats the ideal one, pinned
+        to 1e-9 dB pending the decision of ROADMAP item 2 (a program fault
+        or a per-drop claim the model does not make). A kernel change that
+        keeps the physics keeps these gaps."""
+        import chansim6g as c
+        m = c.run_drop(c.load_preset("ris", seed=seed), drop).metrics
+        assert m["snr_gap_db"] == pytest.approx(gap_db, abs=1e-9)
 
     def test_snr_ordering_with_asa(self):
         import chansim6g as c
