@@ -14,10 +14,20 @@ with the committed ``tests/golden_digests.json``.
     python3 scripts/golden_digests.py --write          # re-baseline the file
     python3 scripts/golden_digests.py --seeds 1-50     # one digest per config
     python3 scripts/golden_digests.py --jobs 3         # campaigns at jobs=3
+    python3 scripts/golden_digests.py --keep DIR       # keep the outputs in DIR
+    python3 scripts/golden_digests.py --compare A B    # two kept trees
 
 ``--seeds A-B`` runs every config at each seed from A to B (3 drops, same
 analysis) and prints one combined SHA-256 per config over all those files, so
 two checkouts can be compared over many seeds at once.
+
+``--keep DIR`` writes each config's output directory to ``DIR/<config>``
+instead of a temporary directory. ``--compare A B`` reads two such trees
+(say, of two checkouts) and prints per config how many files are
+byte-identical, the largest ``.cir`` coefficient difference relative to the
+largest coefficient of its file, and the largest difference of a
+``metrics.csv`` / ``analysis.csv`` value. A file, header, CSV column or text
+cell that differs in kind counts as an infinite difference.
 
 chansim6g is imported from ``src/`` of the checkout this script sits in.
 """
@@ -26,13 +36,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 GOLDEN = ROOT / "tests" / "golden_digests.json"
 SEED = 42
 DROPS = 3
@@ -73,7 +88,6 @@ def _sha256(path: Path) -> str:
 
 def campaign_configs(seed: int = SEED, drops: int = DROPS) -> dict:
     """``{name: CampaignConfig}`` of every covered config."""
-    sys.path.insert(0, str(ROOT / "src"))
     from chansim6g.config import config_from_dict, load_preset, preset_path
 
     configs = {name: load_preset(name, seed=seed, drops=drops) for name in PRESETS}
@@ -85,9 +99,14 @@ def campaign_configs(seed: int = SEED, drops: int = DROPS) -> dict:
     return configs
 
 
-def compute_digests(seed: int = SEED, jobs: int = 1) -> dict:
+def _covered_files(out: Path) -> list:
+    return sorted(out.glob("drop*.cir*")) + [out / "metrics.csv", out / "analysis.csv"]
+
+
+def compute_digests(seed: int = SEED, jobs: int = 1, keep=None) -> dict:
     """``{"<config>/<file>": sha256}`` for every covered output file, with
-    every campaign run at ``jobs``."""
+    every campaign run at ``jobs``; the outputs go to ``keep/<config>`` when
+    ``keep`` is given."""
     configs = campaign_configs(seed)
     from chansim6g.campaign import run_campaign
     from chansim6g.cli import main as cli_main
@@ -95,17 +114,65 @@ def compute_digests(seed: int = SEED, jobs: int = 1) -> dict:
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in configs.items():
-            out = Path(tmp) / name
+            out = Path(keep or tmp) / name
             run_campaign(cfg, out, jobs=jobs)
             with contextlib.redirect_stdout(sys.stderr):
                 rc = cli_main(["analyze", "--in", str(out), "--metrics", ANALYZE_METRICS])
             if rc != 0:
                 raise SystemExit(f"golden_digests: analyze failed on {name}")
-            files = sorted(out.glob("drop*.cir*")) + [out / "metrics.csv",
-                                                      out / "analysis.csv"]
-            for path in files:
+            for path in _covered_files(out):
                 digests[f"{name}/{path.name}"] = _sha256(path)
     return digests
+
+
+def _cir_difference(a: Path, b: Path) -> float:
+    """max |a - b| / max |a| over the coefficients of two tensor files."""
+    from chansim6g.cir import read_cir
+
+    ta, tb = read_cir(a), read_cir(b)
+    if (ta.coefficients.shape != tb.coefficients.shape
+            or not all(map(np.array_equal, (ta.tap_delays_s, ta.sample_times_s),
+                           (tb.tap_delays_s, tb.sample_times_s)))):
+        return math.inf
+    diff = float(np.max(np.abs(ta.coefficients - tb.coefficients), initial=0.0))
+    scale = float(np.max(np.abs(ta.coefficients), initial=0.0))
+    return 0.0 if not diff else diff / scale if scale else math.inf
+
+
+def _csv_difference(a: Path, b: Path) -> float:
+    """Largest |x - y| over the numeric cells of two CSV files."""
+    ra, rb = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
+    if ra[:1] != rb[:1] or [len(r) for r in ra] != [len(r) for r in rb]:
+        return math.inf
+    worst = 0.0
+    for x, y in zip((c for r in ra[1:] for c in r), (c for r in rb[1:] for c in r)):
+        try:
+            worst = max(worst, abs(float(x) - float(y)))
+        except ValueError:
+            worst = worst if x == y else math.inf
+    return worst
+
+
+def compare_trees(a: Path, b: Path) -> dict:
+    """Per config of two ``--keep`` trees: ``files``, ``identical`` (byte
+    for byte), ``cir`` (largest max-normalized coefficient difference) and
+    ``csv`` (largest value difference)."""
+    report = {}
+    for name in sorted({d.name for d in a.iterdir()} | {d.name for d in b.iterdir()}):
+        names = sorted({p.name for p in _covered_files(a / name) + _covered_files(b / name)})
+        row = {"files": len(names), "identical": 0, "cir": 0.0, "csv": 0.0}
+        for fname in names:
+            fa, fb = a / name / fname, b / name / fname
+            kind = "csv" if fname.endswith(".csv") else "cir"
+            if not (fa.is_file() and fb.is_file()):
+                row[kind] = math.inf
+            elif fa.read_bytes() == fb.read_bytes():
+                row["identical"] += 1
+            else:
+                diff = (_csv_difference if kind == "csv" else _cir_difference)(fa, fb)
+                row[kind] = max(row[kind], diff)
+        report[name] = row
+    return report
 
 
 def sweep_digests(seeds, jobs: int = 1) -> dict:
@@ -132,14 +199,26 @@ def main(argv=None) -> int:
                    help="print one combined digest per config over seeds A..B")
     p.add_argument("--jobs", type=int, default=1,
                    help="run every campaign with this many processes (default 1)")
+    p.add_argument("--keep", type=Path, metavar="DIR",
+                   help="write the campaign outputs to DIR/<config>")
+    p.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                   help="compare two --keep trees per config")
     args = p.parse_args(argv)
+    if args.compare is not None:
+        report = compare_trees(*args.compare)
+        for name, row in report.items():
+            sys.stdout.write(f"{name}: {row['identical']}/{row['files']} files identical, "
+                             f"cir max-normalized diff {row['cir']:.3g}, "
+                             f"csv value diff {row['csv']:.3g}\n")
+        return 0
     if args.seeds is not None:
-        if args.write:
-            p.error("--seeds does not write the golden file")
+        if args.write or args.keep:
+            p.error("--seeds neither writes the golden file nor keeps outputs")
         sys.stdout.write(json.dumps(sweep_digests(args.seeds, args.jobs), indent=1,
                                     sort_keys=True) + "\n")
         return 0
-    text = json.dumps(compute_digests(jobs=args.jobs), indent=1, sort_keys=True) + "\n"
+    text = json.dumps(compute_digests(jobs=args.jobs, keep=args.keep), indent=1,
+                      sort_keys=True) + "\n"
     if args.write:
         GOLDEN.write_text(text)
     else:

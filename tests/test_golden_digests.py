@@ -8,7 +8,8 @@ variant (4x2 ULAs, moving UE, two time samples, uniform codebook) at
 seed 42, 3 drops each: 38 digests. The digests were pinned on numpy 2.4.6,
 scipy 1.17.1 and OpenBLAS 0.3.31; another toolchain may round differently.
 A deliberate change of output bytes re-baselines them with
-``python3 scripts/golden_digests.py --write``.
+``python3 scripts/golden_digests.py --write``; ``--keep`` and ``--compare``
+show how far the bytes moved.
 
 Each check runs in a fresh interpreter, once with ``OPENBLAS_NUM_THREADS=1``
 and once with it unset, so BLAS threading cannot change a byte; and with the
@@ -16,13 +17,18 @@ campaigns at ``jobs=1`` and at ``jobs=3``, so neither can the parallel path
 (which sets the process's OpenBLAS to one thread before it forks).
 """
 
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from chansim6g.cir import CirTensor, write_cir
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "golden_digests.py"
@@ -47,3 +53,46 @@ def test_output_bytes_match_golden_digests(jobs, openblas_threads):
     assert sorted(got) == sorted(want)
     changed = sorted(k for k in want if got[k] != want[k])
     assert not changed, f"output bytes changed: {changed}"
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location("golden_digests", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tree(root, coefficients, metrics, analysis="drop,ds_ns\n0,1.5\n"):
+    """One config directory ``x`` as ``--keep`` writes it."""
+    out = root / "x"
+    out.mkdir(parents=True)
+    h = np.asarray(coefficients)
+    write_cir(CirTensor(coefficients=h, tap_delays_s=1e-8 * np.arange(h.shape[3]),
+                        sample_times_s=np.zeros(1)), out / "drop00000.cir")
+    (out / "metrics.csv").write_text(metrics)
+    (out / "analysis.csv").write_text(analysis)
+    return root
+
+
+def test_compare_trees_reports_differences(tmp_path):
+    compare = _script().compare_trees
+    h = np.array([[[[4.0 + 0.0j, 1.0j]]]])
+    metrics = "drop,rsrp_dbm,state\n0,-70.25,LOS\n"
+    a = _tree(tmp_path / "a", h, metrics)
+    same = _tree(tmp_path / "same", h.copy(), metrics)
+    assert compare(a, same) == {"x": {"files": 3, "identical": 3, "cir": 0.0, "csv": 0.0}}
+
+    moved = _tree(tmp_path / "moved", h + np.array([0.0, 1e-3]),
+                  "drop,rsrp_dbm,state\n0,-70.5,LOS\n")
+    row = compare(a, moved)["x"]
+    assert row["identical"] == 1
+    assert row["cir"] == pytest.approx(1e-3 / 4.0, rel=1e-9)
+    assert row["csv"] == 0.25
+
+    # A text cell, a tensor shape or a missing file that differs is infinite.
+    text = _tree(tmp_path / "text", h, "drop,rsrp_dbm,state\n0,-70.25,NLOS\n")
+    assert compare(a, text)["x"]["csv"] == math.inf
+    shape = _tree(tmp_path / "shape", h[..., :1], metrics)
+    assert compare(a, shape)["x"]["cir"] == math.inf
+    (same / "x" / "analysis.csv").unlink()
+    assert compare(a, same)["x"]["csv"] == math.inf
