@@ -24,6 +24,11 @@ from .ris import build_panel
 FEATURES = ("BASE", "THZ", "EMIMO", "ISAC", "RIS", "SAGIN")
 _FEATURE_BLOCKS = {"THZ": "thz", "EMIMO": "emimo", "ISAC": "isac",
                    "RIS": "ris", "SAGIN": "sagin"}
+# Every key a ris block may hold: build_panel reads the panel keys, the
+# campaign runner the others.
+_RIS_KEYS = ("position", "nx", "ny", "element_pitch", "bs_incidence_deg",
+             "z_e_ohm", "z_m_ohm", "ideal_reference", "codebook", "asa_deg",
+             "leg_k_db", "leg_xpr_db", "noise_floor_dbm")
 
 
 class ConfigError(ConfigurationError):
@@ -98,6 +103,17 @@ class ScenarioConfig:
         if self.feature != "SAGIN" and self.bs_position3d() == self.ue_position3d():
             raise ConfigError("ue_position: coincides with bs_position")
         if self.feature == "RIS":
+            unknown = sorted(set(blk) - set(_RIS_KEYS))
+            if unknown:
+                raise ConfigError(f"ris.{unknown[0]}: unknown key; a ris block "
+                                  f"takes {', '.join(_RIS_KEYS)}")
+            # null switches the first three off; the noise floor needs a value.
+            for key in ("asa_deg", "leg_k_db", "leg_xpr_db", "noise_floor_dbm"):
+                v = blk.get(key)
+                number = isinstance(v, (int, float)) and not isinstance(v, bool)
+                if key in blk and not (v is None and key != "noise_floor_dbm"
+                                       or number and math.isfinite(v)):
+                    raise ConfigError(f"ris.{key}: must be a finite number, got {v!r}")
             if blk.get("codebook", "steering") not in ("steering", "uniform"):
                 raise ConfigError(f"ris.codebook: must be 'steering' or 'uniform', "
                                   f"got {blk['codebook']!r}")

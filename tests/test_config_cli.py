@@ -174,6 +174,36 @@ class TestValidation:
         path.write_text(json.dumps(raw))
         assert cli_main(["validate", "--config", str(path)]) == 1
 
+    # Each of these validated before, then raised ValueError or TypeError in
+    # run_drop, or (a typo) was silently ignored.
+    @pytest.mark.parametrize("block, field", [
+        ({"asa_dg": 10.0}, "asa_dg: unknown key"),
+        ({"panel_tilt": 0.0}, "panel_tilt: unknown key"),
+        ({"asa_deg": "ten"}, "asa_deg: must be a finite number"),
+        ({"asa_deg": "10"}, "asa_deg"), ({"asa_deg": float("nan")}, "asa_deg"),
+        ({"leg_k_db": [1]}, "leg_k_db"), ({"leg_k_db": True}, "leg_k_db"),
+        ({"leg_xpr_db": float("inf")}, "leg_xpr_db"), ({"leg_xpr_db": {}}, "leg_xpr_db"),
+        ({"noise_floor_dbm": "loud"}, "noise_floor_dbm"),
+        ({"noise_floor_dbm": None}, "noise_floor_dbm"),
+    ])
+    def test_bad_ris_key_or_number_rejected(self, block, field, tmp_path):
+        raw = json.loads(preset_path("ris").read_text())
+        raw["ris"].update(block)
+        with pytest.raises(ConfigError, match=r"ris\." + field):
+            config_from_dict(raw)
+        path = tmp_path / "ris_block.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("block", [
+        {"asa_deg": None, "leg_k_db": None, "leg_xpr_db": None},
+        {"asa_deg": 5, "leg_k_db": -3, "leg_xpr_db": 20, "noise_floor_dbm": -100}])
+    def test_ris_numbers_and_nulls_run(self, block):
+        raw = json.loads(preset_path("ris").read_text())
+        raw["ris"].update(block)
+        res = run_drop(config_from_dict(raw), 0)
+        assert np.isfinite(res.metrics["snr_gap_db"])
+
     @pytest.mark.parametrize("block", [
         {"bs_incidence_deg": 0.0}, {"bs_incidence_deg": 89.5},
         {"bs_incidence_deg": None}, {"nx": 1, "ny": 1},
