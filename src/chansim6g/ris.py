@@ -467,9 +467,10 @@ def _weight_factors(k: float, panel: RisPanel, design_u, r_in, r_out):
 def _cascade_taps(panels, codebook: RisCodebook, in_zen, in_az, a_vec, p_in,
                   out_zen, out_az, b_vec, p_out, row_w, col_w,
                   f_hz: float) -> list:
-    """Cluster-pair taps of the cascade, one (N1, S, N2 K) array per panel:
+    """Cluster-pair taps of the cascade, one (N1, S, N2 TU) array per panel:
 
-    taps[a, s, (c, k)] = sum_{b, d} row_w[a, s, b] term[(a, b), (c, d)] col_w[c, d, k],
+    taps[a, s, (c, tu)] = sum_{b, d} row_w[a, s, b] term[(a, b), (c, d)]
+                                     * col_w[c, d, tu],
     term[i, j] = sqrt(p_in[i] p_out[j])
                  * sum_{q, p} a_vec[i, q] F_panel[i, j, q, p] b_vec[j, p],
 
@@ -477,8 +478,9 @@ def _cascade_taps(panels, codebook: RisCodebook, in_zen, in_az, a_vec, p_in,
     the (I, J) ray-pair grid is never formed; the leg-1 cluster reduction
     follows once. Rays are ordered by cluster (a or c), then ray (b or d).
     ``row_w`` (N1, S, M1) holds the leg-1 array phases, ``col_w``
-    (N2, M2, K) the leg-2 array phases and Doppler. Every product is small
-    enough to stay on one BLAS thread, so the thread count changes no bit.
+    (N2, M2, TU) the leg-2 array phases and Doppler. Every product spans
+    one tile or one cluster: one long contraction over all front rays
+    instead rounded differently at one and at two OpenBLAS threads.
 
     The block scale is -1j k / lam times the taper, so with the r_eval
     factors cancelled term = 1j (-k / lam) area w amp (j.t1 + m.t2) with a
@@ -502,8 +504,8 @@ def _cascade_taps(panels, codebook: RisCodebook, in_zen, in_az, a_vec, p_in,
                 (ref_panel.nx, ref_panel.ny, ref_panel.d_element):
             raise ConfigurationError("panels in one cascade must share geometry")
     n1, ns, m1 = row_w.shape
-    n2, m2, n_k = col_w.shape
-    taps = [np.zeros((n1, ns, n2 * n_k), dtype=np.complex128) for _ in panels]
+    n2, m2, n_tu = col_w.shape
+    taps = [np.zeros((n1, ns, n2 * n_tu), dtype=np.complex128) for _ in panels]
     front = np.flatnonzero(in_zen < GRAZING_LIMIT_RAD)
     if front.size == 0:
         return taps
@@ -555,7 +557,7 @@ def _cascade_taps(panels, codebook: RisCodebook, in_zen, in_az, a_vec, p_in,
     n_out = r_out.shape[0]
     grids = np.empty((8, rows_max, n_out))
     prod_buf = np.empty((rows_max, n_out), dtype=np.complex128)
-    reduced = [np.empty((n2, front.size, n_k), dtype=np.complex128)
+    reduced = [np.empty((n2, front.size, n_tu), dtype=np.complex128)
                for _ in panels]
     for lo in range(0, front.size, CASCADE_TILE):
         rows = slice(lo, min(lo + CASCADE_TILE, front.size))
@@ -580,10 +582,10 @@ def _cascade_taps(panels, codebook: RisCodebook, in_zen, in_az, a_vec, p_in,
             np.matmul(c[rows], proj, out=prod)
             prod *= w
             np.matmul(by_cluster, col_w, out=red[:, rows])
-    rays = np.zeros((n1 * m1, n2, n_k), dtype=np.complex128)
+    rays = np.zeros((n1 * m1, n2, n_tu), dtype=np.complex128)
     for t, red in zip(taps, reduced):
         rays[front] = red.transpose(1, 0, 2)
-        np.matmul(row_w, rays.reshape(n1, m1, n2 * n_k), out=t)
+        np.matmul(row_w, rays.reshape(n1, m1, n2 * n_tu), out=t)
     return taps
 
 
