@@ -111,11 +111,6 @@ class MetricReport:
     def column(self, name: str) -> np.ndarray:
         return np.array([row[name] for row in self.rows if name in row], dtype=np.float64)
 
-    def cdf(self, name: str):
-        vals = np.sort(self.column(name))
-        probs = np.arange(1, vals.size + 1, dtype=np.float64) / vals.size
-        return vals, probs
-
 
 def _fmt(v) -> str:
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
@@ -144,16 +139,3 @@ def export_cdf_csv(values, path) -> None:
         w.writerow(["value", "cdf"])
         for v, p in zip(vals, probs):
             w.writerow([repr(float(v)), repr(float(p))])
-
-
-def read_cdf_csv(path):
-    vals, probs = [], []
-    with Path(path).open(newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != ["value", "cdf"]:
-            raise ValueError(f"not a CDF csv: header {header}")
-        for row in r:
-            vals.append(float(row[0]))
-            probs.append(float(row[1]))
-    return np.array(vals), np.array(probs)

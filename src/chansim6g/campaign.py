@@ -47,8 +47,7 @@ def _link_state(cfg: ScenarioConfig, streams: DropStreams) -> str:
     d2d = math.hypot(cfg.ue_position[0] - cfg.bs_position[0],
                      cfg.ue_position[1] - cfg.bs_position[1])
     curve = scenario_los_curve(cfg.scenario)
-    return assign_link_state(streams.get("link_state"), curve=curve,
-                             distance_2d=d2d).state
+    return assign_link_state(streams.get("link_state"), curve, d2d)
 
 
 def _terrestrial_pl(cfg: ScenarioConfig, state: str, sf_db: float) -> PathLossSample:

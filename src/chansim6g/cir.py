@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -44,69 +43,6 @@ def pattern_isotropic(zenith, azimuth):
     return np.ones_like(z), np.zeros_like(z)
 
 
-def pattern_sector(zenith, azimuth, slant_deg: float = 0.0):
-    """Directional sector element (65-degree HPBW in both cuts, 8 dBi peak,
-    30 dB floor), slant polarization applied as a field rotation."""
-    zen = np.degrees(np.asarray(zenith, dtype=np.float64))
-    az = np.degrees(np.asarray(azimuth, dtype=np.float64))
-    az = (az + 180.0) % 360.0 - 180.0
-    a_v = -np.minimum(12.0 * ((zen - 90.0) / 65.0) ** 2, 30.0)
-    a_h = -np.minimum(12.0 * (az / 65.0) ** 2, 30.0)
-    gain_db = 8.0 - np.minimum(-(a_v + a_h), 30.0)
-    amp = np.sqrt(10.0 ** (gain_db / 10.0))
-    slant = math.radians(slant_deg)
-    return amp * math.cos(slant), amp * math.sin(slant)
-
-
-class GriddedPattern:
-    """Arbitrary pattern given on a (zenith, azimuth) grid, bilinear
-    interpolation between samples."""
-
-    def __init__(self, zenith_grid, azimuth_grid, f_theta, f_phi):
-        self.zen = np.asarray(zenith_grid, dtype=np.float64)
-        self.az = np.asarray(azimuth_grid, dtype=np.float64)
-        self.f_theta = np.asarray(f_theta, dtype=np.complex128)
-        self.f_phi = np.asarray(f_phi, dtype=np.complex128)
-        expected = (self.zen.size, self.az.size)
-        if self.f_theta.shape != expected or self.f_phi.shape != expected:
-            raise ValueError(f"pattern grids must be {expected}")
-
-    def _interp(self, table, zenith, azimuth):
-        zi = np.clip(np.searchsorted(self.zen, zenith) - 1, 0, self.zen.size - 2)
-        ai = np.clip(np.searchsorted(self.az, azimuth) - 1, 0, self.az.size - 2)
-        tz = np.clip((zenith - self.zen[zi]) / (self.zen[zi + 1] - self.zen[zi]), 0, 1)
-        ta = np.clip((azimuth - self.az[ai]) / (self.az[ai + 1] - self.az[ai]), 0, 1)
-        v00 = table[zi, ai]
-        v01 = table[zi, ai + 1]
-        v10 = table[zi + 1, ai]
-        v11 = table[zi + 1, ai + 1]
-        return (v00 * (1 - tz) * (1 - ta) + v01 * (1 - tz) * ta
-                + v10 * tz * (1 - ta) + v11 * tz * ta)
-
-    def __call__(self, zenith, azimuth):
-        zen = np.asarray(zenith, dtype=np.float64)
-        az = np.asarray(azimuth, dtype=np.float64)
-        try:
-            return self._interp(self.f_theta, zen, az), self._interp(self.f_phi, zen, az)
-        except (IndexError, FloatingPointError) as exc:  # pragma: no cover
-            raise ValueError(f"pattern evaluation failed at zenith={zen}, "
-                             f"azimuth={az}: {exc}") from exc
-
-
-PATTERNS = {
-    "isotropic": pattern_isotropic,
-    "sector": pattern_sector,
-}
-
-
-def get_pattern(name: str):
-    if callable(name):
-        return name
-    if name not in PATTERNS:
-        raise ValueError(f"unknown antenna pattern {name!r}; built-ins: {sorted(PATTERNS)}")
-    return PATTERNS[name]
-
-
 # ---------------------------------------------------------------------------
 # CIR tensor
 # ---------------------------------------------------------------------------
@@ -140,10 +76,6 @@ class CirTensor:
     def shape(self):
         return self.coefficients.shape
 
-    def total_energy(self) -> float:
-        """Tap-energy sum averaged over time and antenna pairs."""
-        return float(np.mean(np.sum(np.abs(self.coefficients) ** 2, axis=-1)))
-
 
 def _polarization_matrices(clusters: ClusterSet) -> np.ndarray:
     """(n, m, 2, 2) phase/XPR matrices; the LOS specular ray gets the
@@ -161,16 +93,14 @@ def _polarization_matrices(clusters: ClusterSet) -> np.ndarray:
 
 
 def synthesize_cir(clusters: ClusterSet, tx: ArrayGeometry, rx: ArrayGeometry,
-                   f_hz: float, times=None, tx_pattern="isotropic",
-                   rx_pattern="isotropic") -> CirTensor:
+                   f_hz: float, times=None, tx_pattern=pattern_isotropic,
+                   rx_pattern=pattern_isotropic) -> CirTensor:
     """Dual-polarized coefficient tensor for one drop, one tap per cluster.
 
     Per ray: [Rx pattern row] . [2x2 phase/XPR matrix] . [Tx pattern column]
     scaled by the ray power root, times array phase factors and the Doppler
     factor.
     """
-    tx_pat = get_pattern(tx_pattern)
-    rx_pat = get_pattern(rx_pattern)
     lam = wavelength(f_hz)
     t = np.zeros(1) if times is None else np.asarray(times, dtype=np.float64)
 
@@ -179,8 +109,8 @@ def synthesize_cir(clusters: ClusterSet, tx: ArrayGeometry, rx: ArrayGeometry,
     r_tx = unit_vector(clusters.zod, clusters.aod)
 
     try:
-        frx_t, frx_p = rx_pat(clusters.zoa, clusters.aoa)
-        ftx_t, ftx_p = tx_pat(clusters.zod, clusters.aod)
+        frx_t, frx_p = rx_pattern(clusters.zoa, clusters.aoa)
+        ftx_t, ftx_p = tx_pattern(clusters.zod, clusters.aod)
     except Exception as exc:
         raise ValueError(
             f"antenna pattern evaluation failed for ray angles "

@@ -47,8 +47,7 @@ class SnsMask:
         object.__setattr__(self, "s", s)
 
 
-def paths_from_clusters(clusters: ClusterSet, link_distance_m: float,
-                        rng: np.random.Generator | None = None) -> list:
+def paths_from_clusters(clusters: ClusterSet, link_distance_m: float) -> list:
     """Reconstruct single-bounce path geometry from a stochastic drop.
 
     Path 1 is the direct ray at the link distance; scatterers for the

@@ -8,7 +8,7 @@ Earth-fixed frame on a spherical Earth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +46,6 @@ class ArrayGeometry:
     """Antenna array relative to its phase center (the element centroid)."""
 
     element_positions: np.ndarray  # (n, 3) meters
-    boresight: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
-    polarization_slant_rad: float = 0.0
 
     def __post_init__(self):
         pos = np.asarray(self.element_positions, dtype=np.float64)
@@ -56,11 +54,6 @@ class ArrayGeometry:
         if not np.all(np.isfinite(pos)):
             raise ConfigurationError("non-finite element position")
         object.__setattr__(self, "element_positions", pos)
-        b = np.asarray(self.boresight, dtype=np.float64)
-        n = np.linalg.norm(b)
-        if n == 0:
-            raise ConfigurationError("boresight must be a nonzero vector")
-        object.__setattr__(self, "boresight", b / n)
 
     @property
     def element_count(self) -> int:
@@ -98,18 +91,6 @@ def build_ula(n: int, spacing: float | None = None,
     return ArrayGeometry(pos)
 
 
-def build_upa(nx: int, ny: int, spacing: float) -> ArrayGeometry:
-    """Uniform planar array in the y-z plane, row-major element order."""
-    if nx < 1 or ny < 1:
-        raise ConfigurationError("UPA dimensions must be >= 1")
-    if spacing <= 0:
-        raise ConfigurationError(f"element spacing must be positive, got {spacing}")
-    ys = (np.arange(nx) - (nx - 1) / 2.0) * spacing
-    zs = (np.arange(ny) - (ny - 1) / 2.0) * spacing
-    pos = np.array([(0.0, y, z) for y in ys for z in zs])
-    return ArrayGeometry(pos)
-
-
 def single_element() -> ArrayGeometry:
     return ArrayGeometry(np.zeros((1, 3)))
 
@@ -126,16 +107,6 @@ def rayleigh_distance(aperture: float, wavelength: float) -> float:
 # ---------------------------------------------------------------------------
 # Satellite geometry (spherical Earth)
 # ---------------------------------------------------------------------------
-
-def ecef_from_geodetic(lat_deg: float, lon_deg: float, height_m: float) -> Position3D:
-    """Spherical-Earth ECEF position of a node at (lat, lon, height)."""
-    lat = math.radians(lat_deg)
-    lon = math.radians(lon_deg)
-    r = EARTH_RADIUS_M + height_m
-    return Position3D(r * math.cos(lat) * math.cos(lon),
-                      r * math.cos(lat) * math.sin(lon),
-                      r * math.sin(lat))
-
 
 @dataclass(frozen=True)
 class SlantGeometry:
@@ -168,33 +139,9 @@ def slant_geometry(sat_height: float, elevation: float) -> SlantGeometry:
                          central_angle_rad=beta)
 
 
-def elevation_angle(ue_ecef: Position3D, sat_ecef: Position3D) -> float:
-    """Elevation of the satellite above the ground station's local horizon."""
-    up = ue_ecef.to_array()
-    nup = np.linalg.norm(up)
-    if nup == 0:
-        raise ValueError("ground station cannot sit at the Earth center")
-    los = sat_ecef.to_array() - up
-    return math.asin(float(np.dot(up / nup, los / np.linalg.norm(los))))
-
-
 # ---------------------------------------------------------------------------
 # LOS / NLOS assignment
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinkState:
-    state: str  # "LOS" | "NLOS"
-    forced: bool
-
-    def __post_init__(self):
-        if self.state not in ("LOS", "NLOS"):
-            raise ConfigurationError(f"link state must be LOS or NLOS, got {self.state!r}")
-
-    @property
-    def is_los(self) -> bool:
-        return self.state == "LOS"
-
 
 def los_probability(curve: dict, distance_2d: float) -> float:
     """Distance-dependent LOS probability for a scenario curve descriptor.
@@ -224,18 +171,12 @@ def los_probability(curve: dict, distance_2d: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def assign_link_state(rng: np.random.Generator, *, forced: str | None = None,
-                      curve: dict | None = None,
-                      distance_2d: float | None = None) -> LinkState:
-    """Forced state returned verbatim; otherwise a Bernoulli draw against the
-    scenario's distance-dependent LOS probability."""
-    if forced is not None:
-        return LinkState(state=forced, forced=True)
-    if curve is None or distance_2d is None:
-        raise ConfigurationError(
-            "link state not forced and no LOS probability curve/distance given")
+def assign_link_state(rng: np.random.Generator, curve: dict,
+                      distance_2d: float) -> str:
+    """LOS or NLOS from one Bernoulli draw against the scenario's
+    distance-dependent LOS probability."""
     p = los_probability(curve, distance_2d)
-    return LinkState(state="LOS" if rng.uniform() < p else "NLOS", forced=False)
+    return "LOS" if rng.uniform() < p else "NLOS"
 
 
 # ---------------------------------------------------------------------------

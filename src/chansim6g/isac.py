@@ -39,10 +39,6 @@ class IsacChannelPair:
     shared_comm_idx: np.ndarray    # positions of shared clusters, comm order
     shared_sense_idx: np.ndarray   # positions of shared clusters, sense order
     target_sense_idx: np.ndarray   # positions of target-echo clusters
-    n_shared: int
-    n_comm_only: int
-    n_sense_only: int
-    comm_delay_offset_s: float     # absolute delay of comm tap 0
     sense_delay_offset_s: float    # absolute delay of sensing tap 0
     target_echo_delays_s: np.ndarray = field(default_factory=lambda: np.empty(0))
 
@@ -208,7 +204,7 @@ def gen_isac_drop(entry: LspTableEntry, lsps: LSPSet, tx_pos: Position3D,
         rows_c.append(_Cluster(abs_delay_s=tau_link_c, aod=dirs_c.aod,
                                aoa=dirs_c.aoa, zoa=dirs_c.zoa, zod=dirs_c.zod,
                                velocity=ue_v))
-    comm, shared_c_idx, shared_c_ids, _, off_c = _assemble_side(
+    comm, shared_c_idx, shared_c_ids, _, _ = _assemble_side(
         rows_c, entry, lsps, rng_c, f_hz, "LOS" if los else "NLOS", los)
 
     # --- sensing side ----------------------------------------------------
@@ -260,9 +256,7 @@ def gen_isac_drop(entry: LspTableEntry, lsps: LSPSet, tx_pos: Position3D,
     return IsacChannelPair(
         comm=comm, sense=sense,
         shared_comm_idx=shared_c_idx, shared_sense_idx=shared_s_idx,
-        target_sense_idx=target_idx,
-        n_shared=n_shared, n_comm_only=n_comm_env, n_sense_only=n_sense_env,
-        comm_delay_offset_s=off_c, sense_delay_offset_s=off_s,
+        target_sense_idx=target_idx, sense_delay_offset_s=off_s,
         target_echo_delays_s=echo_delays)
 
 

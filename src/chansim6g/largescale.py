@@ -160,10 +160,6 @@ def load_scenarios(path=None) -> dict:
     return _load_raw(_scenarios_path(path))
 
 
-def available_scenarios(path=None) -> list:
-    return sorted(load_scenarios(path)["scenarios"].keys())
-
-
 def scenario_los_curve(scenario: str, path=None) -> dict:
     scen = _scenario(scenario, path)
     curve = scen.get("los_probability")

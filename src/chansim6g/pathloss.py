@@ -1,8 +1,8 @@
-"""Closed-form large-scale loss models: FI, CI, ABG, satellite free-space
-slant loss, and the two-way radar echo loss for sensing links.
+"""Closed-form large-scale loss models: CI, ABG, satellite free-space slant
+loss, and the two-way radar echo loss for sensing links.
 
-All returns are in dB. Shadow fading is drawn separately and is i.i.d. per
-drop (no spatial autocorrelation).
+All returns are in dB. Shadow fading is the SF component of a drop's
+correlated large-scale parameter draw (no spatial autocorrelation).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class AbgParams:
 class PathLossSample:
     pl_db: float
     shadow_db: float
-    model: str  # FI | CI | ABG | FSPL_SAGIN | RADAR_ECHO
+    model: str  # CI | ABG | FSPL_SAGIN | RADAR_ECHO
 
     def __post_init__(self):
         if not math.isfinite(self.pl_db):
@@ -43,13 +43,6 @@ class PathLossSample:
     @property
     def total_db(self) -> float:
         return self.pl_db + self.shadow_db
-
-
-def pl_fi(d: float, alpha: float, beta_db: float) -> float:
-    """Floating-intercept model beta + 10*alpha*lg(d)."""
-    if d <= 0:
-        raise ValueError(f"distance must be positive, got {d}")
-    return beta_db + 10.0 * alpha * math.log10(d)
 
 
 def pl_ci(d: float, f: float, alpha_ci: float) -> float:
@@ -100,13 +93,6 @@ def pl_radar_echo(d_tx_target: float, d_target_rx: float, f: float,
             + 20.0 * math.log10(f / C_LIGHT)
             + 10.0 * math.log10(four_pi)
             - rcs_dbsm)
-
-
-def draw_shadow(sigma_db: float, rng: np.random.Generator) -> float:
-    """Zero-mean Gaussian shadow realization, dB."""
-    if sigma_db < 0:
-        raise ValueError(f"shadow sigma must be >= 0, got {sigma_db}")
-    return float(rng.normal(0.0, sigma_db)) if sigma_db > 0 else 0.0
 
 
 def fit_abg(d: np.ndarray, f_ghz: np.ndarray, pl_db: np.ndarray) -> AbgParams:

@@ -654,11 +654,3 @@ def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels,
                              meta={"f_hz": f_hz, "cascade": True,
                                    "ideal_panel": panel.ideal}))
     return out
-
-
-def cascade_cir(leg1: ClusterSet, leg2: ClusterSet, panel: RisPanel,
-                codebook: RisCodebook, tx: ArrayGeometry, rx: ArrayGeometry,
-                f_hz: float, times=None) -> CirTensor:
-    """Single-panel cascade; see ``cascade_cir_multi``."""
-    return cascade_cir_multi(leg1, leg2, [panel], codebook, tx, rx, f_hz,
-                             times=times)[0]

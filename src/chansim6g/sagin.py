@@ -25,9 +25,6 @@ class SgEnvelopeParams:
     lognormal_mu: float        # mean of ln(z)
     lognormal_sigma: float     # std of ln(z)
     rayleigh_scale: float
-    k_los_db: float = 0.0
-    k_rain_db: float = 0.0
-    k_cloud_db: float = 0.0
 
     def __post_init__(self):
         if self.lognormal_sigma < 0:
@@ -58,28 +55,6 @@ def weather_adjusted_k(k_los_db: float, k_rain_db: float = 0.0,
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
     return k_los_db - k_rain_db - k_cloud_db
-
-
-def weather_envelope_pdf(r, p_beta, p_w):
-    """Pointwise product density p(r) = p_beta(r) p_w(r).
-
-    ``p_beta``/``p_w`` are callables or precomputed arrays on the grid ``r``.
-    Returns (density, normalization) where the normalization is the
-    trapezoidal integral of the product as printed (no renormalization).
-    A grid with fewer than two points has no trapezoid, so its
-    normalization is NaN.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    beta = p_beta(r) if callable(p_beta) else np.asarray(p_beta, dtype=np.float64)
-    w = p_w(r) if callable(p_w) else np.asarray(p_w, dtype=np.float64)
-    if beta.shape != r.shape or w.shape != r.shape:
-        raise ValueError("component densities must match the evaluation grid")
-    if np.any(beta < 0) or np.any(w < 0):
-        raise ValueError("densities must be non-negative")
-    density = beta * w
-    from scipy.integrate import trapezoid
-    norm = float(trapezoid(density, r)) if r.size > 1 else float("nan")
-    return density, norm
 
 
 def ntn_drop(scenario: str, state: str, f_hz: float, sat_height_m: float,

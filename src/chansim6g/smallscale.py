@@ -86,13 +86,12 @@ def los_delay_scale(k_db: float) -> float:
 
 
 def gen_cluster_delays(ds_s: float, r_tau: float, n: int,
-                       rng: np.random.Generator,
-                       k_db: float | None = None) -> np.ndarray:
+                       rng: np.random.Generator) -> np.ndarray:
     """Sorted cluster delays with the minimum subtracted (tau_1 = 0).
 
-    Exponential profile tau' = -r_tau * DS * ln U. When ``k_db`` is given the
-    LOS delay scaling is applied before export; power generation must use the
-    unscaled delays.
+    Exponential profile tau' = -r_tau * DS * ln U, without the LOS delay
+    scaling: power generation uses these delays, and ``generate_clusters``
+    scales them afterwards.
     """
     if ds_s <= 0:
         raise ValueError(f"delay spread must be positive, got {ds_s}")
@@ -101,10 +100,7 @@ def gen_cluster_delays(ds_s: float, r_tau: float, n: int,
     if n < 1:
         raise ValueError(f"cluster count must be >= 1, got {n}")
     tau = -r_tau * ds_s * np.log(rng.uniform(size=n))
-    tau = np.sort(tau - tau.min())
-    if k_db is not None:
-        tau = tau / los_delay_scale(k_db)
-    return tau
+    return np.sort(tau - tau.min())
 
 
 def gen_cluster_powers(delays: np.ndarray, ds_s: float, r_tau: float,

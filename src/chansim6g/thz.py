@@ -185,19 +185,6 @@ def load_materials(path=None) -> dict:
     return out
 
 
-def load_sample_grid(material: str, path=None):
-    """Shipped |reflection| verification grid for one material:
-    (f_ghz, theta_rad, values)."""
-    if path is None:
-        path = data_dir() / "materials.json"
-    raw = _load_materials_raw(str(path))
-    rec = raw["materials"][material].get("sample_grid")
-    if rec is None:
-        raise AssetError(f"material {material!r} ships no sample grid")
-    return (np.array(rec["f_ghz"]), np.radians(np.array(rec["theta_deg"])),
-            np.array(rec["gamma_abs"]))
-
-
 # ---------------------------------------------------------------------------
 # Delay-domain sparsity
 # ---------------------------------------------------------------------------

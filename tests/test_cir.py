@@ -1,6 +1,5 @@
 import importlib.util
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +9,9 @@ from hypothesis import strategies as st
 
 from chansim6g import cir
 from chansim6g.campaign import run_drop
-from chansim6g.cir import (CirTensor, GriddedPattern, _einsum, apply_large_scale,
-                           pattern_isotropic, pattern_sector, read_cir,
-                           synthesize_cir, write_cir)
+from chansim6g.cir import (CirTensor, _einsum, apply_large_scale,
+                           pattern_isotropic, read_cir, synthesize_cir,
+                           write_cir)
 from chansim6g.constants import wavelength
 from chansim6g.geometry import build_ula, single_element
 from chansim6g.pathloss import PathLossSample
@@ -179,33 +178,6 @@ class TestPatterns:
     def test_isotropic(self):
         ft, fp = pattern_isotropic(np.array([0.5]), np.array([1.0]))
         assert ft[0] == 1.0 and fp[0] == 0.0
-
-    def test_sector_peak_gain(self):
-        ft, fp = pattern_sector(np.pi / 2, 0.0)
-        assert float(ft) == pytest.approx(math.sqrt(10.0 ** 0.8), rel=1e-9)
-        assert float(fp) == 0.0
-
-    def test_sector_slant_polarization(self):
-        ft, fp = pattern_sector(np.pi / 2, 0.0, slant_deg=45.0)
-        assert float(ft) == pytest.approx(float(fp), rel=1e-12)
-
-    def test_sector_floor(self):
-        ft, _ = pattern_sector(np.pi / 2, np.pi)
-        assert 10.0 * math.log10(float(ft) ** 2) == pytest.approx(8.0 - 30.0, abs=1e-9)
-
-    def test_gridded_pattern_interpolates(self):
-        zen = np.linspace(0, np.pi, 19)
-        az = np.linspace(-np.pi, np.pi, 37)
-        f_theta = np.outer(np.sin(zen), np.cos(az)).astype(complex)
-        pat = GriddedPattern(zen, az, f_theta, np.zeros_like(f_theta))
-        ft, fp = pat(np.pi / 2, 0.0)
-        assert complex(ft) == pytest.approx(1.0, abs=0.01)
-        assert complex(fp) == 0.0
-
-    def test_gridded_pattern_shape_check(self):
-        with pytest.raises(ValueError):
-            GriddedPattern(np.arange(3), np.arange(4), np.zeros((3, 3)),
-                           np.zeros((3, 4)))
 
 
 class TestFileFormat:

@@ -5,9 +5,9 @@ import pytest
 
 from chansim6g.constants import C_LIGHT
 from chansim6g.geometry import ConfigurationError
-from chansim6g.largescale import available_scenarios, scenario_pathloss
-from chansim6g.pathloss import (AbgParams, PathLossSample, draw_shadow, fit_abg,
-                                pl_abg, pl_ci, pl_fi, pl_radar_echo, pl_sagin)
+from chansim6g.largescale import load_scenarios, scenario_pathloss
+from chansim6g.pathloss import (AbgParams, PathLossSample, fit_abg, pl_abg, pl_ci,
+                                pl_radar_echo, pl_sagin)
 
 
 def fspl_oracle(d, f):
@@ -21,22 +21,6 @@ def radar_oracle(d1, d2, f, rcs_dbsm):
     lam = C_LIGHT / f
     sigma = 10.0 ** (rcs_dbsm / 10.0)
     return 10.0 * math.log10((4 * math.pi) ** 3 * d1 ** 2 * d2 ** 2 / (sigma * lam ** 2))
-
-
-class TestFi:
-    def test_reference_distance(self):
-        assert pl_fi(1.0, 3.7, 60.0) == 60.0
-
-    def test_evaluate(self):
-        assert pl_fi(10.0, 2.0, 61.38) == pytest.approx(81.38, abs=1e-12)
-
-    def test_doubling_distance(self):
-        delta = pl_fi(20.0, 2.0, 0.0) - pl_fi(10.0, 2.0, 0.0)
-        assert delta == pytest.approx(20.0 * math.log10(2.0), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            pl_fi(0.0, 2.0, 60.0)
 
 
 class TestCi:
@@ -133,16 +117,6 @@ class TestRadarEcho:
 
 
 class TestShadow:
-    def test_statistics(self):
-        rng = np.random.default_rng(5)
-        sigma = 7.0
-        draws = np.array([draw_shadow(sigma, rng) for _ in range(100_000)])
-        assert abs(draws.mean()) < 0.05 * sigma
-        assert abs(draws.std() - sigma) < 0.02 * sigma
-
-    def test_zero_sigma(self):
-        assert draw_shadow(0.0, np.random.default_rng(0)) == 0.0
-
     def test_total(self):
         s = PathLossSample(pl_db=100.0, shadow_db=-3.0, model="CI")
         assert s.total_db == 97.0
@@ -151,8 +125,7 @@ class TestShadow:
 class TestMonotonicityAndAssets:
     def test_monotone_in_distance(self):
         d = np.linspace(1.0, 500.0, 200)
-        for fn in (lambda x: pl_fi(x, 2.0, 60.0),
-                   lambda x: pl_ci(x, 28e9, 2.0),
+        for fn in (lambda x: pl_ci(x, 28e9, 2.0),
                    lambda x: pl_abg(x, 28.0, AbgParams(1.93, 32.0, 2.1, 0.0)),
                    lambda x: pl_sagin(x, 2e9),
                    lambda x: pl_radar_echo(x, x, 28e9)):
@@ -162,7 +135,7 @@ class TestMonotonicityAndAssets:
     def test_nlos_exponent_exceeds_los_everywhere(self):
         # Reflects the measured pattern: NLOS path-loss exponents are
         # markedly higher than LOS in every shipped scenario table.
-        for scenario in available_scenarios():
+        for scenario in load_scenarios()["scenarios"]:
             los = scenario_pathloss(scenario, "LOS")
             nlos = scenario_pathloss(scenario, "NLOS")
             assert nlos["alpha"] > los["alpha"], scenario

@@ -8,7 +8,6 @@ from chansim6g.constants import Z0_OHM, wavelength
 from chansim6g.geometry import (ConfigurationError, build_ula, single_element,
                                 unit_vector)
 from chansim6g.ris import (CASCADE_TILE, GRAZING_LIMIT_RAD, RisPanel,
-                           cascade_cir,
                            cascade_cir_multi, element_pattern,
                            element_reflection, overall_pattern,
                            rotation_facing, rotation_with_incidence,
@@ -207,8 +206,8 @@ class TestCascade:
                              zod=[1.5], kappa=1e15)
         leg2 = make_clusters([0.0], [1.0], aoa=[-0.7], zoa=[1.4], aod=[0.9],
                              zod=[0.8], kappa=1e15)
-        cir = cascade_cir(leg1, leg2, panel, uniform_codebook(),
-                          single_element(), single_element(), F)
+        cir = cascade_cir_multi(leg1, leg2, [panel], uniform_codebook(),
+                                single_element(), single_element(), F)[0]
         f_ris = overall_pattern(panel, uniform_codebook(),
                                 (leg1.zoa[0, 0], leg1.aoa[0, 0]),
                                 (leg2.zod[0, 0], leg2.aod[0, 0]), F)
@@ -224,8 +223,8 @@ class TestCascade:
         leg2 = make_clusters([0.0, 50e-9], [0.7, 0.3], aoa=[0.2, -0.2],
                              zoa=[1.2, 1.4], m=2, rng=rng)
         panel = RisPanel(nx=4, ny=4, d_element=LAM / 2, ideal=True)
-        cir = cascade_cir(leg1, leg2, panel, uniform_codebook(),
-                          single_element(), single_element(), F)
+        cir = cascade_cir_multi(leg1, leg2, [panel], uniform_codebook(),
+                                single_element(), single_element(), F)[0]
         expected = np.sort((leg1.delays_s[:, None] + leg2.delays_s).ravel())
         assert np.allclose(cir.tap_delays_s, expected)
         assert cir.tap_delays_s[0] == 0.0
@@ -250,8 +249,8 @@ class TestCascade:
                              aod=rng.uniform(-1, 1, 4),
                              zod=rng.uniform(0.6, 1.4, 4), m=2,
                              kappa=6.0, rng=rng)
-        cir = cascade_cir(leg1, leg2, panel, cb, single_element(),
-                          single_element(), F)
+        cir = cascade_cir_multi(leg1, leg2, [panel], cb, single_element(),
+                                single_element(), F)[0]
 
         def pol(leg, n, m):
             ph = leg.phases[n, m]
@@ -285,8 +284,9 @@ class TestCascade:
                              zod=[1.2], doppler=120.0)
         panel = RisPanel(nx=2, ny=2, d_element=LAM / 2, ideal=True)
         times = np.array([0.0, 1e-3, 2e-3])
-        cir = cascade_cir(leg1, leg2, panel, uniform_codebook(),
-                          single_element(), single_element(), F, times=times)
+        cir = cascade_cir_multi(leg1, leg2, [panel], uniform_codebook(),
+                                single_element(), single_element(), F,
+                                times=times)[0]
         h = cir.coefficients[:, 0, 0, 0]
         phase_step = np.angle(h[1] / h[0])
         assert phase_step == pytest.approx(
@@ -303,8 +303,8 @@ class TestCascade:
         cb = uniform_codebook()
         pair = cascade_cir_multi(leg1, leg2, [ni, ideal], cb, single_element(),
                                  single_element(), F)
-        solo_ni = cascade_cir(leg1, leg2, ni, cb, single_element(),
-                              single_element(), F)
+        solo_ni = cascade_cir_multi(leg1, leg2, [ni], cb, single_element(),
+                                    single_element(), F)[0]
         assert np.abs(solo_ni.coefficients).max() > 0
         assert np.array_equal(pair[0].coefficients, solo_ni.coefficients)
         assert pair[1].meta["ideal_panel"]
@@ -532,8 +532,8 @@ class TestPairedComparison:
                              zod=[1.1], kappa=1e15)
         leg2 = make_clusters([0.0], [1.0], aoa=[0.4], zoa=[1.3], aod=[0.2],
                              zod=[1.2], kappa=1e15)
-        cir = cascade_cir(leg1, leg2, panel, uniform_codebook(),
-                          single_element(), single_element(), F)
+        cir = cascade_cir_multi(leg1, leg2, [panel], uniform_codebook(),
+                                single_element(), single_element(), F)[0]
         pl1 = pl_ci(18.0, F, 2.0)
         pl2 = pl_ci(25.0, F, 2.0)
         out = apply_large_scale(cir, PathLossSample(pl1 + pl2, 0.0, "CI"))

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from chansim6g.sagin import (SgEnvelopeParams, ntn_drop, sample_envelope,
-                             weather_adjusted_k, weather_envelope_pdf)
+                             weather_adjusted_k)
 from chansim6g.seeding import DropStreams
 
 
@@ -61,57 +61,6 @@ class TestWeatherK:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             weather_adjusted_k(float("nan"))
-
-
-class TestWeatherPdf:
-    def test_no_weather_passthrough(self):
-        r = np.linspace(0, 3, 100)
-        beta = stats.rayleigh.pdf(r)
-        density, _ = weather_envelope_pdf(r, beta, np.ones_like(r))
-        assert np.array_equal(density, beta)
-
-    def test_uniform_product_integrates_to_one(self):
-        r = np.linspace(0.0, 1.0, 10_001)
-        density, norm = weather_envelope_pdf(r, np.ones_like(r), np.ones_like(r))
-        assert np.all(density == 1.0)
-        assert norm == pytest.approx(1.0, abs=1e-9)
-
-    def test_pointwise_product_oracle(self):
-        r = np.linspace(0.01, 4.0, 10_000)
-        beta = stats.rayleigh.pdf(r, scale=0.9)
-        a, b = 0.0, 4.0
-        w = stats.truncnorm.pdf(r, a, b, loc=1.0, scale=0.5)
-        density, _ = weather_envelope_pdf(r, beta, w)
-        assert np.max(np.abs(density - beta * w)) <= 1e-12 * np.max(density)
-
-    def test_rayleigh_norm_matches_closed_form(self):
-        # Integral of the Rayleigh(sigma) pdf over [0, R] is
-        # 1 - exp(-R^2 / 2 sigma^2). The composite trapezoid error is at most
-        # R h^2 / 12 * max|f''|, and max|f''| = g(x0) / sigma^3 with
-        # g(x) = x (3 - x^2) exp(-x^2 / 2) peaking at x0^2 = 3 - sqrt(6).
-        sigma, big_r, n = 0.9, 3.0, 1001
-        r = np.linspace(0.0, big_r, n)
-        _, norm = weather_envelope_pdf(
-            r, lambda x: stats.rayleigh.pdf(x, scale=sigma), np.ones_like)
-        h = big_r / (n - 1)
-        x0 = math.sqrt(3.0 - math.sqrt(6.0))
-        f2_max = x0 * (3.0 - x0 ** 2) * math.exp(-x0 ** 2 / 2.0) / sigma ** 3
-        bound = big_r * h ** 2 / 12.0 * f2_max
-        exact = -math.expm1(-big_r ** 2 / (2.0 * sigma ** 2))
-        assert abs(norm - exact) <= bound
-
-    @pytest.mark.parametrize("r", [[0.5], []])
-    def test_short_grid_norm_is_nan(self, r):
-        r = np.asarray(r)
-        beta = stats.rayleigh.pdf(r)
-        density, norm = weather_envelope_pdf(r, beta, np.full_like(r, 0.5))
-        assert np.array_equal(density, 0.5 * beta)
-        assert math.isnan(norm)
-
-    def test_negative_density_rejected(self):
-        r = np.linspace(0, 1, 10)
-        with pytest.raises(ValueError):
-            weather_envelope_pdf(r, -np.ones_like(r), np.ones_like(r))
 
 
 class TestNtnDrop:

@@ -59,11 +59,16 @@ class TestDelays:
             assert np.all(np.diff(tau) >= 0)
 
     def test_los_scaling(self):
-        rng_a = np.random.default_rng(21)
-        rng_b = np.random.default_rng(21)
-        plain = gen_cluster_delays(100e-9, 3.0, 10, rng_a)
-        scaled = gen_cluster_delays(100e-9, 3.0, 10, rng_b, k_db=9.0)
-        assert np.allclose(scaled, plain / los_delay_scale(9.0), rtol=1e-12)
+        # generate_clusters scales the drawn delays in LOS only, after the
+        # powers were computed from the unscaled ones.
+        entry, lsps = make_entry(n_clusters=10), make_lsps(k_db=9.0)
+        raw = gen_cluster_delays(lsps.ds_s, entry.delay_scaling, 10,
+                                 DropStreams(21, 0).get("delays"))
+        los, nlos = (generate_clusters(entry, lsps, DIRS, state, (0, 0, 0),
+                                       28e9, DropStreams(21, 0))
+                     for state in ("LOS", "NLOS"))
+        assert np.array_equal(nlos.delays_s, raw)
+        assert np.array_equal(los.delays_s, raw / los_delay_scale(9.0))
 
     def test_preconditions(self):
         rng = np.random.default_rng(0)

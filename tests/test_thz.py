@@ -1,13 +1,15 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
 from chansim6g.constants import C_LIGHT
+from chansim6g.largescale import data_dir
 from chansim6g.thz import (FaModelParams, MaterialEm, apply_sparsity,
-                           fresnel_smooth, load_materials, load_sample_grid,
-                           reflection_fa, rough_reflection, roughness_factor)
+                           fresnel_smooth, load_materials, reflection_fa,
+                           rough_reflection, roughness_factor)
 from test_cir import make_clusters
 
 
@@ -122,7 +124,11 @@ class TestFrequencyAngleModel:
     def test_shipped_plasterboard_fit_quality(self):
         mats = load_materials()
         _, fit = mats["plasterboard"]
-        f_ghz, theta, data = load_sample_grid("plasterboard")
+        raw = json.loads((data_dir() / "materials.json").read_text())
+        grid = raw["materials"]["plasterboard"]["sample_grid"]
+        f_ghz = np.array(grid["f_ghz"])
+        theta = np.radians(np.array(grid["theta_deg"]))
+        data = np.array(grid["gamma_abs"])
         model = np.array([[abs(reflection_fa(fit, fq * 1e9, th).gamma)
                            for th in theta] for fq in f_ghz])
         rms = math.sqrt(float(np.mean((model - data) ** 2)))
