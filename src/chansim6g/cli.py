@@ -6,6 +6,7 @@ Set CHANSIM6G_DATA to override the data-asset directory.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -72,7 +73,9 @@ def _cmd_analyze(args) -> int:
               file=sys.stderr)
         return 2
     in_dir = Path(args.in_dir)
-    tensor_files = sorted(in_dir.glob("drop*.cir"))
+    # (drop, path) in drop order; the drop number comes from the file name.
+    tensor_files = sorted((int(m[1]), path) for path in in_dir.glob("drop*.cir")
+                          if (m := re.fullmatch(r"drop(\d+)\.cir", path.name)))
     if not tensor_files:
         print(f"analyze: no tensor files in {in_dir}", file=sys.stderr)
         return 2
@@ -89,11 +92,11 @@ def _cmd_analyze(args) -> int:
             for row in csv.DictReader(fh):
                 if row.get("asa_deg"):
                     gen_rows[int(row["drop"])] = float(row["asa_deg"])
-    for i, path in enumerate(tensor_files):
+    for drop, path in tensor_files:
         row = _tensor_metrics(path, wanted)
-        if "as" in wanted and i in gen_rows:
-            row["asa_deg"] = gen_rows[i]
-        report.add(i, **row)
+        if "as" in wanted and drop in gen_rows:
+            row["asa_deg"] = gen_rows[drop]
+        report.add(drop, **row)
     out_dir = Path(args.out) if args.out else in_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     analysis.export_metrics_csv(report, out_dir / "analysis.csv")

@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import os
@@ -415,6 +416,27 @@ class TestCli:
         assert rc == 0
         assert (out / "analysis.csv").exists()
         assert (out / "cdf_ds_ns.csv").exists()
+
+    def test_analyze_labels_drops_by_file_name(self, tmp_path):
+        """Rows carry the drop number of their file, in drop order, with that
+        drop's generation-time ASA, also with a drop missing and past the
+        five-digit names."""
+        def analyzed(out):
+            assert cli_main(["analyze", "--in", str(out), "--metrics", "ds,as"]) == 0
+            with (out / "analysis.csv").open() as fh:
+                return {row.pop("drop"): row for row in csv.DictReader(fh)}
+
+        full, gap = tmp_path / "full", tmp_path / "gap"
+        for out in (full, gap):
+            assert cli_main(["run", "--preset", "thz", "--drops", "3",
+                             "--seed", "9", "--out", str(out)]) == 0
+        rows = analyzed(full)
+        assert list(rows) == ["0", "1", "2"] and rows["1"] != rows["2"]
+        (gap / "drop00001.cir").unlink()
+        assert analyzed(gap) == {"0": rows["0"], "2": rows["2"]}
+        (gap / "drop00002.cir").rename(gap / "drop100000.cir")
+        (gap / "drop00000.cir").rename(gap / "drop99999.cir")
+        assert list(analyzed(gap)) == ["99999", "100000"]
 
     def test_validate_paths(self, tmp_path, capsys):
         good = tmp_path / "good.json"
