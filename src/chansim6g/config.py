@@ -24,15 +24,73 @@ from .ris import build_panel
 FEATURES = ("BASE", "THZ", "EMIMO", "ISAC", "RIS", "SAGIN")
 _FEATURE_BLOCKS = {"THZ": "thz", "EMIMO": "emimo", "ISAC": "isac",
                    "RIS": "ris", "SAGIN": "sagin"}
-# Every key a ris block may hold: build_panel reads the panel keys, the
-# campaign runner the others.
-_RIS_KEYS = ("position", "nx", "ny", "element_pitch", "bs_incidence_deg",
-             "z_e_ohm", "z_m_ohm", "ideal_reference", "codebook", "asa_deg",
-             "leg_k_db", "leg_xpr_db", "noise_floor_dbm")
+# Every key a feature block may hold: the keys its campaign runner reads
+# (for ris, build_panel reads the panel keys).
+_BLOCK_KEYS = {
+    "thz": ("intra_cluster_k_db",),
+    "emimo": ("stationary_region", "freq_samples"),
+    "isac": ("targets", "n_shared", "rx_s_position", "self_interference_db"),
+    "ris": ("position", "nx", "ny", "element_pitch", "bs_incidence_deg",
+            "z_e_ohm", "z_m_ohm", "ideal_reference", "codebook", "asa_deg",
+            "leg_k_db", "leg_xpr_db", "noise_floor_dbm"),
+    "sagin": ("height_m", "elevation_deg", "k_rain_db", "k_cloud_db",
+              "extra_atten_db"),
+}
+_FINITE = (math.isfinite, "a finite number")
+# Numeric block keys: key -> (null allowed, test, what the value must be).
+# A value the runner cannot use fails the test.
+_NUMBER_KEYS = {
+    "thz": {"intra_cluster_k_db": (True, *_FINITE)},
+    "emimo": {
+        "stationary_region": (False, lambda v: 1 <= v < math.inf and v == int(v),
+                              "an integer >= 1"),
+        "freq_samples": (False, lambda v: 2 <= v < math.inf and v == int(v),
+                         "an integer >= 2"),
+    },
+    "isac": {"self_interference_db": (True, *_FINITE)},
+    # null switches the first three off; the noise floor needs a value.
+    "ris": {"asa_deg": (True, *_FINITE), "leg_k_db": (True, *_FINITE),
+            "leg_xpr_db": (True, *_FINITE), "noise_floor_dbm": (False, *_FINITE)},
+    "sagin": {
+        "height_m": (False, lambda v: 0 < v < math.inf,
+                     "a positive finite height in meters"),
+        "elevation_deg": (False, lambda v: 0 < v <= 90,
+                          "a number of degrees in (0, 90]"),
+        "extra_atten_db": (False, lambda v: 0 <= v < math.inf,
+                           "a finite number >= 0"),
+        "k_rain_db": (False, *_FINITE), "k_cloud_db": (False, *_FINITE),
+    },
+}
 
 
 class ConfigError(ConfigurationError):
     """Validation failure; the message names the offending field."""
+
+
+def _usable(v, test) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return bool(test(float(v)))
+    except OverflowError:          # an integer too large for a float
+        return False
+
+
+def _check_block(name: str, blk) -> None:
+    """Reject a key the block's runner does not read, and a numeric value it
+    cannot use, naming the field as ``<block>.<key>``."""
+    if not isinstance(blk, dict):
+        raise ConfigError(f"{name}: must be an object, got {blk!r}")
+    keys = _BLOCK_KEYS[name]
+    unknown = sorted(set(blk) - set(keys))
+    if unknown:
+        raise ConfigError(f"{name}.{unknown[0]}: unknown key; a {name} block "
+                          f"takes {', '.join(keys)}")
+    for key, (nullable, test, need) in _NUMBER_KEYS.get(name, {}).items():
+        v = blk.get(key)
+        if key in blk and not (v is None and nullable or _usable(v, test)):
+            raise ConfigError(f"{name}.{key}: must be {need}"
+                              f"{' or null' if nullable else ''}, got {v!r}")
 
 
 @dataclass
@@ -78,9 +136,11 @@ class ScenarioConfig:
             raise ConfigError(
                 f"feature {self.feature} requires exactly the {expected_block!r} "
                 f"block, found {present}")
+        blk = self.feature_block()
+        if expected_block is not None:
+            _check_block(expected_block, blk)
         # Frequency must fall in a shipped band for the scenario/state.
         state = self.link_state or "LOS"
-        blk = self.feature_block()
         if self.feature == "SAGIN":
             lookup_lsp_table(self.scenario, state, self.center_freq_hz,
                              elevation_deg=blk.get("elevation_deg", 30.0))
@@ -103,17 +163,6 @@ class ScenarioConfig:
         if self.feature != "SAGIN" and self.bs_position3d() == self.ue_position3d():
             raise ConfigError("ue_position: coincides with bs_position")
         if self.feature == "RIS":
-            unknown = sorted(set(blk) - set(_RIS_KEYS))
-            if unknown:
-                raise ConfigError(f"ris.{unknown[0]}: unknown key; a ris block "
-                                  f"takes {', '.join(_RIS_KEYS)}")
-            # null switches the first three off; the noise floor needs a value.
-            for key in ("asa_deg", "leg_k_db", "leg_xpr_db", "noise_floor_dbm"):
-                v = blk.get(key)
-                number = isinstance(v, (int, float)) and not isinstance(v, bool)
-                if key in blk and not (v is None and key != "noise_floor_dbm"
-                                       or number and math.isfinite(v)):
-                    raise ConfigError(f"ris.{key}: must be a finite number, got {v!r}")
             if blk.get("codebook", "steering") not in ("steering", "uniform"):
                 raise ConfigError(f"ris.codebook: must be 'steering' or 'uniform', "
                                   f"got {blk['codebook']!r}")

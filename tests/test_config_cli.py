@@ -16,7 +16,8 @@ from chansim6g.cli import main as cli_main
 from chansim6g.config import (ConfigError, ScenarioConfig, config_from_dict,
                               config_hash, load_config, load_preset, preset_path)
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def minimal_config(**over):
@@ -195,6 +196,60 @@ class TestValidation:
         path = tmp_path / "ris_block.json"
         path.write_text(json.dumps(raw))
         assert cli_main(["validate", "--config", str(path)]) == 1
+
+    # A typo'd or stale key used to run with the key's default: isac.n_share
+    # ran with sharing degree 0.
+    @pytest.mark.parametrize("preset, key", [
+        ("thz", "intra_cluster_kdb"), ("emimo", "freq_sample"),
+        ("isac", "n_share"), ("ris", "nz"), ("sagin", "elevation")])
+    def test_unknown_block_key_rejected(self, preset, key, tmp_path):
+        raw = json.loads(preset_path(preset).read_text())
+        raw[preset][key] = 6
+        with pytest.raises(ConfigError, match=rf"{preset}\.{key}: unknown key"):
+            config_from_dict(raw)
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", "--config", str(path)]) == 1
+
+    def test_presets_and_perfbench_base_validate(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT))
+        from perfbench.workloads import BASE_CONFIG
+        config_from_dict(dict(BASE_CONFIG))
+        for name in ("thz", "emimo", "isac", "ris", "sagin"):
+            load_preset(name)
+
+    # Each of these validated, then raised ValueError, TypeError or
+    # ConfigurationError in run_drop.
+    @pytest.mark.parametrize("preset, block, field", [
+        ("emimo", {"stationary_region": 0}, "stationary_region"),
+        ("emimo", {"freq_samples": 1}, "freq_samples"),
+        ("sagin", {"height_m": 0.0}, "height_m"),
+        ("sagin", {"elevation_deg": 0.0}, "elevation_deg"),
+        ("sagin", {"elevation_deg": 90.5}, "elevation_deg"),
+        ("sagin", {"extra_atten_db": -1.0}, "extra_atten_db"),
+        ("sagin", {"k_rain_db": "heavy"}, "k_rain_db"),
+        ("sagin", {"k_cloud_db": None}, "k_cloud_db"),
+        ("thz", {"intra_cluster_k_db": float("inf")}, "intra_cluster_k_db"),
+        ("thz", {"intra_cluster_k_db": "high"}, "intra_cluster_k_db"),
+    ])
+    def test_unusable_block_number_rejected(self, preset, block, field, tmp_path):
+        raw = json.loads(preset_path(preset).read_text())
+        raw[preset].update(block)
+        with pytest.raises(ConfigError, match=rf"{preset}\.{field}: must be"):
+            config_from_dict(raw)
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("preset, block", [
+        ("emimo", {"stationary_region": 1, "freq_samples": 2}),
+        ("sagin", {"elevation_deg": 90, "extra_atten_db": 0.0}),
+        ("thz", {"intra_cluster_k_db": None})])
+    def test_block_number_edges_run(self, preset, block):
+        raw = json.loads(preset_path(preset).read_text())
+        raw[preset].update(block)
+        res = run_drop(config_from_dict(raw), 0)
+        assert np.all(np.isfinite(res.tensors[""].coefficients))
 
     @pytest.mark.parametrize("block", [
         {"asa_deg": None, "leg_k_db": None, "leg_xpr_db": None},
