@@ -13,6 +13,10 @@ show how far the bytes moved. The 10 ``ris/*`` and ``ris-ula/*`` digests
 were re-pinned when the RIS cascade kernel moved to GEMM-built pattern
 weights and a fused tap reduction: those files moved by rounding only
 (at most 6e-14 of the largest tap), and the other 28 stayed the same.
+The 9 ``isac/*.cir``, ``isac/*.cir.sense`` and ``sagin/*.cir`` digests were
+re-pinned when the presets lost their unread keys: ``config_hash`` covers
+those keys, so only the header line moved; every payload byte and the other
+29 digests stayed the same.
 
 Each check runs in a fresh interpreter, once with ``OPENBLAS_NUM_THREADS=1``
 and once with it unset, so BLAS threading cannot change a byte; and with the
