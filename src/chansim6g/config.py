@@ -86,7 +86,7 @@ def _check_block(name: str, blk) -> None:
     if unknown:
         raise ConfigError(f"{name}.{unknown[0]}: unknown key; a {name} block "
                           f"takes {', '.join(keys)}")
-    for key, (nullable, test, need) in _NUMBER_KEYS.get(name, {}).items():
+    for key, (nullable, test, need) in _NUMBER_KEYS[name].items():
         v = blk.get(key)
         if key in blk and not (v is None and nullable or _usable(v, test)):
             raise ConfigError(f"{name}.{key}: must be {need}"
