@@ -2,9 +2,11 @@
 """SHA-256 digests of the output bytes of fixed campaigns.
 
 Runs the five shipped presets, a BASE config (uma, ``link_state`` null,
-8x2 ULAs, moving UE) and a RIS variant (4x2 ULAs, moving UE, two time
-samples, uniform codebook, 70 degree incidence) at seed 42 with 3 drops
-each (``jobs=1`` unless ``--jobs N`` is given), then
+8x2 ULAs, moving UE) and three preset variants at seed 42 with 3 drops
+each: ``ris-ula`` (4x2 ULAs, moving UE, two time samples, uniform codebook,
+70 degree incidence), ``isac-bistatic`` (a sensing receiver at (8, 4, 1.5)
+and a 30 dB self-interference row) and ``thz-table`` (no
+``intra_cluster_k_db``, so the sparsity K comes from the scenario table) (``jobs=1`` unless ``--jobs N`` is given), then
 ``chansim6g analyze --metrics ds,gini,rsrp,xcorr`` over each output
 directory, and hashes every ``.cir`` / ``.cir.sense`` file, ``metrics.csv``
 and ``analysis.csv``. ``tests/test_golden_digests.py`` compares the result
@@ -71,15 +73,24 @@ BASE_CONFIG = {
 }
 
 
-# The ris preset with ULAs at both ends, two time samples and a moving UE,
-# so the cascade's array-phase and Doppler terms are not trivial.
-RIS_ULA_OVERRIDES = {
-    "bs_array": {"type": "ula", "n": 4, "spacing": "half_wavelength"},
-    "ue_array": {"type": "ula", "n": 2, "spacing": "half_wavelength"},
-    "time_samples": 2,
-    "ue_velocity": [1.0, 0.5, 0.0],
+# Preset variants: name -> (preset, top-level overrides, the feature block
+# made from the preset's block).
+VARIANTS = {
+    # ULAs at both ends, two time samples and a moving UE, so the cascade's
+    # array-phase and Doppler terms are not trivial.
+    "ris-ula": ("ris", {
+        "bs_array": {"type": "ula", "n": 4, "spacing": "half_wavelength"},
+        "ue_array": {"type": "ula", "n": 2, "spacing": "half_wavelength"},
+        "time_samples": 2,
+        "ue_velocity": [1.0, 0.5, 0.0],
+    }, lambda blk: {**blk, "codebook": "uniform", "bs_incidence_deg": 70.0}),
+    # The bistatic sensing branch and the self-interference row.
+    "isac-bistatic": ("isac", {}, lambda blk: {
+        **blk, "rx_s_position": [8.0, 4.0, 1.5], "self_interference_db": 30.0}),
+    # The sparsity K from the scenario table.
+    "thz-table": ("thz", {}, lambda blk: {
+        k: v for k, v in blk.items() if k != "intra_cluster_k_db"}),
 }
-RIS_ULA_BLOCK = {"codebook": "uniform", "bs_incidence_deg": 70.0}
 
 
 def _sha256(path: Path) -> str:
@@ -92,10 +103,11 @@ def campaign_configs(seed: int = SEED, drops: int = DROPS) -> dict:
 
     configs = {name: load_preset(name, seed=seed, drops=drops) for name in PRESETS}
     configs["base"] = config_from_dict({**BASE_CONFIG, "seed": seed, "drops": drops})
-    ris_raw = json.loads(preset_path("ris").read_text())
-    configs["ris-ula"] = config_from_dict(
-        {**ris_raw, **RIS_ULA_OVERRIDES, "seed": seed, "drops": drops,
-         "ris": {**ris_raw["ris"], **RIS_ULA_BLOCK}})
+    for name, (preset, overrides, block) in VARIANTS.items():
+        raw = json.loads(preset_path(preset).read_text())
+        configs[name] = config_from_dict(
+            {**raw, **overrides, "seed": seed, "drops": drops,
+             preset: block(raw[preset])})
     return configs
 
 

@@ -3,9 +3,11 @@
 ``tests/golden_digests.json`` pins the SHA-256 of every ``.cir`` /
 ``.cir.sense`` file, ``metrics.csv`` and the ``analysis.csv`` of
 ``chansim6g analyze --metrics ds,gini,rsrp,xcorr``, for the five presets,
-a BASE config (uma, ``link_state`` null, 8x2 ULAs, moving UE) and a RIS
-variant (4x2 ULAs, moving UE, two time samples, uniform codebook) at
-seed 42, 3 drops each: 38 digests. The digests were pinned on numpy 2.4.6,
+a BASE config (uma, ``link_state`` null, 8x2 ULAs, moving UE) and three
+preset variants (``ris-ula``: 4x2 ULAs, moving UE, two time samples, uniform
+codebook; ``isac-bistatic``: a bistatic sensing receiver and a
+self-interference row; ``thz-table``: the sparsity K from the scenario
+table) at seed 42, 3 drops each: 51 digests. The digests were pinned on numpy 2.4.6,
 scipy 1.17.1 and OpenBLAS 0.3.31; another toolchain may round differently.
 A deliberate change of output bytes re-baselines them with
 ``python3 scripts/golden_digests.py --write``; ``--keep`` and ``--compare``
@@ -16,7 +18,10 @@ weights and a fused tap reduction: those files moved by rounding only
 The 9 ``isac/*.cir``, ``isac/*.cir.sense`` and ``sagin/*.cir`` digests were
 re-pinned when the presets lost their unread keys: ``config_hash`` covers
 those keys, so only the header line moved; every payload byte and the other
-29 digests stayed the same.
+29 digests stayed the same. The 13 ``isac-bistatic/*`` and ``thz-table/*``
+digests were pinned from the code before the config schema replaced the
+per-module config checks, so they guard the ISAC and THz branches that
+change rewired.
 
 Each check runs in a fresh interpreter, once with ``OPENBLAS_NUM_THREADS=1``
 and once with it unset, so BLAS threading cannot change a byte; and with the
