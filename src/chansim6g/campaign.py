@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, emimo, isac, ris, sagin, thz
 from .cir import CirTensor, apply_large_scale, synthesize_cir, write_cir
-from .config import ScenarioConfig, config_hash
+from .config import FROM_TABLE, ScenarioConfig, config_hash
 from .geometry import Position3D, assign_link_state, los_directions
 from .largescale import generate_lsps, lookup_lsp_table, scenario_los_curve, \
     scenario_pathloss
@@ -84,10 +84,11 @@ def _run_standard(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
     state, entry, lsps, clusters = _core(cfg, streams)
     if cfg.feature == "THZ":
         # Config value wins over the table entry's intra-cluster K.
-        sparsity_k_db = cfg.feature_block().get("intra_cluster_k_db",
-                                                entry.intra_cluster_k_db)
+        sparsity_k_db = cfg.feature_block()["intra_cluster_k_db"]
+        if sparsity_k_db == FROM_TABLE:
+            sparsity_k_db = entry.intra_cluster_k_db
         if sparsity_k_db is not None:
-            clusters = thz.apply_sparsity(clusters, float(sparsity_k_db))
+            clusters = thz.apply_sparsity(clusters, sparsity_k_db)
     cir = synthesize_cir(clusters, tx=cfg.build_array(cfg.bs_array),
                          rx=cfg.build_array(cfg.ue_array),
                          f_hz=cfg.center_freq_hz, times=_sample_times(cfg))
@@ -99,8 +100,8 @@ def _run_standard(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
 
 def _run_emimo(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
     blk = cfg.feature_block()
-    region = int(blk.get("stationary_region", 16))
-    n_freq = int(blk.get("freq_samples", 64))
+    region = blk["stationary_region"]
+    n_freq = blk["freq_samples"]
     state, _, lsps, clusters = _core(cfg, streams)
     # The receive array sweeps the large aperture; the spherical manifold and
     # the visibility mask act along its elements.
@@ -142,18 +143,13 @@ def _run_isac(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
     state = _link_state(cfg, streams)
     entry = lookup_lsp_table(cfg.scenario, state, cfg.center_freq_hz)
     lsps = generate_lsps(entry, streams.get("lsp"))
-    targets = [isac.SensingTarget(position=Position3D.from_iterable(t["position"]),
-                                  rcs_dbsm=float(t.get("rcs_dbsm", 0.0)),
-                                  velocity=tuple(t.get("velocity", (0, 0, 0))))
-               for t in blk.get("targets", [])]
-    rx_s = blk.get("rx_s_position")
+    tx_pos = cfg.bs_position3d()
+    targets, rx_s = isac.build_targets(blk, tx_pos)
     pair = isac.gen_isac_drop(
-        entry, lsps, cfg.bs_position3d(), cfg.ue_position3d(), state,
-        int(blk.get("n_shared", 0)), streams, cfg.center_freq_hz,
-        targets=targets,
-        rx_s_pos=Position3D.from_iterable(rx_s) if rx_s else None,
+        entry, lsps, tx_pos, cfg.ue_position3d(), state, blk["n_shared"],
+        streams, cfg.center_freq_hz, targets=targets, rx_s_pos=rx_s,
         ue_velocity=cfg.ue_velocity,
-        self_interference_db=blk.get("self_interference_db"))
+        self_interference_db=blk["self_interference_db"])
     times = _sample_times(cfg)
     tx = cfg.build_array(cfg.bs_array)
     rx = cfg.build_array(cfg.ue_array)
@@ -162,9 +158,8 @@ def _run_isac(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
     cir_s = synthesize_cir(pair.sense, tx, tx, cfg.center_freq_hz, times)
     if targets:
         t0 = targets[int(np.argmin(pair.target_echo_delays_s))]
-        d1 = cfg.bs_position3d().distance_to(t0.position)
-        d2 = t0.position.distance_to(
-            Position3D.from_iterable(rx_s) if rx_s else cfg.bs_position3d())
+        d1 = tx_pos.distance_to(t0.position)
+        d2 = t0.position.distance_to(tx_pos if rx_s is None else rx_s)
         echo_pl = pl_radar_echo(d1, d2, cfg.center_freq_hz, t0.rcs_dbsm)
         cir_s = apply_large_scale(cir_s, PathLossSample(
             pl_db=echo_pl, shadow_db=0.0, model="RADAR_ECHO"))
@@ -201,23 +196,22 @@ def _run_ris(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
     s2 = streams.shifted(2)
     lsps1 = generate_lsps(entry, s1.get("lsp"))
     lsps2 = generate_lsps(entry, s2.get("lsp"))
-    if blk.get("leg_xpr_db") is not None:
+    if blk["leg_xpr_db"] is not None:
         # Co-polarized comparison study: the ideal/non-ideal pairing isolates
         # the reflection magnitude, so cross-polar leakage is suppressed.
-        entry = replace(entry, xpr_mu_db=float(blk["leg_xpr_db"]),
-                        xpr_sigma_db=0.0)
+        entry = replace(entry, xpr_mu_db=blk["leg_xpr_db"], xpr_sigma_db=0.0)
     entry1 = entry
-    if blk.get("asa_deg") is not None:
+    if blk["asa_deg"] is not None:
         # The sweep controls the realized arrival spread at the panel: the
         # intra-cluster spread shrinks with it so narrow settings stay narrow.
-        asa = float(blk["asa_deg"])
+        asa = blk["asa_deg"]
         lsps1 = replace(lsps1, asa_deg=asa)
         entry1 = replace(entry, c_asa_deg=min(entry.c_asa_deg, asa / 3.0),
                          c_zsa_deg=min(entry.c_zsa_deg, asa / 3.0))
         lsps1 = replace(lsps1, zsa_deg=min(lsps1.zsa_deg, asa))
-    if blk.get("leg_k_db") is not None:
-        lsps1 = replace(lsps1, k_db=float(blk["leg_k_db"]))
-        lsps2 = replace(lsps2, k_db=float(blk["leg_k_db"]))
+    if blk["leg_k_db"] is not None:
+        lsps1 = replace(lsps1, k_db=blk["leg_k_db"])
+        lsps2 = replace(lsps2, k_db=blk["leg_k_db"])
     dirs1 = los_directions(cfg.bs_position3d(), ris_pos)
     dirs2 = los_directions(ris_pos, cfg.ue_position3d())
     leg1 = generate_clusters(entry1, lsps1, dirs1, state, (0.0, 0.0, 0.0),
@@ -227,7 +221,7 @@ def _run_ris(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
 
     panel_ni = ris.build_panel(blk, cfg.bs_position, cfg.ue_position, f_hz)
     panel_id = replace(panel_ni, ideal=True)
-    if blk.get("codebook", "steering") == "steering":
+    if blk["codebook"] == "steering":
         in_local = panel_ni.to_local(dirs1.zoa, dirs1.aoa)
         out_local = panel_ni.to_local(dirs2.zod, dirs2.aod)
         codebook = ris.steering_codebook(in_local, out_local)
@@ -248,7 +242,7 @@ def _run_ris(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
                         shadow_db=lsps1.sf_db, model="CI")
     cir_ni = apply_large_scale(cir_ni, pl)
     cir_id = apply_large_scale(cir_id, pl)
-    noise = float(blk.get("noise_floor_dbm", -94.0))
+    noise = blk["noise_floor_dbm"]
     snr_ni = rsrp(cir_ni, cfg.tx_power_dbm) - noise
     snr_id = rsrp(cir_id, cfg.tx_power_dbm) - noise
     metrics = {
@@ -267,12 +261,9 @@ def _run_ris(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
 def _run_sagin(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
     blk = cfg.feature_block()
     cir = sagin.ntn_drop(cfg.scenario, cfg.link_state, cfg.center_freq_hz,
-                         float(blk.get("height_m", 600e3)),
-                         math.radians(float(blk.get("elevation_deg", 30.0))),
-                         streams,
-                         extra_atten_db=float(blk.get("extra_atten_db", 0.0)),
-                         k_rain_db=float(blk.get("k_rain_db", 0.0)),
-                         k_cloud_db=float(blk.get("k_cloud_db", 0.0)),
+                         blk["height_m"], math.radians(blk["elevation_deg"]),
+                         streams, extra_atten_db=blk["extra_atten_db"],
+                         k_rain_db=blk["k_rain_db"], k_cloud_db=blk["k_cloud_db"],
                          times=_sample_times(cfg))
     powers = np.abs(cir.coefficients[0, 0, 0]) ** 2
     metrics = {

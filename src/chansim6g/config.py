@@ -1,9 +1,10 @@
-"""Configuration documents: parsing, validation, presets and hashing.
+"""Configuration documents: schema, parsing, validation, presets and hashing.
 
-Configs are UTF-8 JSON. Five shipped presets cover the feature showcases
-(thz, emimo, isac, ris, sagin). Every config echoes back through
-``to_dict`` with defaults filled, and hashes canonically for output
-metadata.
+Configs are UTF-8 JSON. One schema gives each value a config may hold its
+kind, bounds, null rule and default: ``FIELDS`` (top level), ``ARRAYS``
+(``bs_array``/``ue_array``), ``BLOCKS`` (feature blocks) and ``TARGET``
+(``isac.targets`` entries). ``validate``, ``to_dict``, ``feature_block`` and
+``build_array`` read it. Five shipped presets cover the feature showcases.
 """
 
 from __future__ import annotations
@@ -11,86 +12,170 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .constants import wavelength
 from .geometry import ArrayGeometry, ConfigurationError, Position3D, \
     build_ula, single_element
-from .isac import cluster_budget
+from .isac import build_targets, cluster_budget
 from .largescale import data_dir, lookup_lsp_table
 from .ris import build_panel
 
 FEATURES = ("BASE", "THZ", "EMIMO", "ISAC", "RIS", "SAGIN")
-_FEATURE_BLOCKS = {"THZ": "thz", "EMIMO": "emimo", "ISAC": "isac",
-                   "RIS": "ris", "SAGIN": "sagin"}
-# Every key a feature block may hold: the keys its campaign runner reads
-# (for ris, build_panel reads the panel keys).
-_BLOCK_KEYS = {
-    "thz": ("intra_cluster_k_db",),
-    "emimo": ("stationary_region", "freq_samples"),
-    "isac": ("targets", "n_shared", "rx_s_position", "self_interference_db"),
-    "ris": ("position", "nx", "ny", "element_pitch", "bs_incidence_deg",
-            "z_e_ohm", "z_m_ohm", "ideal_reference", "codebook", "asa_deg",
-            "leg_k_db", "leg_xpr_db", "noise_floor_dbm"),
-    "sagin": ("height_m", "elevation_deg", "k_rain_db", "k_cloud_db",
-              "extra_atten_db"),
+REQUIRED = object()     # the default of a value that must be given
+FROM_TABLE = "table"    # the default of thz.intra_cluster_k_db: the table's K
+_NEEDS = {"text": "a string", "triple": "a finite [x, y, z] triple",
+          "pair": "a finite [real, imag] pair", "number": "a finite number",
+          "integer": "an integer", "array": "an object", "targets": "a list"}
+
+
+@dataclass(frozen=True)
+class Spec:
+    """One config value: a ``kind`` of ``_NEEDS`` or ``choice``; for a number
+    or integer the bounds ``lo``..``hi``, each end closed (``[``, ``]``) or
+    open (``(``, ``)``) by ``ends``; the words it may also be (``choices``);
+    whether null is allowed; and its default."""
+    kind: str
+    default: object = REQUIRED
+    lo: float = -math.inf
+    hi: float = math.inf
+    ends: str = "[]"
+    choices: tuple = ()
+    null: bool = False
+
+
+_POSITIVE = {"lo": 0, "ends": "(]"}
+FIELDS = {
+    "scenario": Spec("text"),
+    "feature": Spec("choice", choices=FEATURES),
+    "center_freq_hz": Spec("number", **_POSITIVE),
+    "bandwidth_hz": Spec("number", **_POSITIVE),
+    "drops": Spec("integer", 1, lo=1),
+    "seed": Spec("integer", 0, lo=0),
+    "link_state": Spec("choice", "LOS", choices=("LOS", "NLOS"), null=True),
+    "bs_position": Spec("triple", (0.0, 0.0, 3.0)),
+    "ue_position": Spec("triple", (10.0, 10.0, 3.0)),
+    "bs_array": Spec("array", {"type": "single"}),
+    "ue_array": Spec("array", {"type": "single"}),
+    "ue_velocity": Spec("triple", (0.0, 0.0, 0.0)),
+    "tx_power_dbm": Spec("number", 0.0),
+    "time_samples": Spec("integer", 1, lo=1),
+    "time_spacing_s": Spec("number", 1e-3, **_POSITIVE),
 }
-_FINITE = (math.isfinite, "a finite number")
-# Numeric block keys: key -> (null allowed, test, what the value must be).
-# A value the runner cannot use fails the test.
-_NUMBER_KEYS = {
-    "thz": {"intra_cluster_k_db": (True, *_FINITE)},
-    "emimo": {
-        "stationary_region": (False, lambda v: 1 <= v < math.inf and v == int(v),
-                              "an integer >= 1"),
-        "freq_samples": (False, lambda v: 2 <= v < math.inf and v == int(v),
-                         "an integer >= 2"),
-    },
-    "isac": {"self_interference_db": (True, *_FINITE)},
-    # null switches the first three off; the noise floor needs a value.
-    "ris": {"asa_deg": (True, *_FINITE), "leg_k_db": (True, *_FINITE),
-            "leg_xpr_db": (True, *_FINITE), "noise_floor_dbm": (False, *_FINITE)},
-    "sagin": {
-        "height_m": (False, lambda v: 0 < v < math.inf,
-                     "a positive finite height in meters"),
-        "elevation_deg": (False, lambda v: 0 < v <= 90,
-                          "a number of degrees in (0, 90]"),
-        "extra_atten_db": (False, lambda v: 0 <= v < math.inf,
-                           "a finite number >= 0"),
-        "k_rain_db": (False, *_FINITE), "k_cloud_db": (False, *_FINITE),
-    },
+_TYPE = Spec("choice", "single", choices=("single", "ula"))
+ARRAYS = {"single": {"type": _TYPE},
+          "ula": {"type": _TYPE, "n": Spec("integer", lo=1), "spacing": Spec(
+              "number", "half_wavelength", choices=("half_wavelength",), **_POSITIVE)}}
+TARGET = {"position": Spec("triple"), "rcs_dbsm": Spec("number", 0.0),
+          "velocity": Spec("triple", (0.0, 0.0, 0.0))}
+# Every key a feature block may hold: the keys its runner reads (for ris,
+# build_panel reads the panel keys). The TR 38.901 LOS delay scaling turns
+# negative below a K of about -63 dB, which bounds leg_k_db, and k_rain_db
+# plus k_cloud_db (40 dB keeps the drawn K 8 sigma clear of it). The RIS
+# cascade's power goes as element_pitch**4 and underflows below ~1e-80 m.
+BLOCKS = {
+    "thz": {"intra_cluster_k_db": Spec("number", FROM_TABLE, null=True)},
+    "emimo": {"stationary_region": Spec("integer", 16, lo=1),
+              "freq_samples": Spec("integer", 64, lo=2)},
+    "isac": {"targets": Spec("targets", ()), "n_shared": Spec("integer", 0, lo=0),
+             "rx_s_position": Spec("triple", None, null=True),
+             "self_interference_db": Spec("number", None, null=True)},
+    "ris": {
+        "position": Spec("triple"), "nx": Spec("integer", 32, lo=1),
+        "ny": Spec("integer", 32, lo=1), "element_pitch": Spec(
+            "number", "half_wavelength", lo=1e-5, choices=("half_wavelength",)),
+        # absent: the panel normal bisects the two endpoint directions
+        "bs_incidence_deg": Spec("number", None, lo=0, hi=90, ends="[)"),
+        "z_e_ohm": Spec("pair", (20000.0, 0.0)), "z_m_ohm": Spec("pair", (655000.0, 0.0)),
+        "ideal_reference": Spec("choice", "pec", choices=("pec", "pmc")),
+        "codebook": Spec("choice", "steering", choices=("steering", "uniform")),
+        # null: the drop's own draw
+        "asa_deg": Spec("number", None, null=True, **_POSITIVE),
+        "leg_k_db": Spec("number", None, lo=-60, null=True),
+        "leg_xpr_db": Spec("number", None, null=True),
+        "noise_floor_dbm": Spec("number", -94.0)},
+    "sagin": {"height_m": Spec("number", 600e3, lo=1),
+              "elevation_deg": Spec("number", 30.0, lo=10, hi=90),
+              "k_rain_db": Spec("number", 0.0, lo=0, hi=20),
+              "k_cloud_db": Spec("number", 0.0, lo=0, hi=20),
+              "extra_atten_db": Spec("number", 0.0, lo=0)},
 }
+# Fields a feature's runner does not read, so they must keep their defaults:
+# an E-MIMO drop has one receive element and one time sample, and a SAGIN
+# link one element at each end and the UE at rest.
+_UNREAD = {"EMIMO": ("ue_array", "time_samples"),
+           "SAGIN": ("bs_array", "ue_array", "ue_velocity")}
+
+
+def _defaults(specs: dict) -> dict:
+    return {k: s.default for k, s in specs.items() if s.default is not REQUIRED}
+
+
+_BLOCK_DEFAULTS = {name: _defaults(specs) for name, specs in BLOCKS.items()}
+_ARRAY_DEFAULTS = _defaults(ARRAYS["ula"])
+_TARGET_DEFAULTS = _defaults(TARGET)
 
 
 class ConfigError(ConfigurationError):
     """Validation failure; the message names the offending field."""
 
 
-def _usable(v, test) -> bool:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return bool(test(float(v)))
-    except OverflowError:          # an integer too large for a float
-        return False
+def _finite(v) -> bool:
+    return not isinstance(v, bool) and isinstance(v, (int, float)) \
+        and abs(v) <= sys.float_info.max
 
 
-def _check_block(name: str, blk) -> None:
-    """Reject a key the block's runner does not read, and a numeric value it
-    cannot use, naming the field as ``<block>.<key>``."""
-    if not isinstance(blk, dict):
-        raise ConfigError(f"{name}: must be an object, got {blk!r}")
-    keys = _BLOCK_KEYS[name]
-    unknown = sorted(set(blk) - set(keys))
+def _fits(spec: Spec, v) -> bool:
+    if v is None or isinstance(v, str) and v in spec.choices:
+        return v is not None or spec.null
+    if spec.kind in ("triple", "pair"):
+        return (isinstance(v, (list, tuple)) and all(map(_finite, v))
+                and len(v) == (3 if spec.kind == "triple" else 2))
+    if spec.kind == "number" and _finite(v) or spec.kind == "integer" \
+            and isinstance(v, int) and not isinstance(v, bool):
+        return (spec.lo < v if spec.ends[0] == "(" else spec.lo <= v) \
+            and (v < spec.hi if spec.ends[1] == ")" else v <= spec.hi)
+    return spec.kind == "text" and isinstance(v, str)
+
+
+def _check(path: str, spec: Spec, v):
+    """``v`` as a config holds it (an integral float of an integer as an
+    int); raise ConfigError naming ``path`` unless it fits ``spec``."""
+    if spec.kind == "array" and isinstance(v, dict):
+        _check(f"{path}.type", _TYPE, v.get("type", _TYPE.default))
+        return _check_object(path, v, ARRAYS[v.get("type", _TYPE.default)])
+    if spec.kind == "targets" and isinstance(v, (list, tuple)):
+        return [_check_object(f"{path}[{i}]", t, TARGET) for i, t in enumerate(v)]
+    if spec.kind == "integer" and isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if not _fits(spec, v):
+        need = _NEEDS.get(spec.kind, "")
+        if spec.lo > -math.inf:
+            need += (f" in {spec.ends[0]}{spec.lo:g}, {spec.hi:g}{spec.ends[1]}"
+                     if spec.hi < math.inf else f" >{'=' * (spec.ends[0] == '[')} {spec.lo:g}")
+        words = [*map(repr, spec.choices), need, "null" * spec.null]
+        raise ConfigError(f"{path}: must be {' or '.join(filter(None, words))}, got {v!r}")
+    return v
+
+
+def _check_object(path: str, obj, specs: dict) -> dict:
+    """A checked copy of an object, naming a field ``<path>.<key>``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: must be an object, got {obj!r}")
+    unknown = [k for k in obj if k not in specs]
     if unknown:
-        raise ConfigError(f"{name}.{unknown[0]}: unknown key; a {name} block "
-                          f"takes {', '.join(keys)}")
-    for key, (nullable, test, need) in _NUMBER_KEYS[name].items():
-        v = blk.get(key)
-        if key in blk and not (v is None and nullable or _usable(v, test)):
-            raise ConfigError(f"{name}.{key}: must be {need}"
-                              f"{' or null' if nullable else ''}, got {v!r}")
+        raise ConfigError(f"{path}.{unknown[0]}: unknown key; {path} takes "
+                          f"{', '.join(specs)}")
+    missing = [k for k, s in specs.items() if s.default is REQUIRED and k not in obj]
+    if missing:
+        raise ConfigError(f"{path}.{missing[0]}: missing required field")
+    return {k: _check(f"{path}.{k}", specs[k], v) for k, v in obj.items()}
+
+
+def _echo(v):
+    return list(v) if isinstance(v, tuple) else v
 
 
 @dataclass
@@ -99,78 +184,62 @@ class ScenarioConfig:
     feature: str
     center_freq_hz: float
     bandwidth_hz: float
-    drops: int = 1
-    seed: int = 0
-    link_state: str | None = "LOS"     # None: draw from the scenario curve
-    bs_position: tuple = (0.0, 0.0, 3.0)
-    ue_position: tuple = (10.0, 10.0, 3.0)
-    bs_array: dict = field(default_factory=lambda: {"type": "single"})
-    ue_array: dict = field(default_factory=lambda: {"type": "single"})
-    ue_velocity: tuple = (0.0, 0.0, 0.0)
-    tx_power_dbm: float = 0.0
-    time_samples: int = 1
-    time_spacing_s: float = 1e-3
+    drops: int = FIELDS["drops"].default
+    seed: int = FIELDS["seed"].default
+    link_state: str | None = FIELDS["link_state"].default
+    bs_position: tuple = FIELDS["bs_position"].default
+    ue_position: tuple = FIELDS["ue_position"].default
+    bs_array: dict = field(default_factory=FIELDS["bs_array"].default.copy)
+    ue_array: dict = field(default_factory=FIELDS["ue_array"].default.copy)
+    ue_velocity: tuple = FIELDS["ue_velocity"].default
+    tx_power_dbm: float = FIELDS["tx_power_dbm"].default
+    time_samples: int = FIELDS["time_samples"].default
+    time_spacing_s: float = FIELDS["time_spacing_s"].default
     feature_params: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     def validate(self) -> "ScenarioConfig":
-        if self.feature not in FEATURES:
-            raise ConfigError(f"feature: must be one of {FEATURES}, got {self.feature!r}")
-        if not (self.bandwidth_hz > 0):
-            raise ConfigError("bandwidth: must be positive")
-        if not (self.center_freq_hz > 0):
-            raise ConfigError("center_freq_hz: must be positive")
-        if self.drops < 1:
-            raise ConfigError("drops: must be >= 1")
-        if self.time_samples < 1:
-            raise ConfigError("time_samples: must be >= 1")
-        states = ("LOS", "NLOS") if self.feature == "SAGIN" else ("LOS", "NLOS", None)
-        if self.link_state not in states:     # null: a terrestrial LOS-curve draw
-            raise ConfigError(f"link_state: {self.feature} takes one of {states}, "
-                              f"got {self.link_state!r}")
-        expected_block = _FEATURE_BLOCKS.get(self.feature)
-        present = [k for k in _FEATURE_BLOCKS.values() if k in self.feature_params]
-        if expected_block is None and present:
-            raise ConfigError(f"feature blocks {present} given for BASE feature")
-        if expected_block is not None and present != [expected_block]:
-            raise ConfigError(
-                f"feature {self.feature} requires exactly the {expected_block!r} "
-                f"block, found {present}")
+        """Check every field against the schema, storing it as a drop reads
+        it (an integral float of an integer as an int), then the rules that
+        join fields; a failure raises ConfigError naming the field."""
+        for name, spec in FIELDS.items():
+            setattr(self, name, _check(name, spec, getattr(self, name)))
+        if self.feature == "SAGIN" and self.link_state is None:
+            raise ConfigError("link_state: SAGIN takes 'LOS' or 'NLOS', got None")
+        blocks = [self.feature.lower()] if self.feature != "BASE" else []
+        if list(self.feature_params) != blocks:
+            raise ConfigError(f"feature {self.feature} takes exactly the blocks "
+                              f"{blocks}, found {list(self.feature_params)}")
+        for block in blocks:
+            self.feature_params[block] = _check_object(
+                block, self.feature_params[block], BLOCKS[block])
+        for name in _UNREAD.get(self.feature, ()):
+            if _echo(getattr(self, name)) != _echo(FIELDS[name].default):
+                raise ConfigError(f"{name}: {self.feature} drops do not read it, so "
+                                  f"it must keep its default {FIELDS[name].default!r}")
         blk = self.feature_block()
-        if expected_block is not None:
-            _check_block(expected_block, blk)
         # Frequency must fall in a shipped band for the scenario/state.
-        state = self.link_state or "LOS"
-        if self.feature == "SAGIN":
-            lookup_lsp_table(self.scenario, state, self.center_freq_hz,
-                             elevation_deg=blk.get("elevation_deg", 30.0))
-        else:
-            entry = lookup_lsp_table(self.scenario, state, self.center_freq_hz)
-        if self.feature == "ISAC":
-            # Every state a drop can take must leave room for the clusters.
-            entries = [entry] if self.link_state else \
-                [entry, lookup_lsp_table(self.scenario, "NLOS", self.center_freq_hz)]
-            for e in entries:
-                try:
-                    cluster_budget(e, e.state == "los", int(blk.get("n_shared", 0)),
-                                   len(blk.get("targets", [])))
-                except (ConfigurationError, TypeError, ValueError) as exc:
-                    raise ConfigError(f"isac.n_shared: {exc}") from None
-        for name in ("bs_position", "ue_position"):
-            v = getattr(self, name)
-            if len(v) != 3 or not all(math.isfinite(float(x)) for x in v):
-                raise ConfigError(f"{name}: need a finite [x, y, z] triple")
+        lookup_lsp_table(self.scenario, self.link_state or "LOS",
+                         self.center_freq_hz, elevation_deg=blk.get("elevation_deg"))
         if self.feature != "SAGIN" and self.bs_position3d() == self.ue_position3d():
             raise ConfigError("ue_position: coincides with bs_position")
-        if self.feature == "RIS":
-            if blk.get("codebook", "steering") not in ("steering", "uniform"):
-                raise ConfigError(f"ris.codebook: must be 'steering' or 'uniform', "
-                                  f"got {blk['codebook']!r}")
-            try:
+        try:
+            if self.feature == "RIS":
                 build_panel(blk, self.bs_position, self.ue_position,
                             self.center_freq_hz)
-            except ConfigurationError as exc:
-                raise ConfigError(str(exc)) from None
+            elif self.feature == "ISAC":
+                build_targets(blk, self.bs_position3d())
+        except ConfigurationError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.feature == "ISAC":
+            # Every state a drop can take must leave room for the clusters.
+            for state in [self.link_state] if self.link_state else ["LOS", "NLOS"]:
+                e = lookup_lsp_table(self.scenario, state, self.center_freq_hz)
+                try:
+                    cluster_budget(e, state == "LOS", blk["n_shared"],
+                                   len(blk["targets"]))
+                except ConfigurationError as exc:
+                    raise ConfigError(f"isac.n_shared: {exc}") from None
         return self
 
     # ------------------------------------------------------------------
@@ -181,38 +250,27 @@ class ScenarioConfig:
         return Position3D.from_iterable(self.ue_position)
 
     def build_array(self, spec: dict) -> ArrayGeometry:
-        kind = spec.get("type", "single")
-        if kind == "single":
+        """The array a checked ``bs_array``/``ue_array`` spec describes."""
+        spec = {**_ARRAY_DEFAULTS, **spec}
+        if spec["type"] == "single":
             return single_element()
-        if kind == "ula":
-            spacing = spec.get("spacing", "half_wavelength")
-            if spacing == "half_wavelength":
-                spacing = wavelength(self.center_freq_hz) / 2.0
-            return build_ula(int(spec["n"]), float(spacing))
-        raise ConfigError(f"antenna array type {kind!r} not supported")
+        spacing = spec["spacing"]
+        if spacing == "half_wavelength":
+            spacing = wavelength(self.center_freq_hz) / 2.0
+        return build_ula(spec["n"], spacing)
 
     def feature_block(self) -> dict:
-        name = _FEATURE_BLOCKS.get(self.feature)
-        return self.feature_params.get(name, {}) if name else {}
+        """The feature's block, each absent key (targets' too) at its default."""
+        name = self.feature.lower()
+        if name not in BLOCKS:
+            return {}
+        blk = {**_BLOCK_DEFAULTS[name], **self.feature_params.get(name, {})}
+        if name == "isac":
+            blk["targets"] = [{**_TARGET_DEFAULTS, **t} for t in blk["targets"]]
+        return blk
 
     def to_dict(self) -> dict:
-        d = {
-            "scenario": self.scenario,
-            "feature": self.feature,
-            "center_freq_hz": self.center_freq_hz,
-            "bandwidth_hz": self.bandwidth_hz,
-            "drops": self.drops,
-            "seed": self.seed,
-            "link_state": self.link_state,
-            "bs_position": list(self.bs_position),
-            "ue_position": list(self.ue_position),
-            "bs_array": self.bs_array,
-            "ue_array": self.ue_array,
-            "ue_velocity": list(self.ue_velocity),
-            "tx_power_dbm": self.tx_power_dbm,
-            "time_samples": self.time_samples,
-            "time_spacing_s": self.time_spacing_s,
-        }
+        d = {name: _echo(getattr(self, name)) for name in FIELDS}
         d.update(self.feature_params)
         return d
 
@@ -222,39 +280,22 @@ def config_hash(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-_KNOWN_KEYS = {"scenario", "feature", "center_freq_hz", "bandwidth_hz", "drops",
-               "seed", "link_state", "bs_position", "ue_position", "bs_array",
-               "ue_array", "ue_velocity", "tx_power_dbm", "time_samples",
-               "time_spacing_s"} | set(_FEATURE_BLOCKS.values())
-
-
 def config_from_dict(raw: dict) -> ScenarioConfig:
-    unknown = set(raw) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for required in ("scenario", "feature", "center_freq_hz", "bandwidth_hz"):
-        if required not in raw:
-            raise ConfigError(f"{required}: missing required field")
-    feature_params = {k: raw[k] for k in _FEATURE_BLOCKS.values() if k in raw}
-    cfg = ScenarioConfig(
-        scenario=str(raw["scenario"]),
-        feature=str(raw["feature"]).upper(),
-        center_freq_hz=float(raw["center_freq_hz"]),
-        bandwidth_hz=float(raw["bandwidth_hz"]),
-        drops=int(raw.get("drops", 1)),
-        seed=int(raw.get("seed", 0)),
-        link_state=raw.get("link_state", "LOS"),
-        bs_position=tuple(raw.get("bs_position", (0.0, 0.0, 3.0))),
-        ue_position=tuple(raw.get("ue_position", (10.0, 10.0, 3.0))),
-        bs_array=raw.get("bs_array", {"type": "single"}),
-        ue_array=raw.get("ue_array", {"type": "single"}),
-        ue_velocity=tuple(raw.get("ue_velocity", (0.0, 0.0, 0.0))),
-        tx_power_dbm=float(raw.get("tx_power_dbm", 0.0)),
-        time_samples=int(raw.get("time_samples", 1)),
-        time_spacing_s=float(raw.get("time_spacing_s", 1e-3)),
-        feature_params=feature_params,
-    )
-    return cfg.validate()
+    """The validated config of a JSON document."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config: must be an object, got {type(raw).__name__}")
+    for key in raw:
+        if key not in FIELDS and key not in BLOCKS:
+            raise ConfigError(f"{key}: unknown key; a config takes "
+                              f"{', '.join([*FIELDS, *BLOCKS])}")
+    for key, spec in FIELDS.items():
+        if spec.default is REQUIRED and key not in raw:
+            raise ConfigError(f"{key}: missing required field")
+    values = {k: v for k, v in raw.items() if k in FIELDS}
+    if isinstance(values["feature"], str):
+        values["feature"] = values["feature"].upper()
+    blocks = {k: v for k, v in raw.items() if k in BLOCKS}
+    return ScenarioConfig(**values, feature_params=blocks).validate()
 
 
 def load_config(path) -> ScenarioConfig:

@@ -154,6 +154,27 @@ def cluster_budget(entry: LspTableEntry, los: bool, n_shared: int,
     return n_comm_env, n_sense_env
 
 
+def build_targets(block: dict, tx_pos: Position3D) -> tuple:
+    """Targets and sensing receiver (None: monostatic) of a checked, filled
+    ``isac`` config block. A target on the transmitter or the sensing
+    receiver, or a sensing receiver on the transmitter, leaves an echo
+    without a direction: ConfigurationError names the field."""
+    rx_s = block["rx_s_position"]
+    rx_s = None if rx_s is None else Position3D.from_iterable(rx_s)
+    if rx_s == tx_pos:
+        raise ConfigurationError("isac.rx_s_position: coincides with bs_position")
+    targets = []
+    for i, t in enumerate(block["targets"]):
+        target = SensingTarget(position=Position3D.from_iterable(t["position"]),
+                               rcs_dbsm=t["rcs_dbsm"], velocity=tuple(t["velocity"]))
+        for name, pos in (("bs_position", tx_pos), ("rx_s_position", rx_s)):
+            if target.position == pos:
+                raise ConfigurationError(
+                    f"isac.targets[{i}].position: coincides with {name}")
+        targets.append(target)
+    return targets, rx_s
+
+
 def gen_isac_drop(entry: LspTableEntry, lsps: LSPSet, tx_pos: Position3D,
                   rx_c_pos: Position3D, state: str, n_shared: int,
                   streams, f_hz: float, targets=(),

@@ -199,72 +199,17 @@ def rotation_with_incidence(toward_a, toward_b, incidence_a_rad: float) -> tuple
     return rotation_facing(n)
 
 
-def _block_value(block: dict, key: str, default, convert, need: str):
-    """``convert(block[key])``; a value it cannot take (TypeError or
-    ValueError) raises ConfigurationError naming the field."""
-    value = block.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"ris.{key}: must be {need}, got {value!r}") from None
-
-
-def _finite_triple(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (3,) or not np.all(np.isfinite(v)):
-        raise ValueError
-    return v
-
-
-def _grid_count(v) -> int:
-    n = int(v)
-    if n != v or n < 1:
-        raise ValueError
-    return n
-
-
-def _positive_pitch(v) -> float:
-    d = float(v)
-    if not (0.0 < d < math.inf):
-        raise ValueError
-    return d
-
-
-def _incidence(v) -> float:
-    deg = float(v)
-    if not (0.0 <= deg < 90.0):
-        raise ValueError
-    return deg
-
-
 def build_panel(block: dict, bs_position, ue_position, f_hz: float) -> RisPanel:
-    """The non-ideal panel a ``ris`` config block describes, turned toward
-    its endpoints: with ``bs_incidence_deg`` the normal lies in the plane of
-    the two endpoint directions with the BS at that local zenith, otherwise
-    it bisects the two endpoint vectors.
-
-    Geometry the cascade cannot use raises ConfigurationError naming the
-    field: a panel on an endpoint, endpoints collinear with the panel, an
-    endpoint behind the panel, a grid under 1x1, a non-positive pitch or an
-    incidence outside [0, 90) degrees.
-    """
-    ris_pos = _block_value(block, "position", None, _finite_triple,
-                           "a finite [x, y, z] triple")
-    nx = _block_value(block, "nx", 32, _grid_count, "an integer >= 1")
-    ny = _block_value(block, "ny", 32, _grid_count, "an integer >= 1")
-    pitch = block.get("element_pitch", "half_wavelength")
-    pitch = wavelength(f_hz) / 2.0 if pitch == "half_wavelength" else \
-        _block_value(block, "element_pitch", None, _positive_pitch,
-                     "'half_wavelength' or a positive length in meters")
-    reference = block.get("ideal_reference", "pec")
-    if reference not in ("pec", "pmc"):
-        raise ConfigurationError(
-            f"ris.ideal_reference: must be 'pec' or 'pmc', got {reference!r}")
-    z_e = _block_value(block, "z_e_ohm", (20000.0, 0.0), lambda v: complex(*v),
-                       "a [real, imag] pair in ohms")
-    z_m = _block_value(block, "z_m_ohm", (655000.0, 0.0), lambda v: complex(*v),
-                       "a [real, imag] pair in ohms")
-
+    """The non-ideal panel of a checked, filled ``ris`` config block, turned
+    toward its endpoints: with ``bs_incidence_deg`` the normal lies in the
+    plane of the two endpoint directions with the BS at that local zenith,
+    otherwise it bisects the two endpoint vectors. A panel on an endpoint,
+    endpoints collinear with the panel or an endpoint behind the panel
+    raises ConfigurationError naming the field."""
+    ris_pos = np.asarray(block["position"], dtype=np.float64)
+    pitch = block["element_pitch"]
+    if pitch == "half_wavelength":
+        pitch = wavelength(f_hz) / 2.0
     to_bs = np.asarray(bs_position, dtype=np.float64) - ris_pos
     to_ue = np.asarray(ue_position, dtype=np.float64) - ris_pos
     for name, v in (("bs_position", to_bs), ("ue_position", to_ue)):
@@ -275,20 +220,20 @@ def build_panel(block: dict, bs_position, ue_position, f_hz: float) -> RisPanel:
     if np.linalg.norm(u_ue - (u_ue @ u_bs) * u_bs) < 1e-12:
         raise ConfigurationError(
             "ris.position: collinear with bs_position and ue_position")
-    if "bs_incidence_deg" in block:
-        field = "ris.bs_incidence_deg"
-        incidence = _block_value(block, "bs_incidence_deg", None, _incidence,
-                                 "a number of degrees in [0, 90)")
-        rotation = rotation_with_incidence(to_bs, to_ue, math.radians(incidence))
-    else:
+    if block["bs_incidence_deg"] is None:
         field = "ris.position"
         rotation = rotation_facing(0.5 * (to_bs + to_ue))
+    else:
+        field = "ris.bs_incidence_deg"
+        rotation = rotation_with_incidence(to_bs, to_ue,
+                                           math.radians(block["bs_incidence_deg"]))
     normal = np.asarray(rotation[6:])
     for name, u in (("bs_position", u_bs), ("ue_position", u_ue)):
         if not normal @ u > 0.0:
             raise ConfigurationError(f"{field}: puts {name} behind the panel")
-    return RisPanel(nx=nx, ny=ny, d_element=float(pitch), z_e=z_e, z_m=z_m,
-                    ideal_reference=reference, rotation=rotation)
+    return RisPanel(nx=block["nx"], ny=block["ny"], d_element=float(pitch),
+                    z_e=complex(*block["z_e_ohm"]), z_m=complex(*block["z_m_ohm"]),
+                    ideal_reference=block["ideal_reference"], rotation=rotation)
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,15 @@ class TestValidation:
         ("sagin", {"k_cloud_db": None}, "k_cloud_db"),
         ("thz", {"intra_cluster_k_db": float("inf")}, "intra_cluster_k_db"),
         ("thz", {"intra_cluster_k_db": "high"}, "intra_cluster_k_db"),
+        # A K below about -63 dB turns the LOS delay scaling negative; a
+        # spread of 0 or less, a subnormal elevation or a height near 0 m
+        # raised in run_drop.
+        ("ris", {"leg_k_db": -70.0}, "leg_k_db"),
+        ("ris", {"asa_deg": 0.0}, "asa_deg"), ("ris", {"asa_deg": -5.0}, "asa_deg"),
+        ("sagin", {"k_rain_db": 25.0}, "k_rain_db"),
+        ("sagin", {"k_cloud_db": -1.0}, "k_cloud_db"),
+        ("sagin", {"elevation_deg": 5e-324}, "elevation_deg"),
+        ("sagin", {"height_m": 1e-300}, "height_m"),
     ])
     def test_unusable_block_number_rejected(self, preset, block, field, tmp_path):
         raw = json.loads(preset_path(preset).read_text())
@@ -311,6 +320,64 @@ class TestValidation:
             assert 0.0 < m["sd_comm"] <= 1.0
             states.add(m["state"])
         assert states == ({"LOS", "NLOS"} if link_state is None else {link_state})
+
+    # Each of these validated and then raised in run_drop, ran with another
+    # meaning (a typo ignored, a truncated count, a string frequency, a
+    # negative or infinite number), or made validate die with a traceback
+    # (tx_power_dbm "loud"). The last four set a field the feature's runner
+    # does not read: it wrote the same tensor shape whatever the value.
+    @pytest.mark.parametrize("preset, top, block, field", [
+        ("isac", {}, {"targets": [{"rcs_dbsm": 0.0}]}, "isac.targets[0].position"),
+        ("isac", {}, {"rx_s_position": [8.0, 4.0]}, "isac.rx_s_position"),
+        ("isac", {}, {"targets": [{"position": [4.0, 3.0, 1.5], "rcs_dbsm": "big"}]},
+         "isac.targets[0].rcs_dbsm"),
+        ("isac", {}, {"targets": [{"position": [0.0, 0.0, 1.5]}]},
+         "isac.targets[0].position: coincides with bs_position"),
+        ("isac", {}, {"rx_s_position": [0, 0, 1.5]},
+         "isac.rx_s_position: coincides with bs_position"),
+        ("isac", {}, {"rx_s_position": [4.0, 3.0, 1.5]},
+         "isac.targets[0].position: coincides with rx_s_position"),
+        ("base", {"bs_array": {"type": "ula", "n": 0}}, {}, "bs_array.n"),
+        ("base", {"bs_array": {"type": "upa", "n": 4}}, {}, "bs_array.type"),
+        ("base", {"bs_array": {"type": "ula", "n": 4, "spacing": -1}}, {},
+         "bs_array.spacing"),
+        ("base", {"ue_velocity": [1.0, 0.0]}, {}, "ue_velocity"),
+        ("base", {"seed": -1}, {}, "seed"),
+        ("base", {"time_samples": 3, "time_spacing_s": float("nan")}, {},
+         "time_spacing_s"),
+        ("base", {"bs_array": {"type": "ula", "n": 4, "spacng": 0.1}}, {},
+         "bs_array.spacng: unknown key"),
+        ("base", {"drops": 2.7}, {}, "drops"), ("base", {"drops": True}, {}, "drops"),
+        ("base", {"ue_array": {"type": "ula", "n": 2.5}}, {}, "ue_array.n"),
+        ("base", {"center_freq_hz": "3.5e9"}, {}, "center_freq_hz"),
+        ("base", {"time_spacing_s": -1}, {}, "time_spacing_s"),
+        ("base", {"tx_power_dbm": float("inf")}, {}, "tx_power_dbm"),
+        ("base", {"tx_power_dbm": "loud"}, {}, "tx_power_dbm"),
+        ("emimo", {"ue_array": {"type": "ula", "n": 4}}, {}, "ue_array"),
+        ("emimo", {"time_samples": 4}, {}, "time_samples"),
+        ("sagin", {"bs_array": {"type": "ula", "n": 4}}, {}, "bs_array"),
+        ("sagin", {"ue_velocity": [3.0, 0.0, 0.0]}, {}, "ue_velocity"),
+    ])
+    def test_validate_names_rejected_field(self, preset, top, block, field,
+                                           tmp_path, capsys):
+        raw = minimal_config() if preset == "base" else \
+            json.loads(preset_path(preset).read_text())
+        raw.update(top)
+        if block:
+            raw[preset].update(block)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid: {field}"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [2.0, 3])
+    def test_integral_numbers_stored_as_int(self, value):
+        cfg = config_from_dict(minimal_config(drops=value, bs_array={
+            "type": "ula", "n": 2.0}))
+        assert cfg.drops == int(value) and type(cfg.drops) is int
+        assert cfg.bs_array == {"type": "ula", "n": 2}
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
