@@ -158,8 +158,8 @@ def _run_isac(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
     cir_s = synthesize_cir(pair.sense, tx, tx, cfg.center_freq_hz, times)
     if targets:
         t0 = targets[int(np.argmin(pair.target_echo_delays_s))]
-        d1 = tx_pos.distance_to(t0.position)
-        d2 = t0.position.distance_to(tx_pos if rx_s is None else rx_s)
+        d1 = max(tx_pos.distance_to(t0.position), 1.0)    # like the link, >= 1 m
+        d2 = max(t0.position.distance_to(tx_pos if rx_s is None else rx_s), 1.0)
         echo_pl = pl_radar_echo(d1, d2, cfg.center_freq_hz, t0.rcs_dbsm)
         cir_s = apply_large_scale(cir_s, PathLossSample(
             pl_db=echo_pl, shadow_db=0.0, model="RADAR_ECHO"))

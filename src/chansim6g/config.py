@@ -221,7 +221,8 @@ class ScenarioConfig:
         # Frequency must fall in a shipped band for the scenario/state.
         lookup_lsp_table(self.scenario, self.link_state or "LOS",
                          self.center_freq_hz, elevation_deg=blk.get("elevation_deg"))
-        if self.feature != "SAGIN" and self.bs_position3d() == self.ue_position3d():
+        if self.feature != "SAGIN" and not self.bs_position3d().distance_to(
+                self.ue_position3d()):      # 0 also when its square underflows
             raise ConfigError("ue_position: coincides with bs_position")
         try:
             if self.feature == "RIS":

@@ -161,14 +161,14 @@ def build_targets(block: dict, tx_pos: Position3D) -> tuple:
     without a direction: ConfigurationError names the field."""
     rx_s = block["rx_s_position"]
     rx_s = None if rx_s is None else Position3D.from_iterable(rx_s)
-    if rx_s == tx_pos:
+    if rx_s is not None and not rx_s.distance_to(tx_pos):
         raise ConfigurationError("isac.rx_s_position: coincides with bs_position")
     targets = []
     for i, t in enumerate(block["targets"]):
         target = SensingTarget(position=Position3D.from_iterable(t["position"]),
                                rcs_dbsm=t["rcs_dbsm"], velocity=tuple(t["velocity"]))
         for name, pos in (("bs_position", tx_pos), ("rx_s_position", rx_s)):
-            if target.position == pos:
+            if pos is not None and not target.position.distance_to(pos):
                 raise ConfigurationError(
                     f"isac.targets[{i}].position: coincides with {name}")
         targets.append(target)

@@ -213,7 +213,7 @@ def build_panel(block: dict, bs_position, ue_position, f_hz: float) -> RisPanel:
     to_bs = np.asarray(bs_position, dtype=np.float64) - ris_pos
     to_ue = np.asarray(ue_position, dtype=np.float64) - ris_pos
     for name, v in (("bs_position", to_bs), ("ue_position", to_ue)):
-        if not np.any(v):
+        if not np.linalg.norm(v):
             raise ConfigurationError(f"ris.position: coincides with {name}")
     u_bs = to_bs / np.linalg.norm(to_bs)
     u_ue = to_ue / np.linalg.norm(to_ue)

@@ -357,6 +357,9 @@ class TestValidation:
         ("emimo", {"time_samples": 4}, {}, "time_samples"),
         ("sagin", {"bs_array": {"type": "ula", "n": 4}}, {}, "bs_array"),
         ("sagin", {"ue_velocity": [3.0, 0.0, 0.0]}, {}, "ue_velocity"),
+        # a separation whose square underflows made los_directions raise
+        ("base", {"bs_position": [0.0, 0.0, 1e-170], "ue_position": [0, 0, 0]}, {},
+         "ue_position: coincides with bs_position"),
     ])
     def test_validate_names_rejected_field(self, preset, top, block, field,
                                            tmp_path, capsys):
@@ -371,6 +374,15 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"invalid: {field}"), err
         assert "Traceback" not in err
+
+    def test_isac_target_next_to_radar_runs(self):
+        # The echo legs take the 1 m floor of the link losses: a target
+        # 1e-160 m from the radar made the radar equation overflow.
+        raw = json.loads(preset_path("isac").read_text())
+        raw["bs_position"] = [0.0, 0.0, 0.0]
+        raw["isac"]["targets"][0]["position"] = [0.0, 0.0, 1e-160]
+        for tensor in run_drop(config_from_dict(raw), 0).tensors.values():
+            assert np.all(np.isfinite(tensor.coefficients))
 
     @pytest.mark.parametrize("value", [2.0, 3])
     def test_integral_numbers_stored_as_int(self, value):

@@ -2,8 +2,8 @@
 the schema table itself (``config.FIELDS``, ``ARRAYS``, ``BLOCKS`` and
 ``TARGET``).
 
-A generated config is a shipped preset (BASE: a umi config) with any subset
-of its top-level fields and feature-block keys replaced by values drawn
+A generated config is a shipped preset (BASE: a umi config) with up to three
+top-level fields and up to three feature-block keys replaced by values drawn
 inside their specs. Numbers are drawn inside each spec's bounds, an
 unbounded side within 1e3 of zero, and integers within 15 of their lower
 bound, so that a drop stays cheap.
@@ -25,6 +25,8 @@ from chansim6g.geometry import ConfigurationError
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40,
                     suppress_health_check=[HealthCheck.too_slow])
+# An accepted config that fails a drop is the rare case to find.
+RUN_SETTINGS = settings(SETTINGS, max_examples=100)
 SCENARIOS = ("umi", "uma", "rma", "inh_office", "dense_urban")
 WIDE = 1e3
 FEATURES = ("BASE", "THZ", "EMIMO", "ISAC", "RIS", "SAGIN")
@@ -70,15 +72,19 @@ def objects(specs, **fixed):
         optional={k: inside(s) for k, s in free.items() if s.default is not REQUIRED})
 
 
+def changes(specs):
+    """Up to three keys of ``specs``, each drawn inside its spec."""
+    return st.lists(st.sampled_from(sorted(specs)), max_size=3, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({k: inside(specs[k]) for k in keys}))
+
+
 def configs(feature):
-    """Raw configs: the feature's base config with any subset of its fields
-    and block keys drawn inside their specs."""
+    """Raw configs: the feature's base config with up to three top-level
+    fields and up to three block keys drawn inside their specs."""
     raw = base_raw(feature)
     block = feature.lower() if feature != "BASE" else None
-    top = {k: inside(s) for k, s in FIELDS.items() if k != "feature"}
-    keys = {k: inside(s) for k, s in BLOCKS[block].items()} if block else {}
-    return st.tuples(st.fixed_dictionaries({}, optional=top),
-                     st.fixed_dictionaries({}, optional=keys)).map(
+    top = {k: s for k, s in FIELDS.items() if k != "feature"}
+    return st.tuples(changes(top), changes(BLOCKS[block]) if block else st.just({})).map(
         lambda draw: {**raw, **draw[0],
                       **({block: {**raw[block], **draw[1]}} if block else {})})
 
@@ -124,7 +130,7 @@ def accepted(raw):
 
 @pytest.mark.parametrize("feature", FEATURES)
 def test_accepted_configs_run(feature):
-    @SETTINGS
+    @RUN_SETTINGS
     @given(configs(feature))
     def check(raw):
         cfg = accepted(raw)
