@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """SHA-256 digests of the output bytes of fixed campaigns.
 
-Runs the five shipped presets, a BASE config (uma, ``link_state`` null,
-8x2 ULAs, moving UE) and three preset variants at seed 42 with 3 drops
-each: ``ris-ula`` (4x2 ULAs, moving UE, two time samples, uniform codebook,
-70 degree incidence), ``isac-bistatic`` (a sensing receiver at (8, 4, 1.5)
-and a 30 dB self-interference row) and ``thz-table`` (no
-``intra_cluster_k_db``, so the sparsity K comes from the scenario table) (``jobs=1`` unless ``--jobs N`` is given), then
+Runs the five shipped presets, four BASE configs with ``link_state`` null
+(uma: 8x2 ULAs, moving UE; umi, rma and inh_office: single elements, each
+placed so its 3 drops draw LOS, NLOS, LOS) and eight preset variants at
+seed 42 with 3 drops each: ``ris-ula`` (4x2 ULAs, moving UE, two time
+samples, uniform codebook, 70 degree incidence), ``isac-bistatic`` (a
+sensing receiver at (8, 4, 1.5) and a 30 dB self-interference row),
+``thz-table`` (no ``intra_cluster_k_db``, so the sparsity K comes from the
+scenario table) and ``<preset>-nlos`` (``link_state`` NLOS) for each
+preset. The campaigns run at ``jobs=1`` unless ``--jobs N`` is given; then
 ``chansim6g analyze --metrics ds,gini,rsrp,xcorr`` over each output
 directory, and hashes every ``.cir`` / ``.cir.sense`` file, ``metrics.csv``
 and ``analysis.csv``. ``tests/test_golden_digests.py`` compares the result
@@ -56,20 +59,29 @@ DROPS = 3
 PRESETS = ("thz", "emimo", "isac", "ris", "sagin")
 ANALYZE_METRICS = "ds,gini,rsrp,xcorr"
 
-# The BASE config of the benchmark's light workloads: the only covered
-# input with a link-state draw, MIMO synthesis and time evolution.
-BASE_CONFIG = {
-    "scenario": "uma",
-    "feature": "BASE",
-    "center_freq_hz": 3.5e9,
-    "bandwidth_hz": 20e6,
-    "link_state": None,
-    "bs_position": [0.0, 0.0, 25.0],
-    "ue_position": [120.0, 60.0, 1.5],
-    "bs_array": {"type": "ula", "n": 8, "spacing": "half_wavelength"},
-    "ue_array": {"type": "ula", "n": 2, "spacing": "half_wavelength"},
-    "ue_velocity": [3.0, 0.0, 0.0],
-    "time_samples": 4,
+# BASE configs, all with a link-state draw. "base" is the config of the
+# benchmark's light workloads (uma, MIMO synthesis, time evolution); the
+# others run the other LOS-probability families, each at a distance where
+# the draws of seed 42 give both states.
+_BASE = {"feature": "BASE", "bandwidth_hz": 20e6, "link_state": None}
+BASES = {
+    "base": {
+        **_BASE,
+        "scenario": "uma",
+        "center_freq_hz": 3.5e9,
+        "bs_position": [0.0, 0.0, 25.0],
+        "ue_position": [120.0, 60.0, 1.5],
+        "bs_array": {"type": "ula", "n": 8, "spacing": "half_wavelength"},
+        "ue_array": {"type": "ula", "n": 2, "spacing": "half_wavelength"},
+        "ue_velocity": [3.0, 0.0, 0.0],
+        "time_samples": 4,
+    },
+    "base-umi": {**_BASE, "scenario": "umi", "center_freq_hz": 28e9,
+                 "bs_position": [0.0, 0.0, 10.0], "ue_position": [60.0, 30.0, 1.5]},
+    "base-rma": {**_BASE, "scenario": "rma", "center_freq_hz": 3.5e9,
+                 "bs_position": [0.0, 0.0, 35.0], "ue_position": [1200.0, 900.0, 1.5]},
+    "base-inh": {**_BASE, "scenario": "inh_office", "center_freq_hz": 28e9,
+                 "bs_position": [0.0, 0.0, 3.0], "ue_position": [8.0, 6.0, 1.5]},
 }
 
 
@@ -90,6 +102,8 @@ VARIANTS = {
     # The sparsity K from the scenario table.
     "thz-table": ("thz", {}, lambda blk: {
         k: v for k, v in blk.items() if k != "intra_cluster_k_db"}),
+    # Every feature's NLOS drop.
+    **{f"{p}-nlos": (p, {"link_state": "NLOS"}, dict) for p in PRESETS},
 }
 
 
@@ -102,7 +116,8 @@ def campaign_configs(seed: int = SEED, drops: int = DROPS) -> dict:
     from chansim6g.config import config_from_dict, load_preset, preset_path
 
     configs = {name: load_preset(name, seed=seed, drops=drops) for name in PRESETS}
-    configs["base"] = config_from_dict({**BASE_CONFIG, "seed": seed, "drops": drops})
+    for name, raw in BASES.items():
+        configs[name] = config_from_dict({**raw, "seed": seed, "drops": drops})
     for name, (preset, overrides, block) in VARIANTS.items():
         raw = json.loads(preset_path(preset).read_text())
         configs[name] = config_from_dict(

@@ -3,11 +3,13 @@
 ``tests/golden_digests.json`` pins the SHA-256 of every ``.cir`` /
 ``.cir.sense`` file, ``metrics.csv`` and the ``analysis.csv`` of
 ``chansim6g analyze --metrics ds,gini,rsrp,xcorr``, for the five presets,
-a BASE config (uma, ``link_state`` null, 8x2 ULAs, moving UE) and three
-preset variants (``ris-ula``: 4x2 ULAs, moving UE, two time samples, uniform
-codebook; ``isac-bistatic``: a bistatic sensing receiver and a
-self-interference row; ``thz-table``: the sparsity K from the scenario
-table) at seed 42, 3 drops each: 51 digests. The digests were pinned on numpy 2.4.6,
+four BASE configs with a link-state draw (uma: 8x2 ULAs, moving UE; umi, rma
+and inh_office, so every LOS-probability family runs and each draws both
+states) and eight preset variants (``ris-ula``: 4x2 ULAs, moving UE, two
+time samples, uniform codebook; ``isac-bistatic``: a bistatic sensing
+receiver and a self-interference row; ``thz-table``: the sparsity K from the
+scenario table; ``<preset>-nlos``: each preset with ``link_state`` NLOS) at
+seed 42, 3 drops each: 94 digests. The digests were pinned on numpy 2.4.6,
 scipy 1.17.1 and OpenBLAS 0.3.31; another toolchain may round differently.
 A deliberate change of output bytes re-baselines them with
 ``python3 scripts/golden_digests.py --write``; ``--keep`` and ``--compare``
@@ -21,7 +23,9 @@ those keys, so only the header line moved; every payload byte and the other
 29 digests stayed the same. The 13 ``isac-bistatic/*`` and ``thz-table/*``
 digests were pinned from the code before the config schema replaced the
 per-module config checks, so they guard the ISAC and THz branches that
-change rewired.
+change rewired. The 43 ``base-*/*`` and ``*-nlos/*`` digests were pinned
+from the code before the drop skeleton replaced the per-feature prologues,
+so every feature's NLOS branch and every LOS-probability family guards it.
 
 Each check runs in a fresh interpreter, once with ``OPENBLAS_NUM_THREADS=1``
 and once with it unset, so BLAS threading cannot change a byte; and with the
