@@ -1,5 +1,11 @@
-"""Multi-drop campaign orchestration: per-drop pipelines for every feature,
-deterministic seeding, file output and metric collection.
+"""Multi-drop campaign orchestration: one drop skeleton with a runner per
+feature, deterministic seeding, file output and metric collection.
+
+``run_drop`` runs each drop's shared prologue once (rng streams, link state,
+the table entry of a terrestrial feature, positions, arrays, sample times);
+the feature's runner in ``_RUNNERS`` returns its tensors and metrics; and
+``run_drop`` alone stamps the tensors and builds the ``DropResult``. Every
+terrestrial loss is ``_ci_loss`` over legs floored at 1 m by ``_leg``.
 
 Drops are schedule-independent: each consumes only its own child rng streams
 and writes its own tensor file, so serial and parallel runs produce
@@ -21,9 +27,9 @@ import numpy as np
 from . import analysis, emimo, isac, ris, sagin, thz
 from .cir import CirTensor, apply_large_scale, synthesize_cir, write_cir
 from .config import FROM_TABLE, ScenarioConfig, config_hash
-from .geometry import Position3D, assign_link_state, los_directions
-from .largescale import generate_lsps, lookup_lsp_table, scenario_los_curve, \
-    scenario_pathloss
+from .geometry import ArrayGeometry, Position3D, assign_link_state, los_directions
+from .largescale import LspTableEntry, generate_lsps, lookup_lsp_table, \
+    scenario_los_curve, scenario_pathloss
 from .pathloss import PathLossSample, pl_ci, pl_radar_echo
 from .seeding import DropStreams
 from .smallscale import generate_clusters
@@ -37,81 +43,71 @@ class DropResult:
     metrics: dict
 
 
-def _sample_times(cfg: ScenarioConfig) -> np.ndarray:
-    return np.arange(cfg.time_samples, dtype=np.float64) * cfg.time_spacing_s
+@dataclass
+class _Drop:
+    """What the shared prologue hands every runner."""
+    cfg: ScenarioConfig
+    streams: DropStreams
+    state: str
+    entry: LspTableEntry | None     # None for SAGIN: its table is elevation-keyed
+    bs: Position3D
+    ue: Position3D
+    tx: ArrayGeometry               # bs_array
+    rx: ArrayGeometry               # ue_array
+    times: np.ndarray
 
 
-def _link_state(cfg: ScenarioConfig, streams: DropStreams) -> str:
-    if cfg.link_state is not None:
-        return cfg.link_state
-    d2d = math.hypot(cfg.ue_position[0] - cfg.bs_position[0],
-                     cfg.ue_position[1] - cfg.bs_position[1])
-    curve = scenario_los_curve(cfg.scenario)
-    return assign_link_state(streams.get("link_state"), curve, d2d)
+def _leg(a: Position3D, b: Position3D) -> float:
+    """Length of one link leg, floored at 1 m like the loss anchors."""
+    return max(a.distance_to(b), 1.0)
 
 
-def _terrestrial_pl(cfg: ScenarioConfig, state: str, sf_db: float) -> PathLossSample:
-    params = scenario_pathloss(cfg.scenario, state)
-    d3d = max(cfg.bs_position3d().distance_to(cfg.ue_position3d()), 1.0)
-    pl = pl_ci(d3d, cfg.center_freq_hz, params["alpha"])
+def _ci_loss(d: _Drop, sf_db: float, *legs) -> PathLossSample:
+    """CI path loss summed over the ``(a, b)`` legs, with shadow fading."""
+    alpha = scenario_pathloss(d.cfg.scenario, d.state)["alpha"]
+    pl = sum(pl_ci(_leg(a, b), d.cfg.center_freq_hz, alpha) for a, b in legs)
     return PathLossSample(pl_db=pl, shadow_db=sf_db, model="CI")
 
 
-def _base_metrics(cfg: ScenarioConfig, clusters, cir: CirTensor) -> dict:
-    return {
+def _run_standard(d: _Drop):
+    cfg = d.cfg
+    lsps = generate_lsps(d.entry, d.streams.get("lsp"))
+    clusters = generate_clusters(d.entry, lsps, los_directions(d.bs, d.ue), d.state,
+                                 cfg.ue_velocity, cfg.center_freq_hz, d.streams)
+    if cfg.feature == "THZ":
+        # Config value wins over the table entry's intra-cluster K.
+        sparsity_k_db = cfg.feature_block()["intra_cluster_k_db"]
+        if sparsity_k_db == FROM_TABLE:
+            sparsity_k_db = d.entry.intra_cluster_k_db
+        if sparsity_k_db is not None:
+            clusters = thz.apply_sparsity(clusters, sparsity_k_db)
+    cir = synthesize_cir(clusters, d.tx, d.rx, cfg.center_freq_hz, d.times)
+    cir = apply_large_scale(cir, _ci_loss(d, lsps.sf_db, (d.bs, d.ue)))
+    return {"": cir}, {
         "ds_ns": rms_delay_spread(clusters.powers, clusters.delays_s) * 1e9,
         "asa_deg": circular_angular_spread(clusters.ray_powers.ravel(),
                                            clusters.aoa.ravel()),
         "gini": gini_index(clusters.ray_powers.ravel()),
         "rsrp_dbm": rsrp(cir, cfg.tx_power_dbm),
         "n_clusters": clusters.n_clusters,
+        "state": d.state,
     }
 
 
-def _core(cfg: ScenarioConfig, streams: DropStreams):
-    """Shared drop prologue: link state, table entry, LSPs and the clusters
-    of the direct Tx-Rx link."""
-    state = _link_state(cfg, streams)
-    entry = lookup_lsp_table(cfg.scenario, state, cfg.center_freq_hz)
-    lsps = generate_lsps(entry, streams.get("lsp"))
-    dirs = los_directions(cfg.bs_position3d(), cfg.ue_position3d())
-    clusters = generate_clusters(entry, lsps, dirs, state, cfg.ue_velocity,
-                                 cfg.center_freq_hz, streams)
-    return state, entry, lsps, clusters
-
-
-def _run_standard(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
-    state, entry, lsps, clusters = _core(cfg, streams)
-    if cfg.feature == "THZ":
-        # Config value wins over the table entry's intra-cluster K.
-        sparsity_k_db = cfg.feature_block()["intra_cluster_k_db"]
-        if sparsity_k_db == FROM_TABLE:
-            sparsity_k_db = entry.intra_cluster_k_db
-        if sparsity_k_db is not None:
-            clusters = thz.apply_sparsity(clusters, sparsity_k_db)
-    cir = synthesize_cir(clusters, tx=cfg.build_array(cfg.bs_array),
-                         rx=cfg.build_array(cfg.ue_array),
-                         f_hz=cfg.center_freq_hz, times=_sample_times(cfg))
-    cir = apply_large_scale(cir, _terrestrial_pl(cfg, state, lsps.sf_db))
-    metrics = _base_metrics(cfg, clusters, cir)
-    metrics["state"] = state
-    return DropResult(drop=streams.drop, tensors={"": cir}, metrics=metrics)
-
-
-def _run_emimo(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
-    blk = cfg.feature_block()
+def _run_emimo(d: _Drop):
+    cfg, blk = d.cfg, d.cfg.feature_block()
     region = blk["stationary_region"]
     n_freq = blk["freq_samples"]
-    state, _, lsps, clusters = _core(cfg, streams)
+    fc = cfg.center_freq_hz
+    lsps = generate_lsps(d.entry, d.streams.get("lsp"))
+    clusters = generate_clusters(d.entry, lsps, los_directions(d.bs, d.ue), d.state,
+                                 cfg.ue_velocity, fc, d.streams)
     # The receive array sweeps the large aperture; the spherical manifold and
     # the visibility mask act along its elements.
-    array = cfg.build_array(cfg.bs_array)
-    d_link = cfg.bs_position3d().distance_to(cfg.ue_position3d())
-    paths = emimo.paths_from_clusters(clusters, d_link)
-    mask = emimo.gen_sns_mask(array.element_count, len(paths), region,
-                              streams.get("sns"))
-    fc = cfg.center_freq_hz
-    manifold = emimo.spherical_manifold(paths, array, fc)
+    paths = emimo.paths_from_clusters(clusters, d.bs.distance_to(d.ue))
+    mask = emimo.gen_sns_mask(d.tx.element_count, len(paths), region,
+                              d.streams.get("sns"))
+    manifold = emimo.spherical_manifold(paths, d.tx, fc)
     alpha = np.array([p.alpha for p in paths])
     tap_gain = mask.s * manifold * alpha[None, :]
     coeffs = tap_gain[None, :, None, :]                      # (1, M, 1, K)
@@ -119,59 +115,49 @@ def _run_emimo(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
     delays = delays - delays.min()
     order = np.argsort(delays, kind="stable")
     cir = CirTensor(coefficients=np.ascontiguousarray(coeffs[..., order]),
-                    tap_delays_s=delays[order], sample_times_s=np.zeros(1),
-                    meta={"f_hz": fc, "state": state, "sns_region": region})
-    cir = apply_large_scale(cir, _terrestrial_pl(cfg, state, lsps.sf_db))
+                    tap_delays_s=delays[order], sample_times_s=d.times,
+                    meta={"f_hz": fc, "state": d.state, "sns_region": region})
+    cir = apply_large_scale(cir, _ci_loss(d, lsps.sf_db, (d.bs, d.ue)))
     freqs = fc + np.linspace(-cfg.bandwidth_hz / 2, cfg.bandwidth_hz / 2, n_freq)
-    rows = sorted({0, array.element_count - 1})    # the two elements xcorr_last reads
-    cfr = emimo.sns_cfr_band(paths, array.element_positions[rows],
+    rows = sorted({0, d.tx.element_count - 1})    # the two elements xcorr_last reads
+    cfr = emimo.sns_cfr_band(paths, d.tx.element_positions[rows],
                              emimo.SnsMask(s=mask.s[rows]), freqs)
     rho, _ = analysis.array_cross_correlation(cfr)
-    metrics = {
+    return {"": cir}, {
         "ds_ns": rms_delay_spread(clusters.powers, clusters.delays_s) * 1e9,
         "gini": gini_index(clusters.ray_powers.ravel()),
         "rsrp_dbm": rsrp(cir, cfg.tx_power_dbm),
         "n_clusters": clusters.n_clusters,
-        "state": state,
+        "state": d.state,
         "xcorr_last": float(rho[-1]),
     }
-    return DropResult(drop=streams.drop, tensors={"": cir}, metrics=metrics)
 
 
-def _run_isac(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
-    blk = cfg.feature_block()
-    state = _link_state(cfg, streams)
-    entry = lookup_lsp_table(cfg.scenario, state, cfg.center_freq_hz)
-    lsps = generate_lsps(entry, streams.get("lsp"))
-    tx_pos = cfg.bs_position3d()
-    targets, rx_s = isac.build_targets(blk, tx_pos)
+def _run_isac(d: _Drop):
+    cfg, blk = d.cfg, d.cfg.feature_block()
+    lsps = generate_lsps(d.entry, d.streams.get("lsp"))
+    targets, rx_s = isac.build_targets(blk, d.bs)
     pair = isac.gen_isac_drop(
-        entry, lsps, tx_pos, cfg.ue_position3d(), state, blk["n_shared"],
-        streams, cfg.center_freq_hz, targets=targets, rx_s_pos=rx_s,
-        ue_velocity=cfg.ue_velocity,
-        self_interference_db=blk["self_interference_db"])
-    times = _sample_times(cfg)
-    tx = cfg.build_array(cfg.bs_array)
-    rx = cfg.build_array(cfg.ue_array)
-    cir_c = synthesize_cir(pair.comm, tx, rx, cfg.center_freq_hz, times)
-    cir_c = apply_large_scale(cir_c, _terrestrial_pl(cfg, state, lsps.sf_db))
-    cir_s = synthesize_cir(pair.sense, tx, tx, cfg.center_freq_hz, times)
-    if targets:
-        t0 = targets[int(np.argmin(pair.target_echo_delays_s))]
-        d1 = max(tx_pos.distance_to(t0.position), 1.0)    # like the link, >= 1 m
-        d2 = max(t0.position.distance_to(tx_pos if rx_s is None else rx_s), 1.0)
-        echo_pl = pl_radar_echo(d1, d2, cfg.center_freq_hz, t0.rcs_dbsm)
-        cir_s = apply_large_scale(cir_s, PathLossSample(
-            pl_db=echo_pl, shadow_db=0.0, model="RADAR_ECHO"))
+        d.entry, lsps, d.bs, d.ue, d.state, blk["n_shared"], d.streams,
+        cfg.center_freq_hz, targets=targets, rx_s_pos=rx_s,
+        ue_velocity=cfg.ue_velocity, self_interference_db=blk["self_interference_db"])
+    cir_c = synthesize_cir(pair.comm, d.tx, d.rx, cfg.center_freq_hz, d.times)
+    cir_c = apply_large_scale(cir_c, _ci_loss(d, lsps.sf_db, (d.bs, d.ue)))
+    cir_s = synthesize_cir(pair.sense, d.tx, d.tx, cfg.center_freq_hz, d.times)
     metrics = {
         "ds_ns": rms_delay_spread(pair.comm.powers, pair.comm.delays_s) * 1e9,
         "rsrp_dbm": rsrp(cir_c, cfg.tx_power_dbm),
         "sd_sensing": isac.sharing_degree(pair, "sensing"),
         "sd_comm": isac.sharing_degree(pair, "comm"),
-        "state": state,
+        "state": d.state,
         "n_clusters": pair.comm.n_clusters,
     }
-    if targets and pair.target_sense_idx.size:
+    if targets:     # every target has an echo cluster in pair.target_sense_idx
+        t0 = targets[int(np.argmin(pair.target_echo_delays_s))]
+        echo_pl = pl_radar_echo(_leg(d.bs, t0.position), _leg(t0.position, rx_s or d.bs),
+                                cfg.center_freq_hz, t0.rcs_dbsm)
+        cir_s = apply_large_scale(cir_s, PathLossSample(
+            pl_db=echo_pl, shadow_db=0.0, model="RADAR_ECHO"))
         p_targets = pair.sense.powers[pair.target_sense_idx]
         env_mask = np.ones(pair.sense.n_clusters, dtype=bool)
         env_mask[pair.target_sense_idx] = False
@@ -179,21 +165,17 @@ def _run_isac(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
                                       pair.sense.powers[env_mask])
         metrics["clutter_pr_db"] = (10.0 * math.log10(pr)
                                     if math.isfinite(pr) else math.inf)
-    return DropResult(drop=streams.drop, tensors={"": cir_c, ".sense": cir_s},
-                      metrics=metrics)
+    return {"": cir_c, ".sense": cir_s}, metrics
 
 
-def _run_ris(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
-    blk = cfg.feature_block()
-    state = _link_state(cfg, streams)
+def _run_ris(d: _Drop):
+    cfg, blk, entry = d.cfg, d.cfg.feature_block(), d.entry
     ris_pos = Position3D.from_iterable(blk["position"])
     f_hz = cfg.center_freq_hz
-    entry = lookup_lsp_table(cfg.scenario, state, f_hz)
 
     # Leg 1: Tx -> RIS (its ASA at the panel is the configured sweep value);
     # leg 2: RIS -> Rx. Separate stream steps keep the legs insulated.
-    s1 = streams.shifted(1)
-    s2 = streams.shifted(2)
+    s1, s2 = d.streams.shifted(1), d.streams.shifted(2)
     lsps1 = generate_lsps(entry, s1.get("lsp"))
     lsps2 = generate_lsps(entry, s2.get("lsp"))
     if blk["leg_xpr_db"] is not None:
@@ -212,11 +194,11 @@ def _run_ris(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
     if blk["leg_k_db"] is not None:
         lsps1 = replace(lsps1, k_db=blk["leg_k_db"])
         lsps2 = replace(lsps2, k_db=blk["leg_k_db"])
-    dirs1 = los_directions(cfg.bs_position3d(), ris_pos)
-    dirs2 = los_directions(ris_pos, cfg.ue_position3d())
-    leg1 = generate_clusters(entry1, lsps1, dirs1, state, (0.0, 0.0, 0.0),
+    dirs1 = los_directions(d.bs, ris_pos)
+    dirs2 = los_directions(ris_pos, d.ue)
+    leg1 = generate_clusters(entry1, lsps1, dirs1, d.state, (0.0, 0.0, 0.0),
                              f_hz, s1)
-    leg2 = generate_clusters(entry, lsps2, dirs2, state, cfg.ue_velocity,
+    leg2 = generate_clusters(entry, lsps2, dirs2, d.state, cfg.ue_velocity,
                              f_hz, s2)
 
     panel_ni = ris.build_panel(blk, cfg.bs_position, cfg.ue_position, f_hz)
@@ -228,55 +210,45 @@ def _run_ris(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
     else:
         codebook = ris.uniform_codebook()
 
-    tx = cfg.build_array(cfg.bs_array)
-    rx = cfg.build_array(cfg.ue_array)
-    times = _sample_times(cfg)
     cir_ni, cir_id = ris.cascade_cir_multi(leg1, leg2, [panel_ni, panel_id],
-                                           codebook, tx, rx, f_hz, times)
-
-    params = scenario_pathloss(cfg.scenario, state)
-    d1 = max(cfg.bs_position3d().distance_to(ris_pos), 1.0)
-    d2 = max(ris_pos.distance_to(cfg.ue_position3d()), 1.0)
-    pl = PathLossSample(pl_db=pl_ci(d1, f_hz, params["alpha"])
-                        + pl_ci(d2, f_hz, params["alpha"]),
-                        shadow_db=lsps1.sf_db, model="CI")
+                                           codebook, d.tx, d.rx, f_hz, d.times)
+    pl = _ci_loss(d, lsps1.sf_db, (d.bs, ris_pos), (ris_pos, d.ue))
     cir_ni = apply_large_scale(cir_ni, pl)
     cir_id = apply_large_scale(cir_id, pl)
     noise = blk["noise_floor_dbm"]
     snr_ni = rsrp(cir_ni, cfg.tx_power_dbm) - noise
     snr_id = rsrp(cir_id, cfg.tx_power_dbm) - noise
-    metrics = {
+    return {"": cir_ni}, {
         "ds_ns": rms_delay_spread(
             np.abs(cir_ni.coefficients[0, 0, 0]) ** 2, cir_ni.tap_delays_s) * 1e9,
         "rsrp_dbm": rsrp(cir_ni, cfg.tx_power_dbm),
         "snr_nonideal_db": snr_ni,
         "snr_ideal_db": snr_id,
         "snr_gap_db": snr_id - snr_ni,
-        "state": state,
+        "state": d.state,
         "n_clusters": leg1.n_clusters * leg2.n_clusters,
     }
-    return DropResult(drop=streams.drop, tensors={"": cir_ni}, metrics=metrics)
 
 
-def _run_sagin(cfg: ScenarioConfig, streams: DropStreams) -> DropResult:
-    blk = cfg.feature_block()
-    cir = sagin.ntn_drop(cfg.scenario, cfg.link_state, cfg.center_freq_hz,
+def _run_sagin(d: _Drop):
+    cfg, blk = d.cfg, d.cfg.feature_block()
+    cir = sagin.ntn_drop(cfg.scenario, d.state, cfg.center_freq_hz,
                          blk["height_m"], math.radians(blk["elevation_deg"]),
-                         streams, extra_atten_db=blk["extra_atten_db"],
+                         d.streams, extra_atten_db=blk["extra_atten_db"],
                          k_rain_db=blk["k_rain_db"], k_cloud_db=blk["k_cloud_db"],
-                         times=_sample_times(cfg))
+                         times=d.times)
     powers = np.abs(cir.coefficients[0, 0, 0]) ** 2
-    metrics = {
+    return {"": cir}, {
         "ds_ns": rms_delay_spread(powers, cir.tap_delays_s) * 1e9,
         "rsrp_dbm": rsrp(cir, cfg.tx_power_dbm),
         "pl_db": cir.meta["pl_db"],
         "slant_km": cir.meta["slant_range_m"] / 1e3,
         "k_total_db": cir.meta["k_total_db"],
-        "state": cfg.link_state,
+        "state": d.state,
     }
-    return DropResult(drop=streams.drop, tensors={"": cir}, metrics=metrics)
 
 
+# Each feature's runner: (tensors by file suffix, metrics) of one drop.
 _RUNNERS = {
     "BASE": _run_standard,
     "THZ": _run_standard,
@@ -288,13 +260,24 @@ _RUNNERS = {
 
 
 def run_drop(cfg: ScenarioConfig, drop: int) -> DropResult:
+    """One drop: the shared prologue, the feature's runner, the result."""
     streams = DropStreams(cfg.seed, drop)
-    result = _RUNNERS[cfg.feature](cfg, streams)
+    state = cfg.link_state
+    if state is None:       # drawn against the scenario's LOS-probability curve
+        d2d = math.hypot(cfg.ue_position[0] - cfg.bs_position[0],
+                         cfg.ue_position[1] - cfg.bs_position[1])
+        state = assign_link_state(streams.get("link_state"),
+                                  scenario_los_curve(cfg.scenario), d2d)
+    entry = None if cfg.feature == "SAGIN" else \
+        lookup_lsp_table(cfg.scenario, state, cfg.center_freq_hz)
+    times = np.arange(cfg.time_samples, dtype=np.float64) * cfg.time_spacing_s
+    tensors, metrics = _RUNNERS[cfg.feature](_Drop(
+        cfg, streams, state, entry, cfg.bs_position3d(), cfg.ue_position3d(),
+        cfg.build_array(cfg.bs_array), cfg.build_array(cfg.ue_array), times))
     chash = config_hash(cfg)
-    for tensor in result.tensors.values():
-        tensor.meta["config_hash"] = chash
-        tensor.meta["seed"] = cfg.seed
-    return result
+    for tensor in tensors.values():
+        tensor.meta.update(config_hash=chash, seed=cfg.seed)
+    return DropResult(drop=drop, tensors=tensors, metrics=metrics)
 
 
 def _add_note(exc: BaseException, note: str) -> None:
