@@ -16,11 +16,13 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .constants import wavelength
+import numpy as np
+
+from .constants import C_LIGHT, wavelength
 from .geometry import ArrayGeometry, ConfigurationError, Position3D, \
-    build_ula, single_element
+    build_ula, check_apart, single_element
 from .isac import build_targets, cluster_budget
-from .largescale import data_dir, lookup_lsp_table
+from .largescale import data_dir, load_scenarios, lookup_lsp_table
 from .ris import build_panel
 
 FEATURES = ("BASE", "THZ", "EMIMO", "ISAC", "RIS", "SAGIN")
@@ -33,10 +35,10 @@ _NEEDS = {"text": "a string", "triple": "a finite [x, y, z] triple",
 
 @dataclass(frozen=True)
 class Spec:
-    """One config value: a ``kind`` of ``_NEEDS`` or ``choice``; for a number
-    or integer the bounds ``lo``..``hi``, each end closed (``[``, ``]``) or
-    open (``(``, ``)``) by ``ends``; the words it may also be (``choices``);
-    whether null is allowed; and its default."""
+    """One config value: a ``kind`` of ``_NEEDS`` or ``choice``; for a number,
+    an integer or a triple's length the bounds ``lo``..``hi``, each end closed
+    (``[``, ``]``) or open (``(``, ``)``) by ``ends``; the words it may also be
+    (``choices``); whether null is allowed; and its default."""
     kind: str
     default: object = REQUIRED
     lo: float = -math.inf
@@ -47,6 +49,7 @@ class Spec:
 
 
 _POSITIVE = {"lo": 0, "ends": "(]"}
+_VELOCITY = Spec("triple", (0.0, 0.0, 0.0), lo=0, hi=C_LIGHT, ends="[)")
 FIELDS = {
     "scenario": Spec("text"),
     "feature": Spec("choice", choices=FEATURES),
@@ -59,7 +62,7 @@ FIELDS = {
     "ue_position": Spec("triple", (10.0, 10.0, 3.0)),
     "bs_array": Spec("array", {"type": "single"}),
     "ue_array": Spec("array", {"type": "single"}),
-    "ue_velocity": Spec("triple", (0.0, 0.0, 0.0)),
+    "ue_velocity": _VELOCITY,
     "tx_power_dbm": Spec("number", 0.0),
     "time_samples": Spec("integer", 1, lo=1),
     "time_spacing_s": Spec("number", 1e-3, **_POSITIVE),
@@ -69,7 +72,7 @@ ARRAYS = {"single": {"type": _TYPE},
           "ula": {"type": _TYPE, "n": Spec("integer", lo=1), "spacing": Spec(
               "number", "half_wavelength", choices=("half_wavelength",), **_POSITIVE)}}
 TARGET = {"position": Spec("triple"), "rcs_dbsm": Spec("number", 0.0),
-          "velocity": Spec("triple", (0.0, 0.0, 0.0))}
+          "velocity": _VELOCITY}
 # Every key a feature block may hold: the keys its runner reads (for ris,
 # build_panel reads the panel keys). The TR 38.901 LOS delay scaling turns
 # negative below a K of about -63 dB, which bounds leg_k_db, and k_rain_db
@@ -130,14 +133,18 @@ def _finite(v) -> bool:
 def _fits(spec: Spec, v) -> bool:
     if v is None or isinstance(v, str) and v in spec.choices:
         return v is not None or spec.null
+    if spec.kind == "text":
+        return isinstance(v, str)
     if spec.kind in ("triple", "pair"):
-        return (isinstance(v, (list, tuple)) and all(map(_finite, v))
-                and len(v) == (3 if spec.kind == "triple" else 2))
-    if spec.kind == "number" and _finite(v) or spec.kind == "integer" \
-            and isinstance(v, int) and not isinstance(v, bool):
-        return (spec.lo < v if spec.ends[0] == "(" else spec.lo <= v) \
-            and (v < spec.hi if spec.ends[1] == ")" else v <= spec.hi)
-    return spec.kind == "text" and isinstance(v, str)
+        if not (isinstance(v, (list, tuple)) and all(map(_finite, v))
+                and len(v) == (3 if spec.kind == "triple" else 2)):
+            return False
+        v = math.hypot(*v)          # the bounds of a triple bound its length
+    elif not (_finite(v) if spec.kind == "number" else spec.kind == "integer"
+              and isinstance(v, int) and not isinstance(v, bool)):
+        return False
+    return (spec.lo < v if spec.ends[0] == "(" else spec.lo <= v) \
+        and (v < spec.hi if spec.ends[1] == ")" else v <= spec.hi)
 
 
 def _check(path: str, spec: Spec, v):
@@ -153,8 +160,9 @@ def _check(path: str, spec: Spec, v):
     if not _fits(spec, v):
         need = _NEEDS.get(spec.kind, "")
         if spec.lo > -math.inf:
-            need += (f" in {spec.ends[0]}{spec.lo:g}, {spec.hi:g}{spec.ends[1]}"
-                     if spec.hi < math.inf else f" >{'=' * (spec.ends[0] == '[')} {spec.lo:g}")
+            need += (" of length" if spec.kind == "triple" else "") + (
+                f" in {spec.ends[0]}{spec.lo:g}, {spec.hi:g}{spec.ends[1]}"
+                if spec.hi < math.inf else f" >{'=' * (spec.ends[0] == '[')} {spec.lo:g}")
         words = [*map(repr, spec.choices), need, "null" * spec.null]
         raise ConfigError(f"{path}: must be {' or '.join(filter(None, words))}, got {v!r}")
     return v
@@ -198,6 +206,7 @@ class ScenarioConfig:
     feature_params: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
+    @np.errstate(over="ignore")     # an overflowing separation fails check_apart
     def validate(self) -> "ScenarioConfig":
         """Check every field against the schema, storing it as a drop reads
         it (an integral float of an integer as an int), then the rules that
@@ -218,13 +227,17 @@ class ScenarioConfig:
                 raise ConfigError(f"{name}: {self.feature} drops do not read it, so "
                                   f"it must keep its default {FIELDS[name].default!r}")
         blk = self.feature_block()
+        entries = load_scenarios()["scenarios"].get(self.scenario, {}).get("entries", ())
+        if self.feature != "SAGIN" and any("elevation_deg" in e for e in entries):
+            raise ConfigError(f"scenario: {self.scenario!r} is SAGIN-only "
+                              "(its tables are keyed by elevation)")
         # Frequency must fall in a shipped band for the scenario/state.
         lookup_lsp_table(self.scenario, self.link_state or "LOS",
                          self.center_freq_hz, elevation_deg=blk.get("elevation_deg"))
-        if self.feature != "SAGIN" and not self.bs_position3d().distance_to(
-                self.ue_position3d()):      # 0 also when its square underflows
-            raise ConfigError("ue_position: coincides with bs_position")
         try:
+            if self.feature != "SAGIN":
+                check_apart("ue_position", self.bs_position3d().distance_to(
+                    self.ue_position3d()), "bs_position")
             if self.feature == "RIS":
                 build_panel(blk, self.bs_position, self.ue_position,
                             self.center_freq_hz)

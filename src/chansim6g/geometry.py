@@ -41,6 +41,14 @@ class Position3D:
         return float(np.linalg.norm(self.to_array() - other.to_array()))
 
 
+def check_apart(field: str, distance: float, other: str) -> None:
+    """ConfigurationError naming ``field`` unless its ``distance`` to ``other``
+    is in (0, inf) as a norm computes it, whose square may under- or overflow."""
+    if not 0.0 < distance < math.inf:
+        raise ConfigurationError(
+            f"{field}: {'lies too far from' if distance else 'coincides with'} {other}")
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Antenna array relative to its phase center (the element centroid)."""

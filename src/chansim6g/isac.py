@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import C_LIGHT
-from .geometry import ConfigurationError, Position3D, los_directions, unit_vector
+from .geometry import ConfigurationError, Position3D, check_apart, los_directions, \
+    unit_vector
 from .largescale import LSPSet, LspTableEntry
 from .smallscale import ClusterSet, _reflect_zenith, _wrap_pi, \
     gen_cluster_powers, gen_xpr_phases, ray_offsets, ray_powers
@@ -156,21 +157,21 @@ def cluster_budget(entry: LspTableEntry, los: bool, n_shared: int,
 
 def build_targets(block: dict, tx_pos: Position3D) -> tuple:
     """Targets and sensing receiver (None: monostatic) of a checked, filled
-    ``isac`` config block. A target on the transmitter or the sensing
-    receiver, or a sensing receiver on the transmitter, leaves an echo
-    without a direction: ConfigurationError names the field."""
+    ``isac`` config block. A target on (or too far from) the transmitter or
+    the sensing receiver, or a sensing receiver on (or too far from) the
+    transmitter, raises ConfigurationError naming the field."""
     rx_s = block["rx_s_position"]
     rx_s = None if rx_s is None else Position3D.from_iterable(rx_s)
-    if rx_s is not None and not rx_s.distance_to(tx_pos):
-        raise ConfigurationError("isac.rx_s_position: coincides with bs_position")
+    if rx_s is not None:
+        check_apart("isac.rx_s_position", rx_s.distance_to(tx_pos), "bs_position")
     targets = []
     for i, t in enumerate(block["targets"]):
         target = SensingTarget(position=Position3D.from_iterable(t["position"]),
                                rcs_dbsm=t["rcs_dbsm"], velocity=tuple(t["velocity"]))
         for name, pos in (("bs_position", tx_pos), ("rx_s_position", rx_s)):
-            if pos is not None and not target.position.distance_to(pos):
-                raise ConfigurationError(
-                    f"isac.targets[{i}].position: coincides with {name}")
+            if pos is not None:
+                check_apart(f"isac.targets[{i}].position",
+                            target.position.distance_to(pos), name)
         targets.append(target)
     return targets, rx_s
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import Z0_OHM, wavelength
-from .geometry import ArrayGeometry, ConfigurationError, unit_vector
+from .geometry import ArrayGeometry, ConfigurationError, check_apart, unit_vector
 from .smallscale import ClusterSet
 from .cir import CirTensor, _polarization_matrices, pattern_isotropic
 
@@ -203,9 +203,9 @@ def build_panel(block: dict, bs_position, ue_position, f_hz: float) -> RisPanel:
     """The non-ideal panel of a checked, filled ``ris`` config block, turned
     toward its endpoints: with ``bs_incidence_deg`` the normal lies in the
     plane of the two endpoint directions with the BS at that local zenith,
-    otherwise it bisects the two endpoint vectors. A panel on an endpoint,
-    endpoints collinear with the panel or an endpoint behind the panel
-    raises ConfigurationError naming the field."""
+    otherwise it bisects the two endpoint vectors. A panel on or too far from
+    an endpoint, endpoints collinear with the panel or an endpoint behind
+    the panel raises ConfigurationError naming the field."""
     ris_pos = np.asarray(block["position"], dtype=np.float64)
     pitch = block["element_pitch"]
     if pitch == "half_wavelength":
@@ -213,8 +213,7 @@ def build_panel(block: dict, bs_position, ue_position, f_hz: float) -> RisPanel:
     to_bs = np.asarray(bs_position, dtype=np.float64) - ris_pos
     to_ue = np.asarray(ue_position, dtype=np.float64) - ris_pos
     for name, v in (("bs_position", to_bs), ("ue_position", to_ue)):
-        if not np.linalg.norm(v):
-            raise ConfigurationError(f"ris.position: coincides with {name}")
+        check_apart("ris.position", np.linalg.norm(v), name)
     u_bs = to_bs / np.linalg.norm(to_bs)
     u_ue = to_ue / np.linalg.norm(to_ue)
     if np.linalg.norm(u_ue - (u_ue @ u_bs) * u_bs) < 1e-12:

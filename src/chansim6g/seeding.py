@@ -11,26 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-# Stable integer ids for named streams. Append only: renumbering breaks
-# seed reproducibility across versions.
+# Stable integer ids of the streams a drop draws. An id is never renumbered
+# or reused, even after its stream is gone: either would break seed
+# reproducibility across versions.
 STREAM_IDS = {
     "link_state": 0,
-    "shadow": 1,
     "lsp": 2,
     "delays": 3,
     "powers": 4,
     "angles": 5,
     "xpr": 6,
-    "phases": 7,
-    "sparsity": 8,
     "sns": 9,
     "isac_shared": 10,
     "isac_comm": 11,
     "isac_sense": 12,
-    "ris_leg1": 13,
-    "ris_leg2": 14,
-    "envelope": 15,
-    "misc": 16,
 }
 
 

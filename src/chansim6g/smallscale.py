@@ -430,8 +430,8 @@ def generate_clusters(entry: LspTableEntry, lsps: LSPSet,
     """Steps 5-10 for one drop.
 
     ``streams`` provides named child generators ("delays", "powers",
-    "angles", "xpr", "phases") so each stage's draws are insulated from the
-    others.
+    "angles", and "xpr" for the XPRs and the initial phases) so each stage's
+    draws are insulated from the others.
     """
     los = state.upper() == "LOS"
     n, m = entry.n_clusters, entry.rays_per_cluster

@@ -360,6 +360,26 @@ class TestValidation:
         # a separation whose square underflows made los_directions raise
         ("base", {"bs_position": [0.0, 0.0, 1e-170], "ue_position": [0, 0, 0]}, {},
          "ue_position: coincides with bs_position"),
+        # a separation whose square overflows: "non-finite path loss inf" in
+        # run_drop, or a sensing tap at an infinite delay
+        ("base", {"ue_position": [1e160, 0, 0]}, {},
+         "ue_position: lies too far from bs_position"),
+        ("isac", {}, {"targets": [{"position": [1e300, 0, 1.5]}]},
+         "isac.targets[0].position: lies too far from bs_position"),
+        ("isac", {}, {"rx_s_position": [1e300, 0, 1.5]},
+         "isac.rx_s_position: lies too far from bs_position"),
+        ("ris", {}, {"position": [1e300, 0, 3.0]},
+         "ris.position: lies too far from bs_position"),
+        # a speed at or above the speed of light: "non-finite channel
+        # coefficient" in run_drop
+        ("base", {"ue_velocity": [1e300, 0, 0]}, {}, "ue_velocity: must be"),
+        ("base", {"ue_velocity": [3e8, 0, 0]}, {}, "ue_velocity: must be"),
+        ("isac", {}, {"targets": [{"position": [4.0, 3.0, 1.5],
+                                   "velocity": [1e300, 0, 0]}]},
+         "isac.targets[0].velocity: must be"),
+        # an elevation-keyed scenario on a terrestrial feature named no field
+        ("base", {"scenario": "dense_urban"}, {},
+         "scenario: 'dense_urban' is SAGIN-only"),
     ])
     def test_validate_names_rejected_field(self, preset, top, block, field,
                                            tmp_path, capsys):
