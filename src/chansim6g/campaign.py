@@ -69,7 +69,7 @@ def _ci_loss(d: _Drop, sf_db: float, *legs) -> PathLossSample:
     return PathLossSample(pl_db=pl, shadow_db=sf_db, model="CI")
 
 
-def _run_standard(d: _Drop):
+def _run_standard(d: _Drop) -> tuple[dict, dict]:
     cfg = d.cfg
     lsps = generate_lsps(d.entry, d.streams.get("lsp"))
     clusters = generate_clusters(d.entry, lsps, los_directions(d.bs, d.ue), d.state,
@@ -94,7 +94,7 @@ def _run_standard(d: _Drop):
     }
 
 
-def _run_emimo(d: _Drop):
+def _run_emimo(d: _Drop) -> tuple[dict, dict]:
     cfg, blk = d.cfg, d.cfg.feature_block()
     region = blk["stationary_region"]
     n_freq = blk["freq_samples"]
@@ -133,7 +133,7 @@ def _run_emimo(d: _Drop):
     }
 
 
-def _run_isac(d: _Drop):
+def _run_isac(d: _Drop) -> tuple[dict, dict]:
     cfg, blk = d.cfg, d.cfg.feature_block()
     lsps = generate_lsps(d.entry, d.streams.get("lsp"))
     targets, rx_s = isac.build_targets(blk, d.bs)
@@ -168,7 +168,7 @@ def _run_isac(d: _Drop):
     return {"": cir_c, ".sense": cir_s}, metrics
 
 
-def _run_ris(d: _Drop):
+def _run_ris(d: _Drop) -> tuple[dict, dict]:
     cfg, blk, entry = d.cfg, d.cfg.feature_block(), d.entry
     ris_pos = Position3D.from_iterable(blk["position"])
     f_hz = cfg.center_freq_hz
@@ -230,7 +230,7 @@ def _run_ris(d: _Drop):
     }
 
 
-def _run_sagin(d: _Drop):
+def _run_sagin(d: _Drop) -> tuple[dict, dict]:
     cfg, blk = d.cfg, d.cfg.feature_block()
     cir = sagin.ntn_drop(cfg.scenario, d.state, cfg.center_freq_hz,
                          blk["height_m"], math.radians(blk["elevation_deg"]),

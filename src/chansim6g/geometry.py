@@ -42,8 +42,8 @@ class Position3D:
 
 
 def check_apart(field: str, distance: float, other: str) -> None:
-    """ConfigurationError naming ``field`` unless its ``distance`` to ``other``
-    is in (0, inf) as a norm computes it, whose square may under- or overflow."""
+    """Raise ConfigurationError naming ``field`` unless its ``distance`` to
+    ``other`` is in (0, inf) as a norm computes it (its square may under- or overflow)."""
     if not 0.0 < distance < math.inf:
         raise ConfigurationError(
             f"{field}: {'lies too far from' if distance else 'coincides with'} {other}")
