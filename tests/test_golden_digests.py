@@ -5,11 +5,12 @@
 ``chansim6g analyze --metrics ds,gini,rsrp,xcorr``, for the five presets,
 four BASE configs with a link-state draw (uma: 8x2 ULAs, moving UE; umi, rma
 and inh_office, so every LOS-probability family runs and each draws both
-states) and eight preset variants (``ris-ula``: 4x2 ULAs, moving UE, two
+states) and nine preset variants (``ris-ula``: 4x2 ULAs, moving UE, two
 time samples, uniform codebook; ``isac-bistatic``: a bistatic sensing
 receiver and a self-interference row; ``thz-table``: the sparsity K from the
-scenario table; ``<preset>-nlos``: each preset with ``link_state`` NLOS) at
-seed 42, 3 drops each: 94 digests. The digests were pinned on numpy 2.4.6,
+scenario table; ``isac-moving``: three time samples and a moving UE;
+``<preset>-nlos``: each preset with ``link_state`` NLOS) at seed 42, 3 drops
+each: 102 digests. The digests were pinned on numpy 2.4.6,
 scipy 1.17.1 and OpenBLAS 0.3.31; another toolchain may round differently.
 A deliberate change of output bytes re-baselines them with
 ``python3 scripts/golden_digests.py --write``; ``--keep`` and ``--compare``
@@ -26,6 +27,10 @@ per-module config checks, so they guard the ISAC and THz branches that
 change rewired. The 43 ``base-*/*`` and ``*-nlos/*`` digests were pinned
 from the code before the drop skeleton replaced the per-feature prologues,
 so every feature's NLOS branch and every LOS-probability family guards it.
+The 8 ``isac-moving/*`` digests were pinned from the code before the
+coefficient synthesis lost its antenna-pattern hook, so they guard the
+Doppler of both ISAC sides, the monostatic echo's doubled shift included
+(every other ISAC config has one time sample, where the Doppler phase is 1).
 
 Each check runs in a fresh interpreter, once with ``OPENBLAS_NUM_THREADS=1``
 and once with it unset, so BLAS threading cannot change a byte; and with the
