@@ -66,7 +66,7 @@ def _ci_loss(d: _Drop, sf_db: float, *legs) -> PathLossSample:
     """CI path loss summed over the ``(a, b)`` legs, with shadow fading."""
     alpha = scenario_pathloss(d.cfg.scenario, d.state)["alpha"]
     pl = sum(pl_ci(_leg(a, b), d.cfg.center_freq_hz, alpha) for a, b in legs)
-    return PathLossSample(pl_db=pl, shadow_db=sf_db, model="CI")
+    return PathLossSample(pl_db=pl, shadow_db=sf_db)
 
 
 def _run_standard(d: _Drop) -> tuple[dict, dict]:
@@ -96,7 +96,6 @@ def _run_standard(d: _Drop) -> tuple[dict, dict]:
 
 def _run_emimo(d: _Drop) -> tuple[dict, dict]:
     cfg, blk = d.cfg, d.cfg.feature_block()
-    region = blk["stationary_region"]
     n_freq = blk["freq_samples"]
     fc = cfg.center_freq_hz
     lsps = generate_lsps(d.entry, d.streams.get("lsp"))
@@ -105,8 +104,8 @@ def _run_emimo(d: _Drop) -> tuple[dict, dict]:
     # The receive array sweeps the large aperture; the spherical manifold and
     # the visibility mask act along its elements.
     paths = emimo.paths_from_clusters(clusters, d.bs.distance_to(d.ue))
-    mask = emimo.gen_sns_mask(d.tx.element_count, len(paths), region,
-                              d.streams.get("sns"))
+    mask = emimo.gen_sns_mask(d.tx.element_count, len(paths),
+                              blk["stationary_region"], d.streams.get("sns"))
     manifold = emimo.spherical_manifold(paths, d.tx, fc)
     alpha = np.array([p.alpha for p in paths])
     tap_gain = mask.s * manifold * alpha[None, :]
@@ -115,8 +114,7 @@ def _run_emimo(d: _Drop) -> tuple[dict, dict]:
     delays = delays - delays.min()
     order = np.argsort(delays, kind="stable")
     cir = CirTensor(coefficients=np.ascontiguousarray(coeffs[..., order]),
-                    tap_delays_s=delays[order], sample_times_s=d.times,
-                    meta={"f_hz": fc, "state": d.state, "sns_region": region})
+                    tap_delays_s=delays[order], sample_times_s=d.times)
     cir = apply_large_scale(cir, _ci_loss(d, lsps.sf_db, (d.bs, d.ue)))
     freqs = fc + np.linspace(-cfg.bandwidth_hz / 2, cfg.bandwidth_hz / 2, n_freq)
     rows = sorted({0, d.tx.element_count - 1})    # the two elements xcorr_last reads
@@ -156,8 +154,7 @@ def _run_isac(d: _Drop) -> tuple[dict, dict]:
         t0 = targets[int(np.argmin(pair.target_echo_delays_s))]
         echo_pl = pl_radar_echo(_leg(d.bs, t0.position), _leg(t0.position, rx_s or d.bs),
                                 cfg.center_freq_hz, t0.rcs_dbsm)
-        cir_s = apply_large_scale(cir_s, PathLossSample(
-            pl_db=echo_pl, shadow_db=0.0, model="RADAR_ECHO"))
+        cir_s = apply_large_scale(cir_s, PathLossSample(pl_db=echo_pl, shadow_db=0.0))
         p_targets = pair.sense.powers[pair.target_sense_idx]
         env_mask = np.ones(pair.sense.n_clusters, dtype=bool)
         env_mask[pair.target_sense_idx] = False

@@ -1,6 +1,11 @@
-"""Channel-coefficient assembly (steps 10-12): dual-polarized ray summation
-over antenna pairs, taps and time, large-scale scaling, and the bit-exact
-tensor file format.
+"""Channel-coefficient assembly (steps 10-12): ray summation over antenna
+pairs, taps and time, large-scale scaling, and the bit-exact tensor file
+format.
+
+Every array element is isotropic and theta-polarized; no antenna-pattern
+option exists. A ray's 2x2 phase/XPR matrix therefore reaches a tensor only
+through its theta-theta entry, except in the RIS cascade, where the panel's
+H input also carries the cross entries (XPR and the two cross phases).
 """
 
 from __future__ import annotations
@@ -30,17 +35,6 @@ def _einsum(subscripts: str, *operands):
 def _einsum_path(subscripts: str, *shapes) -> tuple:
     stand_ins = [np.broadcast_to(0.0, shape) for shape in shapes]
     return tuple(np.einsum_path(subscripts, *stand_ins, optimize=True)[0])
-
-
-# ---------------------------------------------------------------------------
-# Antenna field patterns
-# ---------------------------------------------------------------------------
-
-def pattern_isotropic(zenith, azimuth):
-    """Unit theta-polarized isotropic element."""
-    z = np.broadcast_arrays(np.asarray(zenith, dtype=np.float64),
-                            np.asarray(azimuth, dtype=np.float64))[0]
-    return np.ones_like(z), np.zeros_like(z)
 
 
 # ---------------------------------------------------------------------------
@@ -87,63 +81,43 @@ def _polarization_matrices(clusters: ClusterSet) -> np.ndarray:
     mat[..., 0, 1] = inv_sqrt_kappa * np.exp(1j * ph[..., 1])
     mat[..., 1, 0] = inv_sqrt_kappa * np.exp(1j * ph[..., 2])
     mat[..., 1, 1] = np.exp(1j * ph[..., 3])
-    if clusters.specular:
+    if clusters.state == "LOS":
         mat[0, 0] = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
     return mat
 
 
-def synthesize_cir(clusters: ClusterSet, tx: ArrayGeometry, rx: ArrayGeometry,
-                   f_hz: float, times=None, tx_pattern=pattern_isotropic,
-                   rx_pattern=pattern_isotropic) -> CirTensor:
-    """Dual-polarized coefficient tensor for one drop, one tap per cluster.
+def _array_phases(array: ArrayGeometry, zen, az, lam: float) -> np.ndarray:
+    """Element phase factors exp(j 2 pi r.p / lam) of the rays arriving or
+    leaving along (zen, az), shape ``zen.shape + (elements,)``."""
+    return np.exp(2j * np.pi / lam * np.tensordot(
+        unit_vector(zen, az), array.element_positions.T, axes=1))
 
-    Per ray: [Rx pattern row] . [2x2 phase/XPR matrix] . [Tx pattern column]
-    scaled by the ray power root, times array phase factors and the Doppler
-    factor.
+
+def synthesize_cir(clusters: ClusterSet, tx: ArrayGeometry, rx: ArrayGeometry,
+                   f_hz: float, times=None) -> CirTensor:
+    """Coefficient tensor for one drop, one tap per cluster.
+
+    Both ends have isotropic theta-polarized elements, so per ray the
+    theta-theta entry of its phase/XPR matrix, scaled by the ray power root,
+    times the array phase factors and the Doppler factor.
     """
     lam = wavelength(f_hz)
     t = np.zeros(1) if times is None else np.asarray(times, dtype=np.float64)
-
-    n, m = clusters.ray_powers.shape
-    r_rx = unit_vector(clusters.zoa, clusters.aoa)        # (n, m, 3)
-    r_tx = unit_vector(clusters.zod, clusters.aod)
-
-    try:
-        frx_t, frx_p = rx_pattern(clusters.zoa, clusters.aoa)
-        ftx_t, ftx_p = tx_pattern(clusters.zod, clusters.aod)
-    except Exception as exc:
-        raise ValueError(
-            f"antenna pattern evaluation failed for ray angles "
-            f"zoa={clusters.zoa!r}, aoa={clusters.aoa!r}: {exc}") from exc
-    frx_t = np.broadcast_to(frx_t, (n, m))
-    frx_p = np.broadcast_to(frx_p, (n, m))
-    ftx_t = np.broadcast_to(ftx_t, (n, m))
-    ftx_p = np.broadcast_to(ftx_p, (n, m))
-
-    pol = _polarization_matrices(clusters)
-    # Scalar pattern chain per ray: F_rx^T . M . F_tx
-    chain = (frx_t * (pol[..., 0, 0] * ftx_t + pol[..., 0, 1] * ftx_p)
-             + frx_p * (pol[..., 1, 0] * ftx_t + pol[..., 1, 1] * ftx_p))
-    amp = np.sqrt(clusters.ray_powers) * chain                       # (n, m)
-
-    phase_rx = np.exp(2j * np.pi / lam *
-                      np.tensordot(r_rx, rx.element_positions.T, axes=1))  # (n, m, u)
-    phase_tx = np.exp(2j * np.pi / lam *
-                      np.tensordot(r_tx, tx.element_positions.T, axes=1))  # (n, m, s)
-    dop = np.exp(2j * np.pi * clusters.doppler_hz[..., None] * t)          # (n, m, t)
+    amp = np.sqrt(clusters.ray_powers) * _polarization_matrices(clusters)[..., 0, 0]
+    phase_rx = _array_phases(rx, clusters.zoa, clusters.aoa, lam)       # (n, m, u)
+    phase_tx = _array_phases(tx, clusters.zod, clusters.aod, lam)       # (n, m, s)
+    dop = np.exp(2j * np.pi * clusters.doppler_hz[..., None] * t)       # (n, m, t)
 
     coeffs = _einsum("nm,nmu,nms,nmt->tusn", amp, phase_rx, phase_tx, dop)
     return CirTensor(coefficients=coeffs, tap_delays_s=clusters.delays_s.copy(),
-                     sample_times_s=t,
-                     meta={"f_hz": f_hz, "state": clusters.state})
+                     sample_times_s=t)
 
 
 def apply_large_scale(cir: CirTensor, pl: PathLossSample) -> CirTensor:
     """Scale every coefficient by the total loss amplitude factor."""
     scale = 10.0 ** (-pl.total_db / 20.0)
-    meta = dict(cir.meta)
-    meta.update({"pl_db": pl.pl_db, "shadow_db": pl.shadow_db, "pl_model": pl.model})
-    return replace(cir, coefficients=cir.coefficients * scale, meta=meta)
+    return replace(cir, coefficients=cir.coefficients * scale,
+                   meta={**cir.meta, "pl_db": pl.pl_db})
 
 
 # ---------------------------------------------------------------------------

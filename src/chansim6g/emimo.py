@@ -72,20 +72,25 @@ def paths_from_clusters(clusters: ClusterSet, link_distance_m: float) -> list:
     return paths
 
 
+def _ranges(paths, elements):
+    """Ranges |d_k| (k,) of the paths' scattering sources from the reference
+    point and |d_k - e_m| (elements, k) from each element."""
+    pos = elements.element_positions if isinstance(elements, ArrayGeometry) \
+        else np.asarray(elements, dtype=np.float64)
+    src = np.stack([p.source for p in paths])               # (k, 3)
+    d_elem = np.linalg.norm(src[None, :, :] - pos[:, None, :], axis=-1)
+    if np.any(d_elem <= 0):
+        raise ValueError("an array element coincides with a scattering source")
+    return np.linalg.norm(src, axis=1), d_elem
+
+
 def spherical_manifold(paths, elements, f_hz: float) -> np.ndarray:
     """Exact spherical-wave manifold A(f), shape (elements, paths).
 
     a_{m,k} = (|d_k| / |d_k - e_m|) * exp(-j 2 pi f (|d_k - e_m| - |d_k|)/c).
     The reference element (zero offset) maps to exactly 1 for every path.
     """
-    pos = elements.element_positions if isinstance(elements, ArrayGeometry) \
-        else np.asarray(elements, dtype=np.float64)
-    src = np.stack([p.source for p in paths])               # (k, 3)
-    d_ref = np.linalg.norm(src, axis=1)                     # (k,)
-    diff = src[None, :, :] - pos[:, None, :]                # (m, k, 3)
-    d_elem = np.linalg.norm(diff, axis=-1)
-    if np.any(d_elem <= 0):
-        raise ValueError("an array element coincides with a scattering source")
+    d_ref, d_elem = _ranges(paths, elements)
     return (d_ref[None, :] / d_elem) * np.exp(
         -2j * np.pi * f_hz * (d_elem - d_ref[None, :]) / C_LIGHT)
 
@@ -146,13 +151,7 @@ def sns_cfr_band(paths, elements, mask: SnsMask, freqs_hz) -> np.ndarray:
     per-element excess distances once.
     """
     freqs = np.atleast_1d(np.asarray(freqs_hz, dtype=np.float64))
-    pos = elements.element_positions if isinstance(elements, ArrayGeometry) \
-        else np.asarray(elements, dtype=np.float64)
-    src = np.stack([p.source for p in paths])               # (k, 3)
-    d_ref = np.linalg.norm(src, axis=1)
-    d_elem = np.linalg.norm(src[None, :, :] - pos[:, None, :], axis=-1)
-    if np.any(d_elem <= 0):
-        raise ValueError("an array element coincides with a scattering source")
+    d_ref, d_elem = _ranges(paths, elements)
     alpha = np.array([p.alpha for p in paths])
     tau = np.array([p.tau_s for p in paths])
     # Total per-element path delay: tau_k plus the spherical excess.

@@ -18,7 +18,7 @@ from .constants import C_LIGHT
 from .geometry import ConfigurationError, Position3D, check_apart, los_directions, \
     unit_vector
 from .largescale import LSPSet, LspTableEntry
-from .smallscale import ClusterSet, _reflect_zenith, _wrap_pi, \
+from .smallscale import ClusterSet, _reflect_zenith, _wrap_pi, doppler_per_ray, \
     gen_cluster_powers, gen_xpr_phases, ray_offsets, ray_powers
 
 
@@ -57,9 +57,9 @@ class _Cluster:
     velocity: tuple | None = None  # None: static scatterer
 
 
-def _assemble_side(rows, entry, lsps, rng, f_hz, state, specular,
-                   doppler_scale=1.0):
-    """Sort rows by absolute delay and build a ClusterSet plus index maps."""
+def _assemble_side(rows, entry, lsps, rng, f_hz, specular, doppler_scale=1.0):
+    """Sort rows by absolute delay and build a ClusterSet (LOS when
+    ``specular``) plus index maps."""
     rows = sorted(rows, key=lambda r: r.abs_delay_s)
     offset = rows[0].abs_delay_s
     n = len(rows)
@@ -95,15 +95,13 @@ def _assemble_side(rows, entry, lsps, rng, f_hz, state, specular,
     arrival = unit_vector(zen_a, az_a)
     doppler = np.zeros((n, m))
     for i, r in enumerate(rows):
-        if r.velocity is None:
-            continue
-        v = np.asarray(r.velocity, dtype=np.float64)
-        doppler[i] = doppler_scale * (arrival[i] @ v) * f_hz / C_LIGHT
+        if r.velocity is not None:
+            doppler[i] = doppler_scale * doppler_per_ray(r.velocity, arrival[i], f_hz)
 
     cs = ClusterSet(delays_s=excess, powers=powers, ray_powers=rp,
                     zoa=zen_a, aoa=az_a, zod=zen_d, aod=az_d,
                     kappa=kappa, phases=phases, doppler_hz=doppler,
-                    state=state, specular=specular)
+                    state="LOS" if specular else "NLOS")
     shared_idx = np.array([i for i, r in enumerate(rows) if r.shared_id >= 0], dtype=int)
     shared_ids = np.array([rows[i].shared_id for i in shared_idx], dtype=int)
     target_idx = np.array([i for i, r in enumerate(rows) if r.target_id >= 0], dtype=int)
@@ -227,7 +225,7 @@ def gen_isac_drop(entry: LspTableEntry, lsps: LSPSet, tx_pos: Position3D,
                                aoa=dirs_c.aoa, zoa=dirs_c.zoa, zod=dirs_c.zod,
                                velocity=ue_v))
     comm, shared_c_idx, shared_c_ids, _, _ = _assemble_side(
-        rows_c, entry, lsps, rng_c, f_hz, "LOS" if los else "NLOS", los)
+        rows_c, entry, lsps, rng_c, f_hz, los)
 
     # --- sensing side ----------------------------------------------------
     dirs_t = [los_directions(tx_pos, t.position) for t in targets]
@@ -260,7 +258,7 @@ def gen_isac_drop(entry: LspTableEntry, lsps: LSPSet, tx_pos: Position3D,
             aod=dirs_c.aod, aoa=base_aoa_s, zoa=base_zoa_s, zod=dirs_c.zod,
             power_weight=10.0 ** (-self_interference_db / 10.0)))
     sense, shared_s_idx, shared_s_ids, target_idx, off_s = _assemble_side(
-        rows_s, entry, lsps, rng_s, f_hz, "NLOS", False,
+        rows_s, entry, lsps, rng_s, f_hz, False,
         doppler_scale=2.0 if mono_static else 1.0)
 
     # Shared departure rays bitwise identical across the two channels: copy

@@ -34,7 +34,6 @@ class AbgParams:
 class PathLossSample:
     pl_db: float
     shadow_db: float
-    model: str  # CI | ABG | FSPL_SAGIN | RADAR_ECHO
 
     def __post_init__(self):
         if not math.isfinite(self.pl_db):

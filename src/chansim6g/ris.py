@@ -30,7 +30,7 @@ import numpy as np
 from .constants import Z0_OHM, wavelength
 from .geometry import ArrayGeometry, ConfigurationError, check_apart, unit_vector
 from .smallscale import ClusterSet
-from .cir import CirTensor, _polarization_matrices, pattern_isotropic
+from .cir import CirTensor, _array_phases, _polarization_matrices
 
 # Directions within a degree of grazing (or behind the panel) are treated
 # as outside the panel's field of view; finite-thickness edges make the
@@ -548,8 +548,13 @@ def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels,
     departure angles the outgoing direction, both rotated into the panel
     frame. Several panels sharing geometry (e.g. ideal vs non-ideal
     modulation) are evaluated against the same legs in one pass; one tensor
-    per panel is returned. Antennas are isotropic, and the codebook must be
-    separable (uniform or steering).
+    per panel is returned. The codebook must be separable (uniform or
+    steering).
+
+    Both arrays have isotropic theta-polarized elements, so the panel sees
+    the first column of each leg-1 ray's phase/XPR matrix (theta at the Tx)
+    and the first row of each leg-2 ray's (theta at the Rx); the cross
+    entries reach the taps through the panel's H input.
     """
     lam = wavelength(f_hz)
     t = np.zeros(1) if times is None else np.asarray(times, dtype=np.float64)
@@ -559,19 +564,13 @@ def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels,
     mat1 = _polarization_matrices(leg1).reshape(n1 * m1, 2, 2)
     mat2 = _polarization_matrices(leg2).reshape(n2 * m2, 2, 2)
 
-    ftx_t, ftx_p = pattern_isotropic(leg1.zod, leg1.aod)
-    ftx = np.stack(np.broadcast_arrays(ftx_t, ftx_p), axis=-1).reshape(n1 * m1, 2)
-    frx_t, frx_p = pattern_isotropic(leg2.zoa, leg2.aoa)
-    frx = np.stack(np.broadcast_arrays(frx_t, frx_p), axis=-1).reshape(n2 * m2, 2)
-    a_vec = np.einsum("ipq,iq->ip", mat1, ftx)        # (n1*m1, 2)
-    b_vec = np.einsum("jq,jqp->jp", frx, mat2)        # (n2*m2, 2)
+    a_vec = mat1[:, :, 0]                             # (n1*m1, 2)
+    b_vec = mat2[:, 0, :]                             # (n2*m2, 2)
 
     # Tx array phases [a, s, b] of leg-1 ray b of cluster a; Rx array phase
     # times Doppler [c, d, (t, u)] of leg-2 ray d of cluster c.
-    r_tx = unit_vector(leg1.zod, leg1.aod).reshape(n1 * m1, 3)
-    r_rx = unit_vector(leg2.zoa, leg2.aoa).reshape(n2 * m2, 3)
-    ph_tx = np.exp(2j * math.pi / lam * (r_tx @ tx.element_positions.T))
-    ph_rx = np.exp(2j * math.pi / lam * (r_rx @ rx.element_positions.T))
+    ph_tx = _array_phases(tx, leg1.zod.ravel(), leg1.aod.ravel(), lam)
+    ph_rx = _array_phases(rx, leg2.zoa.ravel(), leg2.aoa.ravel(), lam)
     dop = np.exp(2j * math.pi * np.outer(leg2.doppler_hz.ravel(), t))
     ns, nu, nt = ph_tx.shape[1], ph_rx.shape[1], t.size
     row_w = ph_tx.reshape(n1, m1, ns).transpose(0, 2, 1)
@@ -590,11 +589,9 @@ def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels,
     order = np.argsort(delays, kind="stable")
 
     out = []
-    for panel, tap in zip(panels, taps):
+    for tap in taps:
         tap = tap.reshape(n1, ns, n2, nt, nu).transpose(3, 4, 1, 0, 2)
         tap = tap.reshape(nt, nu, ns, n1 * n2)
         out.append(CirTensor(coefficients=np.ascontiguousarray(tap[..., order]),
-                             tap_delays_s=delays[order], sample_times_s=t,
-                             meta={"f_hz": f_hz, "cascade": True,
-                                   "ideal_panel": panel.ideal}))
+                             tap_delays_s=delays[order], sample_times_s=t))
     return out

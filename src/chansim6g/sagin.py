@@ -83,11 +83,6 @@ def ntn_drop(scenario: str, state: str, f_hz: float, sat_height_m: float,
                                  streams=streams)
     cir = synthesize_cir(clusters, tx=single_element(), rx=single_element(),
                          f_hz=f_hz, times=times)
-    cir = apply_large_scale(cir, PathLossSample(pl_db=pl_db, shadow_db=shadow,
-                                                model="FSPL_SAGIN"))
-    cir.meta.update({"scenario": scenario, "state": state,
-                     "slant_range_m": geom.slant_range,
-                     "elevation_deg": math.degrees(elevation_rad),
-                     "sat_height_m": sat_height_m,
-                     "k_total_db": k_total})
+    cir = apply_large_scale(cir, PathLossSample(pl_db=pl_db, shadow_db=shadow))
+    cir.meta.update(slant_range_m=geom.slant_range, k_total_db=k_total)
     return cir

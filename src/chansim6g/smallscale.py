@@ -12,7 +12,7 @@ deliberately omitted so cluster counts match the tables exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -397,10 +397,11 @@ class ClusterSet:
     kappa: np.ndarray         # (n, m) linear XPR
     phases: np.ndarray        # (n, m, 4) radians, order (tt, tp, pt, pp)
     doppler_hz: np.ndarray    # (n, m)
-    state: str                # "LOS" | "NLOS"
-    specular: bool            # ray (0, 0) is the deterministic LOS ray
+    state: str                # "LOS" | "NLOS"; in LOS ray (0, 0) is the specular ray
 
     def __post_init__(self):
+        if self.state not in ("LOS", "NLOS"):
+            raise ValueError(f"state must be 'LOS' or 'NLOS', got {self.state!r}")
         p = self.powers
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise ValueError(f"cluster powers must sum to 1, got {p.sum()!r}")
@@ -419,9 +420,6 @@ class ClusterSet:
     @property
     def rays_per_cluster(self) -> int:
         return self.ray_powers.shape[1]
-
-    def with_ray_powers(self, ray_powers: np.ndarray) -> "ClusterSet":
-        return replace(self, ray_powers=ray_powers)
 
 
 def generate_clusters(entry: LspTableEntry, lsps: LSPSet,
@@ -455,5 +453,4 @@ def generate_clusters(entry: LspTableEntry, lsps: LSPSet,
     return ClusterSet(delays_s=delays, powers=powers, ray_powers=rp,
                       zoa=angles.zoa, aoa=angles.aoa, zod=angles.zod,
                       aod=angles.aod, kappa=kappa, phases=phases,
-                      doppler_hz=doppler, state="LOS" if los else "NLOS",
-                      specular=los)
+                      doppler_hz=doppler, state="LOS" if los else "NLOS")

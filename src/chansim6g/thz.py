@@ -11,7 +11,7 @@ import cmath
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -206,4 +206,4 @@ def apply_sparsity(clusters: ClusterSet, intra_k_db: float) -> ClusterSet:
     rp = np.empty_like(clusters.ray_powers)
     rp[:, 0] = share1 * cluster_totals
     rp[:, 1:] = ((1.0 - share1) * cluster_totals / (m - 1))[:, None]
-    return clusters.with_ray_powers(rp)
+    return replace(clusters, ray_powers=rp)

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from chansim6g import cir
 from chansim6g.campaign import run_drop
-from chansim6g.cir import (CirTensor, _einsum, apply_large_scale,
-                           pattern_isotropic, read_cir, synthesize_cir,
-                           write_cir)
+from chansim6g.cir import (CirTensor, _einsum, apply_large_scale, read_cir,
+                           synthesize_cir, write_cir)
 from chansim6g.constants import wavelength
 from chansim6g.geometry import build_ula, single_element
 from chansim6g.pathloss import PathLossSample
@@ -20,7 +19,7 @@ from chansim6g.smallscale import ClusterSet
 
 def make_clusters(delays, powers, aoa, zoa=None, aod=None, zod=None, m=1,
                   kappa=1e12, phases=None, doppler=0.0, state="NLOS",
-                  specular=False, ray_powers=None, rng=None):
+                  ray_powers=None, rng=None):
     n = len(delays)
     delays = np.asarray(delays, dtype=np.float64)
     powers = np.asarray(powers, dtype=np.float64)
@@ -44,13 +43,7 @@ def make_clusters(delays, powers, aoa, zoa=None, aod=None, zod=None, m=1,
                       zoa=zoa, aoa=aoa, zod=zod, aod=aod,
                       kappa=np.full((n, m), kappa),
                       phases=phases, doppler_hz=np.full((n, m), doppler),
-                      state=state, specular=specular)
-
-
-def pattern_phi_only(zenith, azimuth):
-    z = np.broadcast_arrays(np.asarray(zenith, dtype=np.float64),
-                            np.asarray(azimuth, dtype=np.float64))[0]
-    return np.zeros_like(z), np.ones_like(z)
+                      state=state)
 
 
 class TestSynthesis:
@@ -123,24 +116,10 @@ class TestSynthesis:
         h_rev = synthesize_cir(rev, rx, tx, f).coefficients[0]
         assert np.allclose(h_rev, np.transpose(h_fwd, (1, 0, 2)), atol=1e-12)
 
-    def test_cross_polar_ratio(self):
-        kappa = 10.0 ** 0.8
-        rng = np.random.default_rng(3)
-        co, cross = [], []
-        for _ in range(200):
-            cs = make_clusters([0.0], [1.0], aoa=[0.3], m=20, kappa=kappa, rng=rng)
-            h_co = synthesize_cir(cs, single_element(), single_element(), 28e9)
-            h_x = synthesize_cir(cs, single_element(), single_element(), 28e9,
-                                 rx_pattern=pattern_phi_only)
-            co.append(np.abs(h_co.coefficients[0, 0, 0, 0]) ** 2)
-            cross.append(np.abs(h_x.coefficients[0, 0, 0, 0]) ** 2)
-        ratio = np.mean(cross) / np.mean(co)
-        assert ratio == pytest.approx(1.0 / kappa, rel=0.05)
-
     def test_specular_polarization_deterministic(self):
-        # LOS specular ray carries the co-polar diag(1, -1) matrix: with a
-        # theta-only pattern its coefficient has zero phase at the origin.
-        cs = make_clusters([0.0], [1.0], aoa=[0.25], state="LOS", specular=True,
+        # LOS specular ray carries the co-polar diag(1, -1) matrix: with
+        # theta-polarized elements its coefficient has zero phase at the origin.
+        cs = make_clusters([0.0], [1.0], aoa=[0.25], state="LOS",
                            phases=np.random.default_rng(4).uniform(
                                -np.pi, np.pi, (1, 1, 4)))
         h = synthesize_cir(cs, single_element(), single_element(), 28e9)
@@ -153,13 +132,13 @@ class TestLargeScale:
     def test_identity(self):
         cs = make_clusters([0.0], [1.0], aoa=[0.0])
         cir = synthesize_cir(cs, single_element(), single_element(), 28e9)
-        out = apply_large_scale(cir, PathLossSample(0.0, 0.0, "CI"))
+        out = apply_large_scale(cir, PathLossSample(0.0, 0.0))
         assert np.array_equal(out.coefficients, cir.coefficients)
 
     def test_20db_is_factor_10(self):
         cs = make_clusters([0.0], [1.0], aoa=[0.0])
         cir = synthesize_cir(cs, single_element(), single_element(), 28e9)
-        out = apply_large_scale(cir, PathLossSample(20.0, 0.0, "CI"))
+        out = apply_large_scale(cir, PathLossSample(20.0, 0.0))
         assert np.allclose(np.abs(out.coefficients),
                            0.1 * np.abs(cir.coefficients), rtol=1e-12)
 
@@ -168,16 +147,10 @@ class TestLargeScale:
         cs = make_clusters([0.0, 10e-9], [0.6, 0.4], aoa=[0.1, 0.9], m=20, rng=rng)
         cir = synthesize_cir(cs, single_element(), single_element(), 28e9)
         pl, sf = 87.0, -4.5
-        out = apply_large_scale(cir, PathLossSample(pl, sf, "CI"))
+        out = apply_large_scale(cir, PathLossSample(pl, sf))
         before = np.log10(np.sum(np.abs(cir.coefficients) ** 2))
         after = np.log10(np.sum(np.abs(out.coefficients) ** 2))
         assert after - before == pytest.approx(-(pl + sf) / 10.0, abs=1e-9)
-
-
-class TestPatterns:
-    def test_isotropic(self):
-        ft, fp = pattern_isotropic(np.array([0.5]), np.array([1.0]))
-        assert ft[0] == 1.0 and fp[0] == 0.0
 
 
 class TestFileFormat:

@@ -183,7 +183,7 @@ class TestPathReconstruction:
         powers = np.array([0.6, 0.3, 0.1])
         return make_clusters(delays, powers, aoa=rng.uniform(-2, 2, 3),
                              zoa=rng.uniform(1.0, 2.0, 3), m=4, rng=rng,
-                             state="LOS", specular=True)
+                             state="LOS")
 
     def test_direct_path_at_link_distance(self):
         cs = self._clusters()

@@ -118,7 +118,7 @@ class TestRadarEcho:
 
 class TestShadow:
     def test_total(self):
-        s = PathLossSample(pl_db=100.0, shadow_db=-3.0, model="CI")
+        s = PathLossSample(pl_db=100.0, shadow_db=-3.0)
         assert s.total_db == 97.0
 
 

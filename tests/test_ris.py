@@ -307,7 +307,9 @@ class TestCascade:
                                     single_element(), F)[0]
         assert np.abs(solo_ni.coefficients).max() > 0
         assert np.array_equal(pair[0].coefficients, solo_ni.coefficients)
-        assert pair[1].meta["ideal_panel"]
+        solo_id = cascade_cir_multi(leg1, leg2, [ideal], cb, single_element(),
+                                    single_element(), F)[0]
+        assert np.array_equal(pair[1].coefficients, solo_id.coefficients)
 
         # Two non-ideal panels with different impedances, each against the
         # broadcast panel pattern.
@@ -536,5 +538,5 @@ class TestPairedComparison:
                                 single_element(), single_element(), F)[0]
         pl1 = pl_ci(18.0, F, 2.0)
         pl2 = pl_ci(25.0, F, 2.0)
-        out = apply_large_scale(cir, PathLossSample(pl1 + pl2, 0.0, "CI"))
+        out = apply_large_scale(cir, PathLossSample(pl1 + pl2, 0.0))
         assert rsrp(cir) - rsrp(out) == pytest.approx(pl1 + pl2, abs=1e-9)
