@@ -228,9 +228,11 @@ class ScenarioConfig:
                                   f"it must keep its default {FIELDS[name].default!r}")
         blk = self.feature_block()
         entries = load_scenarios()["scenarios"].get(self.scenario, {}).get("entries", ())
-        if self.feature != "SAGIN" and any("elevation_deg" in e for e in entries):
-            raise ConfigError(f"scenario: {self.scenario!r} is SAGIN-only "
-                              "(its tables are keyed by elevation)")
+        keyed = any("elevation_deg" in e for e in entries)
+        if entries and keyed != (self.feature == "SAGIN"):
+            rule = "is SAGIN-only (its tables are keyed by elevation)" if keyed else \
+                "is not elevation-keyed; SAGIN needs an elevation-keyed scenario"
+            raise ConfigError(f"scenario: {self.scenario!r} {rule}")
         # Frequency must fall in a shipped band for the scenario/state.
         lookup_lsp_table(self.scenario, self.link_state or "LOS",
                          self.center_freq_hz, elevation_deg=blk.get("elevation_deg"))

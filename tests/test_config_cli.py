@@ -380,6 +380,10 @@ class TestValidation:
         # an elevation-keyed scenario on a terrestrial feature named no field
         ("base", {"scenario": "dense_urban"}, {},
          "scenario: 'dense_urban' is SAGIN-only"),
+        # a terrestrial scenario under SAGIN ran its terrestrial table and
+        # ignored sagin.elevation_deg
+        ("sagin", {"scenario": "umi"}, {},
+         "scenario: 'umi' is not elevation-keyed; SAGIN needs an elevation-keyed"),
     ])
     def test_validate_names_rejected_field(self, preset, top, block, field,
                                            tmp_path, capsys):
