@@ -40,16 +40,10 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def _scenarios_path(path) -> str:
-    """``path`` as a string; None means scenarios.json under data_dir()."""
-    if path is None:
-        return _default_scenarios(os.environ.get(DATA_ENV_VAR))
-    return str(path)
-
-
 @functools.lru_cache(maxsize=4)
 def _default_scenarios(override: str | None) -> str:
-    # Keyed on the override, so a changed data directory is still followed.
+    """scenarios.json under data_dir(), keyed on the override so a changed
+    data directory is still followed."""
     return str(data_dir() / "scenarios.json")
 
 
@@ -156,20 +150,20 @@ def _load_raw(path_str: str) -> dict:
     return raw
 
 
-def load_scenarios(path=None) -> dict:
-    return _load_raw(_scenarios_path(path))
+def load_scenarios() -> dict:
+    return _load_raw(_default_scenarios(os.environ.get(DATA_ENV_VAR)))
 
 
-def scenario_los_curve(scenario: str, path=None) -> dict:
-    scen = _scenario(scenario, path)
+def scenario_los_curve(scenario: str) -> dict:
+    scen = _scenario(scenario)
     curve = scen.get("los_probability")
     if curve is None:
         raise ConfigurationError(f"scenario {scenario!r} has no LOS probability curve")
     return curve
 
 
-def scenario_pathloss(scenario: str, state: str, path=None) -> dict:
-    scen = _scenario(scenario, path)
+def scenario_pathloss(scenario: str, state: str) -> dict:
+    scen = _scenario(scenario)
     pl = scen.get("pathloss", {})
     key = state.lower()
     if key not in pl:
@@ -177,9 +171,8 @@ def scenario_pathloss(scenario: str, state: str, path=None) -> dict:
     return {"model": pl.get("model", "CI"), **pl[key]}
 
 
-def _scenario(scenario: str, path=None) -> dict:
-    raw = load_scenarios(path)
-    scenarios = raw["scenarios"]
+def _scenario(scenario: str) -> dict:
+    scenarios = load_scenarios()["scenarios"]
     if scenario not in scenarios:
         raise ConfigurationError(
             f"unknown scenario {scenario!r}; available: {sorted(scenarios)}")
@@ -187,7 +180,7 @@ def _scenario(scenario: str, path=None) -> dict:
 
 
 def lookup_lsp_table(scenario: str, state: str, f_hz: float,
-                     elevation_deg: float | None = None, path=None) -> LspTableEntry:
+                     elevation_deg: float | None = None) -> LspTableEntry:
     """Table entry for (scenario, link state, frequency[, elevation bucket]).
 
     Frequency-dependent fields stored as lg(f) polynomials are evaluated at
@@ -196,13 +189,14 @@ def lookup_lsp_table(scenario: str, state: str, f_hz: float,
     per argument set and shared; their correlation matrix is read-only.
     """
     return _lookup_lsp_table(scenario, state, f_hz, elevation_deg,
-                             _scenarios_path(path))
+                             _default_scenarios(os.environ.get(DATA_ENV_VAR)))
 
 
 @functools.lru_cache(maxsize=64)
 def _lookup_lsp_table(scenario: str, state: str, f_hz: float,
-                      elevation_deg: float | None, path: str) -> LspTableEntry:
-    scen = _scenario(scenario, path)
+                      elevation_deg: float | None, asset: str) -> LspTableEntry:
+    # ``asset``, the scenarios file _scenario reads, only keys the cache.
+    scen = _scenario(scenario)
     f_ghz = f_hz / 1e9
     state_l = state.lower()
     if state_l not in ("los", "nlos"):

@@ -135,30 +135,30 @@ class TestGenerate:
 
 
 class TestAssetValidation:
-    def _asset_with_corr(self, tmp_path, corr):
+    def _use_asset_with_corr(self, tmp_path, monkeypatch, corr):
+        """Point the data directory at a one-entry asset with ``corr``."""
         raw = load_scenarios()
         bad = json.loads(json.dumps({"version": 1, "scenarios": {
             "umi": {"entries": [dict(raw["scenarios"]["umi"]["entries"][0])]}}}))
         bad["scenarios"]["umi"]["entries"][0]["corr"] = corr
-        p = tmp_path / "scenarios.json"
-        p.write_text(json.dumps(bad))
-        return p
+        (tmp_path / "scenarios.json").write_text(json.dumps(bad))
+        monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path))
 
-    def test_non_psd_rejected_at_load(self, tmp_path):
+    def test_non_psd_rejected_at_load(self, tmp_path, monkeypatch):
         corr = np.eye(7)
         corr[0, 1] = corr[1, 0] = 0.9
         corr[1, 2] = corr[2, 1] = 0.9
         corr[0, 2] = corr[2, 0] = -0.9   # impossible triangle
-        p = self._asset_with_corr(tmp_path, corr.tolist())
+        self._use_asset_with_corr(tmp_path, monkeypatch, corr.tolist())
         with pytest.raises(AssetError, match="positive semi-definite"):
-            load_scenarios(p)
+            load_scenarios()
 
-    def test_asymmetric_rejected(self, tmp_path):
+    def test_asymmetric_rejected(self, tmp_path, monkeypatch):
         corr = np.eye(7)
         corr[0, 1] = 0.5
-        p = self._asset_with_corr(tmp_path, corr.tolist())
+        self._use_asset_with_corr(tmp_path, monkeypatch, corr.tolist())
         with pytest.raises(AssetError, match="symmetric"):
-            load_scenarios(p)
+            load_scenarios()
 
     def test_shipped_asset_loads_clean(self):
         raw = load_scenarios()
