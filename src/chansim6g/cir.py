@@ -4,8 +4,9 @@ format.
 
 Every array element is isotropic and theta-polarized; no antenna-pattern
 option exists. A ray's 2x2 phase/XPR matrix therefore reaches a tensor only
-through its theta-theta entry, except in the RIS cascade, where the panel's
-H input also carries the cross entries (XPR and the two cross phases).
+through its theta-theta entry, except in the RIS cascade, where its cross
+entries (XPR and the two cross phases) weight the panel's H-polarized input
+and output.
 """
 
 from __future__ import annotations

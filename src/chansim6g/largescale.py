@@ -42,8 +42,7 @@ def data_dir() -> Path:
 
 @functools.lru_cache(maxsize=4)
 def _default_scenarios(override: str | None) -> str:
-    """scenarios.json under data_dir(), keyed on the override so a changed
-    data directory is still followed."""
+    # Keyed on the override, so a changed data directory is still followed.
     return str(data_dir() / "scenarios.json")
 
 

@@ -553,8 +553,8 @@ def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels,
 
     Both arrays have isotropic theta-polarized elements, so the panel sees
     the first column of each leg-1 ray's phase/XPR matrix (theta at the Tx)
-    and the first row of each leg-2 ray's (theta at the Rx); the cross
-    entries reach the taps through the panel's H input.
+    and the first row of each leg-2 ray's (theta at the Rx); their cross
+    entries reach the taps through the panel's H-polarized input and output.
     """
     lam = wavelength(f_hz)
     t = np.zeros(1) if times is None else np.asarray(times, dtype=np.float64)
