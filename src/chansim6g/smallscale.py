@@ -152,28 +152,9 @@ def _reflect_zenith(a: np.ndarray) -> np.ndarray:
     return np.where(a > np.pi, 2.0 * np.pi - a, a)
 
 
-# Bisection of the angle-spread calibration: step cap, early-exit tolerance on
-# the spread (radians), and how many steps each vectorized round looks ahead.
+# Angle-spread calibration: iteration cap and tolerance on the spread (radians).
 _CALIBRATION_STEPS = 48
 _CALIBRATION_TOL = 1e-10
-_CALIBRATION_LEVELS = 3
-
-
-def _bisection_tree(levels: int) -> tuple:
-    """(c, a, b) for every midpoint c = (a + b) // 2 of ``levels`` bisection
-    steps on points 0..2**levels, parents before children."""
-    nodes, spans = [], [(0, 2 ** levels)]
-    for _ in range(levels):
-        nxt = []
-        for a, b in spans:
-            c = (a + b) // 2
-            nodes.append((c, a, b))
-            nxt += [(a, c), (c, b)]
-        spans = nxt
-    return tuple(nodes)
-
-
-_TREE = _bisection_tree(_CALIBRATION_LEVELS)
 
 
 def _spread_of(phasor: complex, total: float) -> float:
@@ -181,97 +162,102 @@ def _spread_of(phasor: complex, total: float) -> float:
 
     Scalar ``abs`` and ``math.log`` on purpose: numpy's vectorized complex
     abs and log can round differently from libm (they do on AVX-512 hosts),
-    and a one-ulp change can flip a bisection decision.
+    and a one-ulp change can flip a bracket decision.
     """
     r = min(abs(phasor) / total, 1.0 - 1e-16)
     return math.sqrt(-2.0 * math.log(r))
 
 
-def _calibrate_scales(devs: np.ndarray, offsets: np.ndarray,
-                      weights: np.ndarray, targets) -> list:
-    """Scale factor gamma per lane so the circular spread of
-    (gamma*dev + offsets) under ``weights`` equals the lane's target.
+def _calibrate_scales(devs: np.ndarray, q: np.ndarray, total: float,
+                      targets) -> list:
+    """Scale factor gamma per lane so the circular spread of the rays, with
+    cluster deviations scaled by gamma, equals the lane's target.
 
-    ``devs`` is (lanes, n) per-cluster deviations, ``offsets`` (lanes, n, m)
-    per-ray offsets, ``weights`` (n, m) ray powers shared by all lanes. The
-    per-ray sum factors into per-cluster phasors q, so one spread costs O(n).
+    ``devs`` is (lanes, n) per-cluster deviations and ``q`` (lanes, n) the
+    per-cluster phasors sum_m w_nm exp(j o_nm) of the ray powers w and
+    per-ray offsets o; ``total`` is the summed ray power P. With
+    S(gamma) = sum_n q_n exp(j gamma d_n) the spread is
+    s(gamma) = sqrt(-2 ln(|S|/P)), and its slope is Im(conj(S) T) / (s |S|^2)
+    with T = sum_n d_n q_n exp(j gamma d_n).
 
-    Each lane bisects gamma on [0, 0.9 pi / max|dev|] (within which the spread
-    is monotone) for up to 48 steps, stopping once the spread is within 1e-10
-    of the target. The lanes run in lockstep: a round evaluates, for every
-    unfinished lane, all 2**k - 1 midpoints its next k steps could visit in
-    one array expression, then walks each lane's path through them. Every
-    midpoint, phasor sum and spread equals the one a scalar bisection
-    computes, so the result does too.
+    Within [0, 0.9 pi / max|dev|] the spread is monotone. A target at or
+    below s(0) gives gamma = 0, one at or above the upper end gives that
+    end. Otherwise a safeguarded Newton solve starts at gamma = 1 clipped
+    into the bracket, narrows the bracket by the sign of s - target at every
+    iterate, and takes the bracket midpoint whenever the Newton step leaves
+    the bracket. It stops once |s - target| < 1e-10, or after 48 iterates
+    with the bracket midpoint (a spread quantized near r = 1 may never get
+    that close). A NaN target or end spread has no bracket to solve in and
+    gets hi * 2**-49, where 48 bisection steps that never raise the lower
+    end stop.
+
+    The lanes run in lockstep: each iterate evaluates S and T of every lane
+    in one array expression, and a lane's gamma does not depend on the other
+    lanes. On arrays the solve uses only complex ``exp``, ``*`` and
+    ``add.reduce``, whose results do not depend on numpy's SIMD dispatch;
+    every spread, slope and step is scalar Python (``abs``, ``math.log``,
+    ``math.sqrt``).
     """
     n_lanes, n = devs.shape
     gammas = [1.0] * n_lanes
     if n < 2:
         return gammas
-
-    # q_n = sum_m w_nm exp(j o_nm): intra-cluster phasor, gamma-independent.
-    q = np.sum(weights * np.exp(1j * offsets), axis=-1)
-    total = float(weights.sum())
     dmax = np.abs(devs).max(axis=1).tolist()
     # |dev| <= 1e-8 everywhere keeps gamma at 1 (a NaN or inf does not).
-    live = [lane for lane in range(n_lanes) if not dmax[lane] <= 1e-8]
-    lo = [0.0] * n_lanes
-    hi = [0.0] * n_lanes
-    for lane in live:
-        # Keep scaled deviations within +-0.9 pi so the spread stays monotone.
-        hi[lane] = (0.9 * math.pi) / dmax[lane]
-    steps_left = [_CALIBRATION_STEPS] * n_lanes
+    lanes = [lane for lane in range(n_lanes) if not dmax[lane] <= 1e-8]
+    if not lanes:
+        return gammas
+    dev, q = devs[lanes], q[lanes]
+    # q and d*q side by side: one reduction gives S and T.
+    qd = np.concatenate([q, q * dev], axis=1).reshape(len(lanes), 2, n)
 
-    width = 2 ** _CALIBRATION_LEVELS
-    first, rows = True, None
-    while live:
-        if live != rows:
-            rows = live
-            q_rows, dev_rows = q[rows, None, :], devs[rows, None, :]
-        # Bracket ends at 0 and width, midpoint c of (a, b) at (a + b) // 2.
-        pts = []
-        for lane in live:
-            p = [0.0] * (width + 1)
-            p[0], p[width] = lo[lane], hi[lane]
-            for c, a, b in _TREE:
-                p[c] = 0.5 * (p[a] + p[b])
-            pts.append(p)
-        # The first round also evaluates the bracket ends, 0 and hi.
-        gam = np.array(pts) if first else np.array(pts)[:, 1:-1]
-        col0 = 0 if first else 1
-        sums = np.add.reduce(q_rows * np.exp(1j * gam[:, :, None] * dev_rows),
-                             axis=-1).tolist()
+    def sums(gam):
+        """[[(S, T) at each gamma of the lane] for each lane]."""
+        phase = np.exp(1j * np.array(gam)[:, :, None] * dev[:, None, :])
+        return np.add.reduce(qd[:, None] * phase[:, :, None], axis=-1).tolist()
 
+    # Keep scaled deviations within +-0.9 pi so the spread stays monotone.
+    hi = [(0.9 * math.pi) / dmax[lane] for lane in lanes]
+    lo = [0.0] * len(lanes)
+    gam = [min(1.0, h) for h in hi]
+    # The bracket ends and the first iterate in one evaluation.
+    rows = sums([[0.0, h, g] for h, g in zip(hi, gam)])
+    solving = []
+    for i, ((s0, _), (s1, _), _) in enumerate(rows):
+        lane, target = lanes[i], targets[lanes[i]]
+        lo_s, hi_s = _spread_of(s0, total), _spread_of(s1, total)
+        if target <= lo_s:
+            gammas[lane] = 0.0  # intra-cluster dispersion alone exceeds target
+        elif hi_s <= target:
+            gammas[lane] = hi[i]
+        elif not lo_s < target < hi_s:
+            gammas[lane] = math.ldexp(hi[i], -_CALIBRATION_STEPS - 1)
+        else:
+            solving.append(i)
+
+    for _ in range(_CALIBRATION_STEPS):
         still = []
-        for p, row, lane in zip(pts, sums, live):
-            target = targets[lane]
-            if first:
-                if target <= _spread_of(row[0], total):
-                    gammas[lane] = 0.0  # intra-cluster dispersion alone exceeds target
-                    continue
-                if _spread_of(row[width], total) <= target:
-                    gammas[lane] = p[width]
-                    continue
-            a, b = 0, width
-            for _ in range(min(_CALIBRATION_LEVELS, steps_left[lane])):
-                c = (a + b) // 2
-                s = _spread_of(row[c - col0], total)
-                if abs(s - target) < _CALIBRATION_TOL:
-                    gammas[lane] = p[c]
-                    break
-                if s < target:
-                    a = c
-                else:
-                    b = c
-                steps_left[lane] -= 1
+        for i in solving:
+            s_sum, t_sum = rows[i][-1]
+            g, target = gam[i], targets[lanes[i]]
+            s = _spread_of(s_sum, total)
+            if abs(s - target) < _CALIBRATION_TOL:
+                gammas[lanes[i]] = g
+                continue
+            if s < target:
+                lo[i] = g
             else:
-                lo[lane], hi[lane] = p[a], p[b]
-                if steps_left[lane]:
-                    still.append(lane)
-                else:
-                    gammas[lane] = 0.5 * (p[a] + p[b])
-        live = still
-        first = False
+                hi[i] = g
+            slope = s_sum.real * t_sum.imag - s_sum.imag * t_sum.real
+            step = g - (s - target) * s * abs(s_sum) ** 2 / slope if slope else math.nan
+            gam[i] = step if lo[i] < step < hi[i] else 0.5 * (lo[i] + hi[i])
+            still.append(i)
+        solving = still
+        if not solving:
+            break
+        rows = sums([[g] for g in gam])
+    for i in solving:
+        gammas[lanes[i]] = 0.5 * (lo[i] + hi[i])
     return gammas
 
 
@@ -298,50 +284,52 @@ def _cluster_angles(powers: np.ndarray, spread_deg: float, reference: float,
     return reference + dev
 
 
-def gen_ray_angles(lsps: LSPSet, powers: np.ndarray, los_dirs: LosDirections,
-                   entry: LspTableEntry, state: str,
+def gen_ray_angles(lsps: LSPSet, powers: np.ndarray, ray_p: np.ndarray,
+                   los_dirs: LosDirections, entry: LspTableEntry, state: str,
                    rng: np.random.Generator) -> RayAngles:
     """Arrival/departure cluster+ray angles for one drop.
 
     Per-ray angles are the cluster angle plus the fixed offset table scaled
     by the intra-cluster spread; cluster deviations are then rescaled so the
-    realized circular spread matches the drawn spread. In LOS the specular
-    ray (cluster 1, ray 1) sits exactly on the geometric direction.
+    realized circular spread under the ray powers ``ray_p`` matches the drawn
+    spread. In LOS the specular ray (cluster 1, ray 1) sits exactly on the
+    geometric direction.
     """
     los = state.upper() == "LOS"
     n = powers.size
     m = entry.rays_per_cluster
     offs = ray_offsets(m)
 
-    ray_p = ray_powers(powers, m, los=los, k_db=lsps.k_db if los else None)
-
-    dims = (("aoa", lsps.asa_deg, entry.c_asa_deg, los_dirs.aoa, False),
-            ("aod", lsps.asd_deg, entry.c_asd_deg, los_dirs.aod, False),
-            ("zoa", lsps.zsa_deg, entry.c_zsa_deg, los_dirs.zoa, True),
-            ("zod", lsps.zsd_deg, entry.c_zsd_deg, los_dirs.zod, True))
+    # Azimuths first, then zeniths: rows (aoa, aod, zoa, zod).
+    dims = ((lsps.asa_deg, entry.c_asa_deg, los_dirs.aoa, False),
+            (lsps.asd_deg, entry.c_asd_deg, los_dirs.aod, False),
+            (lsps.zsa_deg, entry.c_zsa_deg, los_dirs.zoa, True),
+            (lsps.zsd_deg, entry.c_zsd_deg, los_dirs.zod, True))
+    refs = np.array([d[2] for d in dims])
     # Draw every dimension's cluster angles first; the calibration draws no
     # random numbers, so the stream is consumed in the same order.
     devs = np.empty((len(dims), n))
-    offsets = np.empty((len(dims), n, m))
-    for i, (_, spread_deg, c_deg, ref, zenith) in enumerate(dims):
-        cluster = _cluster_angles(powers, spread_deg, ref, los,
-                                  lsps.k_db, zenith, rng)
-        devs[i] = cluster - ref
-        offsets[i] = math.radians(c_deg) * offs
+    for i, (spread_deg, _, ref, zenith) in enumerate(dims):
+        devs[i] = _cluster_angles(powers, spread_deg, ref, los, lsps.k_db,
+                                  zenith, rng) - ref
+    # Every cluster's rays share one offset row per dimension; in LOS the
+    # specular ray (cluster 1, ray 1) has none.
+    offsets = np.array([math.radians(d[1]) for d in dims])[:, None] * offs
+    ray_phasors = np.exp(1j * offsets)
+    q = np.add.reduce(ray_p * ray_phasors[:, None, :], axis=-1)
     if los:
-        offsets[:, 0, 0] = 0.0  # specular ray exactly on the LOS direction
-    gammas = _calibrate_scales(devs, offsets, ray_p,
-                               [math.radians(d[1]) for d in dims])
+        ray_phasors[:, 0] = 1.0
+        q[:, 0] = np.add.reduce(ray_p[0] * ray_phasors, axis=-1)
+    gammas = _calibrate_scales(devs, q, float(ray_p.sum()),
+                               [math.radians(d[0]) for d in dims])
 
-    out = {}
-    for (name, _, _, ref, zenith), dev, off, gamma in zip(dims, devs, offsets,
-                                                          gammas):
-        ang = ref + gamma * dev[:, None] + off
-        ang = _reflect_zenith(ang) if zenith else _wrap_pi(ang)
-        if los:
-            ang[0, 0] = ref  # exact geometric direction despite wrapping
-        out[name] = ang
-    return RayAngles(zoa=out["zoa"], aoa=out["aoa"], zod=out["zod"], aod=out["aod"])
+    ang = (refs[:, None, None] + np.array(gammas)[:, None, None] * devs[:, :, None]
+           + offsets[:, None, :])
+    ang[:2] = _wrap_pi(ang[:2])
+    ang[2:] = _reflect_zenith(ang[2:])
+    if los:
+        ang[:, 0, 0] = refs  # exact geometric direction despite wrapping
+    return RayAngles(aoa=ang[0], aod=ang[1], zoa=ang[2], zod=ang[3])
 
 
 def ray_powers(cluster_powers: np.ndarray, m: int, los: bool = False,
@@ -442,10 +430,10 @@ def generate_clusters(entry: LspTableEntry, lsps: LSPSet,
                                 streams.get("powers"))
     delays = raw_delays / los_delay_scale(k_db) if los else raw_delays
 
-    angles = gen_ray_angles(lsps, powers, los_dirs, entry, state,
+    rp = ray_powers(powers, m, los=los, k_db=k_db)
+    angles = gen_ray_angles(lsps, powers, rp, los_dirs, entry, state,
                             streams.get("angles"))
     kappa, phases = gen_xpr_phases(entry, n, m, streams.get("xpr"))
-    rp = ray_powers(powers, m, los=los, k_db=k_db)
 
     arrival = unit_vector(angles.zoa, angles.aoa)
     doppler = doppler_per_ray(velocity, arrival, f_hz)

@@ -132,8 +132,10 @@ class TestRayAngles:
     def test_los_forces_geometric_direction(self):
         entry = make_entry(n_clusters=1)
         lsps = make_lsps()
-        ang = gen_ray_angles(lsps, np.array([1.0]), DIRS, entry, "LOS",
-                             np.random.default_rng(0))
+        ang = gen_ray_angles(lsps, np.array([1.0]),
+                             ray_powers(np.array([1.0]), entry.rays_per_cluster,
+                                        los=True, k_db=lsps.k_db),
+                             DIRS, entry, "LOS", np.random.default_rng(0))
         assert ang.aoa[0, 0] == DIRS.aoa
         assert ang.zoa[0, 0] == DIRS.zoa
         assert ang.aod[0, 0] == DIRS.aod
@@ -148,8 +150,8 @@ class TestRayAngles:
                                      entry.n_clusters, rng)
             p = gen_cluster_powers(tau, lsps.ds_s, entry.delay_scaling,
                                    entry.per_cluster_shadow_db, None, "NLOS", rng)
-            ang = gen_ray_angles(lsps, p, DIRS, entry, "NLOS", rng)
             rp = ray_powers(p, entry.rays_per_cluster)
+            ang = gen_ray_angles(lsps, p, rp, DIRS, entry, "NLOS", rng)
             spreads.append(circ_spread_deg(rp.ravel(), ang.aoa.ravel()))
         spreads = np.array(spreads)
         # Per-drop spread calibration makes every drop land on the target.
@@ -162,7 +164,8 @@ class TestRayAngles:
         for _ in range(20):
             tau = gen_cluster_delays(lsps.ds_s, 2.3, 19, rng)
             p = gen_cluster_powers(tau, lsps.ds_s, 2.3, 3.0, None, "NLOS", rng)
-            ang = gen_ray_angles(lsps, p, DIRS, entry, "NLOS", rng)
+            ang = gen_ray_angles(lsps, p, ray_powers(p, entry.rays_per_cluster),
+                                 DIRS, entry, "NLOS", rng)
             assert np.all((ang.aoa > -np.pi) & (ang.aoa <= np.pi))
             assert np.all((ang.zoa >= 0) & (ang.zoa <= np.pi))
             assert np.all((ang.zod >= 0) & (ang.zod <= np.pi))
@@ -251,7 +254,8 @@ def _rms_ds(p, tau):
 
 
 # ---------------------------------------------------------------------------
-# Angle-spread calibration: the lockstep solver against a scalar bisection
+# Angle-spread calibration: the lockstep Newton solve against a scalar
+# bisection
 # ---------------------------------------------------------------------------
 
 def calibrate_scale_oracle(dev, offsets, weights, target_rad):
@@ -316,23 +320,45 @@ def calibration_lanes(rng, lanes, n, m, los=False, dev_sigma=0.5):
     return devs, offsets, weights
 
 
-def check_lanes(devs, offsets, weights, targets, steps=None):
-    """Solve all lanes in lockstep and compare each with the oracle by ==.
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
 
-    Returns each lane's exit; ``steps``, if given, collects its step count.
+
+def solve(devs, offsets, weights, targets):
+    """_calibrate_scales on rays given by their offsets and powers."""
+    q = np.sum(weights * np.exp(1j * offsets), axis=-1)
+    return smallscale._calibrate_scales(devs, q, float(weights.sum()), targets)
+
+
+def check_lanes(devs, offsets, weights, targets):
+    """Solve all lanes in lockstep and hold each to the calibration contract.
+
+    Against the scalar bisection: every branch but the interior solve gives
+    the same gamma (==); an interior lane the bisection solved to 1e-10 is
+    solved to 1e-10 of the ray-by-ray spread; a finite lane the bisection
+    never solved (a quantized spread) ends no farther from its target. Every
+    lane gives the same gamma (==) solved alone. Returns each lane's exit.
     """
-    got = smallscale._calibrate_scales(devs, offsets, weights, targets)
+    got = solve(devs, offsets, weights, targets)
     exits = []
     for lane, target in enumerate(targets):
-        want, exit_, n_steps = calibrate_scale_oracle(devs[lane], offsets[lane],
-                                                      weights, target)
-        if steps is not None:
-            steps.append(n_steps)
-        assert got[lane] == want or (math.isnan(got[lane]) and math.isnan(want)), \
-            (lane, exit_, got[lane], want)
+        want, exit_, _ = calibrate_scale_oracle(devs[lane], offsets[lane],
+                                                weights, target)
+        alone = solve(devs[lane:lane + 1], offsets[lane:lane + 1], weights,
+                      [target])
+        assert _same(got[lane], alone[0]), (lane, exit_, got[lane], alone[0])
+        finite = math.isfinite(target) and np.all(np.isfinite(devs[lane]))
         if exit_ == "early":
             s = oracle_spread(devs[lane], offsets[lane], weights, got[lane])
-            assert abs(s - target) < 1e-10
+            assert abs(s - target) < 1e-10, (lane, s, target)
+        elif exit_ == "exhausted" and finite:
+            err = abs(oracle_spread(devs[lane], offsets[lane], weights, got[lane])
+                      - target)
+            want_err = abs(oracle_spread(devs[lane], offsets[lane], weights, want)
+                           - target)
+            assert err <= want_err, (lane, err, want_err)
+        else:
+            assert _same(got[lane], want), (lane, exit_, got[lane], want)
         exits.append(exit_)
     return exits
 
@@ -371,18 +397,27 @@ class TestCalibrationLockstep:
         devs[1, 4] = bad
         check_lanes(devs, offsets, w, [0.3, 0.3, 0.3])
 
-    def test_lanes_finish_in_different_rounds(self):
+    def test_lanes_finish_in_different_rounds(self, monkeypatch):
         rng = np.random.default_rng(5)
         devs, offsets, w = calibration_lanes(rng, 12, 16, 20, los=True)
         lo_s = oracle_spread(devs[2], offsets[2], w, 0.0)
         targets = list(np.linspace(0.05, 1.2, 12))
         targets[2] = lo_s * 0.9
-        steps = []
-        exits = check_lanes(devs, offsets, w, targets, steps)
+        exits = check_lanes(devs, offsets, w, targets)
         assert exits[2] == "below"
-        rounds = {-(-k // smallscale._CALIBRATION_LEVELS)
-                  for k, e in zip(steps, exits) if e == "early"}
-        assert len(rounds) >= 2, steps
+        # Each spread evaluation of a lane is one round of its solve.
+        calls = []
+        real = smallscale._spread_of
+        monkeypatch.setattr(smallscale, "_spread_of",
+                            lambda *a: calls.append(1) or real(*a))
+        rounds = set()
+        for lane in range(12):
+            calls.clear()
+            solve(devs[lane:lane + 1], offsets[lane:lane + 1], w,
+                  [targets[lane]])
+            if exits[lane] == "early":
+                rounds.add(len(calls))
+        assert len(rounds) >= 2, rounds
 
     def test_bracket_ends_hit_exactly(self):
         # A target equal to spread(0) or spread(hi) must take the same branch
@@ -418,7 +453,8 @@ class TestCalibrationLockstep:
         check_lanes(devs, offsets, w, targets[:lanes])
 
     def test_drops_match_per_dimension_oracle(self):
-        """gen_ray_angles gives the angles of a per-dimension scalar solve."""
+        """gen_ray_angles gives the angles of one one-lane solve per
+        dimension."""
         entry = make_entry(n_clusters=16, c_asa_deg=8.0)
         for seed in range(40):
             state = "LOS" if seed % 2 else "NLOS"
@@ -426,19 +462,21 @@ class TestCalibrationLockstep:
             p = gen_cluster_powers(
                 gen_cluster_delays(lsps.ds_s, 2.3, 16, np.random.default_rng(seed)),
                 lsps.ds_s, 2.3, 3.0, None, "NLOS", np.random.default_rng(seed))
+            los = state == "LOS"
+            rp = ray_powers(p, entry.rays_per_cluster, los=los,
+                            k_db=lsps.k_db if los else None)
             rng = np.random.default_rng(seed)
-            ang = gen_ray_angles(lsps, p, DIRS, entry, state, rng)
-            want = _reference_ray_angles(lsps, p, entry, state,
+            ang = gen_ray_angles(lsps, p, rp, DIRS, entry, state, rng)
+            want = _reference_ray_angles(lsps, p, rp, entry, state,
                                          np.random.default_rng(seed))
             for name in ("aoa", "aod", "zoa", "zod"):
                 assert np.array_equal(getattr(ang, name), want[name]), (seed, name)
 
 
-def _reference_ray_angles(lsps, powers, entry, state, rng):
-    """gen_ray_angles as one scalar calibration per dimension."""
+def _reference_ray_angles(lsps, powers, ray_p, entry, state, rng):
+    """gen_ray_angles as one one-lane calibration per dimension."""
     los = state == "LOS"
     n, m = powers.size, entry.rays_per_cluster
-    ray_p = ray_powers(powers, m, los=los, k_db=lsps.k_db if los else None)
     dims = (("aoa", lsps.asa_deg, entry.c_asa_deg, DIRS.aoa, False),
             ("aod", lsps.asd_deg, entry.c_asd_deg, DIRS.aod, False),
             ("zoa", lsps.zsa_deg, entry.c_zsa_deg, DIRS.zoa, True),
@@ -451,8 +489,8 @@ def _reference_ray_angles(lsps, powers, entry, state, rng):
         if los:
             offsets[0, 0] = 0.0
         dev = cluster - ref
-        gamma = calibrate_scale_oracle(dev, offsets, ray_p,
-                                       math.radians(spread_deg))[0]
+        gamma, = solve(dev[None], offsets[None], ray_p,
+                       [math.radians(spread_deg)])
         ang = ref + gamma * dev[:, None] + offsets
         ang = smallscale._reflect_zenith(ang) if zenith else smallscale._wrap_pi(ang)
         if los:
