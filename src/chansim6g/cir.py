@@ -11,7 +11,6 @@ and output.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,20 +21,6 @@ from .constants import wavelength
 from .geometry import ArrayGeometry, unit_vector
 from .pathloss import PathLossSample
 from .smallscale import ClusterSet
-
-
-def _einsum(subscripts: str, *operands):
-    """``np.einsum(subscripts, *operands, optimize=True)`` without the
-    per-call path search: the path numpy picks depends only on the operand
-    shapes, so it is looked up once per shape and passed explicitly."""
-    path = _einsum_path(subscripts, *(op.shape for op in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
-
-
-@functools.lru_cache(maxsize=64)
-def _einsum_path(subscripts: str, *shapes) -> tuple:
-    stand_ins = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return tuple(np.einsum_path(subscripts, *stand_ins, optimize=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +94,12 @@ def synthesize_cir(clusters: ClusterSet, tx: ArrayGeometry, rx: ArrayGeometry,
     phase_tx = _array_phases(tx, clusters.zod, clusters.aod, lam)       # (n, m, s)
     dop = np.exp(2j * np.pi * clusters.doppler_hz[..., None] * t)       # (n, m, t)
 
-    coeffs = _einsum("nm,nmu,nms,nmt->tusn", amp, phase_rx, phase_tx, dop)
-    return CirTensor(coefficients=coeffs, tap_delays_s=clusters.delays_s.copy(),
-                     sample_times_s=t)
+    # Per cluster n: the (t*u, m) products times the (m, s) tx phases.
+    left = (amp[..., None] * dop)[..., None] * phase_rx[:, :, None, :]  # (n, m, t, u)
+    n, m, nt, nu = left.shape
+    coeffs = np.matmul(left.reshape(n, m, nt * nu).transpose(0, 2, 1), phase_tx)
+    return CirTensor(coefficients=coeffs.reshape(n, nt, nu, -1).transpose(1, 2, 3, 0),
+                     tap_delays_s=clusters.delays_s.copy(), sample_times_s=t)
 
 
 def apply_large_scale(cir: CirTensor, pl: PathLossSample) -> CirTensor:

@@ -1,6 +1,5 @@
-import importlib.util
+import dataclasses
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chansim6g import cir
-from chansim6g.campaign import run_drop
-from chansim6g.cir import (CirTensor, _einsum, apply_large_scale, read_cir,
+from chansim6g.cir import (CirTensor, apply_large_scale, read_cir,
                            synthesize_cir, write_cir)
 from chansim6g.constants import wavelength
 from chansim6g.geometry import build_ula, single_element
@@ -128,6 +126,40 @@ class TestSynthesis:
         assert val.imag == pytest.approx(0.0, abs=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), m=st.sampled_from([1, 3, 20]), u=st.integers(1, 4),
+       s=st.integers(1, 8), nt=st.integers(1, 4), los=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_synthesis_matches_ray_sum(n, m, u, s, nt, los, seed):
+    """The per-cluster matmul equals the ray-by-ray sum to rounding: every
+    coefficient sums m terms of magnitude <= 1."""
+    rng = np.random.default_rng(seed)
+    f = 28e9
+    lam = wavelength(f)
+    powers = rng.dirichlet(np.ones(n))
+    delays = np.concatenate([[0.0], np.sort(rng.uniform(0, 1e-6, n - 1))])
+    cs = make_clusters(delays, powers,
+                       aoa=rng.uniform(-np.pi, np.pi, (n, m)),
+                       zoa=rng.uniform(0, np.pi, (n, m)),
+                       aod=rng.uniform(-np.pi, np.pi, (n, m)),
+                       zod=rng.uniform(0, np.pi, (n, m)), m=m, rng=rng,
+                       state="LOS" if los else "NLOS")
+    cs = dataclasses.replace(cs, doppler_hz=rng.normal(0, 500.0, (n, m)))
+    tx, rx = build_ula(s, spacing=lam / 2), build_ula(u, spacing=lam / 2)
+    times = np.arange(nt) * 1e-4
+    got = synthesize_cir(cs, tx, rx, f, times).coefficients
+    amp = np.sqrt(cs.ray_powers) * cir._polarization_matrices(cs)[..., 0, 0]
+    phase_rx = cir._array_phases(rx, cs.zoa, cs.aoa, lam)
+    phase_tx = cir._array_phases(tx, cs.zod, cs.aod, lam)
+    dop = np.exp(2j * np.pi * cs.doppler_hz[..., None] * times)
+    want = np.zeros((nt, u, s, n), dtype=complex)
+    for k in range(m):
+        want += np.einsum("n,nu,ns,nt->tusn", amp[:, k], phase_rx[:, k],
+                          phase_tx[:, k], dop[:, k])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
 class TestLargeScale:
     def test_identity(self):
         cs = make_clusters([0.0], [1.0], aoa=[0.0])
@@ -200,67 +232,3 @@ class TestFileFormat:
         path.write_bytes(blob[:-8])
         with pytest.raises(ValueError):
             read_cir(path)
-
-
-# ---------------------------------------------------------------------------
-# Cached einsum paths
-# ---------------------------------------------------------------------------
-
-EINSUM_SITES = ("nm,nmu,nms,nmt->tusn", "mk,mkf->mf")
-
-
-def _golden_configs():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "golden_digests.py"
-    spec = importlib.util.spec_from_file_location("golden_digests", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.campaign_configs(seed=5, drops=2)
-
-
-def _complex_operands(rng, shapes):
-    return [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
-
-
-def test_cached_path_is_numpy_optimize_path_on_every_config(monkeypatch):
-    seen = set()
-    real = cir._einsum_path
-
-    def recording(subscripts, *shapes):
-        seen.add((subscripts, shapes))
-        return real(subscripts, *shapes)
-
-    monkeypatch.setattr(cir, "_einsum_path", recording)
-    for cfg in _golden_configs().values():
-        for drop in range(cfg.drops):
-            run_drop(cfg, drop)
-    assert {subs for subs, _ in seen} == set(EINSUM_SITES)
-    rng = np.random.default_rng(0)
-    for subscripts, shapes in sorted(seen):
-        want = np.einsum_path(subscripts, *_complex_operands(rng, shapes),
-                              optimize=True)[0]
-        assert list(real(subscripts, *shapes)) == want, (subscripts, shapes)
-
-
-@settings(max_examples=60, deadline=None)
-@given(site=st.sampled_from(EINSUM_SITES),
-       sizes=st.lists(st.integers(1, 6), min_size=7, max_size=7),
-       seed=st.integers(0, 2 ** 32 - 1), real_first=st.booleans())
-def test_cached_einsum_equals_uncached_call(site, sizes, seed, real_first):
-    size = dict(zip(sorted(set(site) - set(",->")), sizes))
-    inputs = site.split("->")[0].split(",")
-    rng = np.random.default_rng(seed)
-    ops = _complex_operands(rng, [tuple(size[c] for c in term) for term in inputs])
-    if real_first:
-        ops[0] = ops[0].real.copy()
-    want = np.einsum(site, *ops, optimize=True)
-    for _ in range(2):  # a cache miss or hit, then a hit
-        got = _einsum(site, *ops)
-        assert got.shape == want.shape and np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("n", [1, 2, 8])
-def test_cached_einsum_single_cluster_and_single_elements(n):
-    rng = np.random.default_rng(n)
-    ops = _complex_operands(rng, [(n, 1), (n, 1, 1), (n, 1, 1), (n, 1, 1)])
-    want = np.einsum("nm,nmu,nms,nmt->tusn", *ops, optimize=True)
-    assert np.array_equal(_einsum("nm,nmu,nms,nmt->tusn", *ops), want)
