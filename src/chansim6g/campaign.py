@@ -64,7 +64,7 @@ def _leg(a: Position3D, b: Position3D) -> float:
 
 def _ci_loss(d: _Drop, sf_db: float, *legs) -> PathLossSample:
     """CI path loss summed over the ``(a, b)`` legs, with shadow fading."""
-    alpha = scenario_pathloss(d.cfg.scenario, d.state)["alpha"]
+    alpha = scenario_pathloss(d.cfg.scenario, d.state)
     pl = sum(pl_ci(_leg(a, b), d.cfg.center_freq_hz, alpha) for a, b in legs)
     return PathLossSample(pl_db=pl, shadow_db=sf_db)
 

@@ -142,6 +142,11 @@ def _load_raw(path_str: str) -> dict:
                 raise AssetError(f"{where}: cluster/ray counts must be >= 1")
             _validate_corr(np.asarray(entry["corr"], dtype=np.float64), where)
         pl = scen.get("pathloss")
+        keyed = any("elevation_deg" in e for e in scen.get("entries", []))
+        if pl and not keyed and pl.get("model", "CI") != "CI":
+            # Terrestrial drops apply the CI model with the asset's exponent.
+            raise AssetError(f"scenario {name!r}: pathloss.model must be 'CI', "
+                             f"got {pl['model']!r}")
         if pl and {"los", "nlos"} <= set(pl):
             if pl["nlos"]["alpha"] <= pl["los"]["alpha"]:
                 raise AssetError(
@@ -161,13 +166,14 @@ def scenario_los_curve(scenario: str) -> dict:
     return curve
 
 
-def scenario_pathloss(scenario: str, state: str) -> dict:
+def scenario_pathloss(scenario: str, state: str) -> float:
+    """The scenario's CI path-loss exponent for the link state."""
     scen = _scenario(scenario)
     pl = scen.get("pathloss", {})
     key = state.lower()
     if key not in pl:
         raise ConfigurationError(f"scenario {scenario!r} has no {state} path-loss params")
-    return {"model": pl.get("model", "CI"), **pl[key]}
+    return float(pl[key]["alpha"])
 
 
 def _scenario(scenario: str) -> dict:

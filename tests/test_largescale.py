@@ -135,14 +135,16 @@ class TestGenerate:
 
 
 class TestAssetValidation:
+    def _use_asset(self, tmp_path, monkeypatch, umi):
+        """Point the data directory at an asset whose one scenario is umi."""
+        (tmp_path / "scenarios.json").write_text(
+            json.dumps({"version": 1, "scenarios": {"umi": umi}}))
+        monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path))
+
     def _use_asset_with_corr(self, tmp_path, monkeypatch, corr):
         """Point the data directory at a one-entry asset with ``corr``."""
-        raw = load_scenarios()
-        bad = json.loads(json.dumps({"version": 1, "scenarios": {
-            "umi": {"entries": [dict(raw["scenarios"]["umi"]["entries"][0])]}}}))
-        bad["scenarios"]["umi"]["entries"][0]["corr"] = corr
-        (tmp_path / "scenarios.json").write_text(json.dumps(bad))
-        monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path))
+        entry = dict(load_scenarios()["scenarios"]["umi"]["entries"][0], corr=corr)
+        self._use_asset(tmp_path, monkeypatch, {"entries": [entry]})
 
     def test_non_psd_rejected_at_load(self, tmp_path, monkeypatch):
         corr = np.eye(7)
@@ -158,6 +160,16 @@ class TestAssetValidation:
         corr[0, 1] = 0.5
         self._use_asset_with_corr(tmp_path, monkeypatch, corr.tolist())
         with pytest.raises(AssetError, match="symmetric"):
+            load_scenarios()
+
+    def test_non_ci_model_rejected_on_terrestrial_scenario(self, tmp_path,
+                                                           monkeypatch):
+        # Terrestrial drops apply CI whatever the asset says, so another
+        # model would silently run as CI.
+        umi = json.loads(json.dumps(load_scenarios()["scenarios"]["umi"]))
+        umi["pathloss"]["model"] = "ABG"
+        self._use_asset(tmp_path, monkeypatch, umi)
+        with pytest.raises(AssetError, match=r"scenario 'umi': pathloss\.model"):
             load_scenarios()
 
     def test_shipped_asset_loads_clean(self):

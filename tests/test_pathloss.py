@@ -138,4 +138,4 @@ class TestMonotonicityAndAssets:
         for scenario in load_scenarios()["scenarios"]:
             los = scenario_pathloss(scenario, "LOS")
             nlos = scenario_pathloss(scenario, "NLOS")
-            assert nlos["alpha"] > los["alpha"], scenario
+            assert nlos > los, scenario
