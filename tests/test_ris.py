@@ -500,9 +500,9 @@ class TestPairedComparison:
             assert m["snr_gap_db"] >= 0.0
 
     @pytest.mark.parametrize("seed, drop, gap_db", [
-        (3904102532, 0, -0.20658411402988),
-        (2505821015, 3, -0.03935784158693),
-        (3440270943, 0, -0.18167078876479)])
+        (3904102532, 0, -0.2065841155236),
+        (2505821015, 3, -0.03935784309306),
+        (3440270943, 0, -0.18167079068974)])
     def test_known_dominance_cases(self, seed, drop, gap_db):
         """Preset drops where the non-ideal panel beats the ideal one, pinned
         to 1e-9 dB pending the decision of ROADMAP item 2 (a program fault
