@@ -212,7 +212,7 @@ def _calibrate_scales(devs: np.ndarray, q: np.ndarray, total: float,
     qd = np.concatenate([q, q * dev], axis=1).reshape(len(lanes), 2, n)
 
     def sums(gam):
-        """[[(S, T) at each gamma of the lane] for each lane]."""
+        """Per lane, the (S, T) pair at each of the lane's gammas."""
         phase = np.exp(1j * np.array(gam)[:, :, None] * dev[:, None, :])
         return np.add.reduce(qd[:, None] * phase[:, :, None], axis=-1).tolist()
 
@@ -230,7 +230,7 @@ def _calibrate_scales(devs: np.ndarray, q: np.ndarray, total: float,
             gammas[lane] = 0.0  # intra-cluster dispersion alone exceeds target
         elif hi_s <= target:
             gammas[lane] = hi[i]
-        elif not lo_s < target < hi_s:
+        elif not lo_s < target < hi_s:  # a NaN target or end spread
             gammas[lane] = math.ldexp(hi[i], -_CALIBRATION_STEPS - 1)
         else:
             solving.append(i)
