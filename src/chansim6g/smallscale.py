@@ -5,8 +5,8 @@ The recipes follow the public 5G standard (exponential delay profile,
 power-decay law, inverse-shape angle mapping, 20-ray offset table), with one
 addition: after the inverse-shape step, cluster angle deviations are rescaled
 so the realized power-weighted circular spread of the drop equals the drawn
-spread exactly. Sub-cluster splitting of the two strongest clusters is
-deliberately omitted so cluster counts match the tables exactly.
+spread to within 1e-10 rad. Sub-cluster splitting of the two strongest
+clusters is deliberately omitted so cluster counts match the tables exactly.
 """
 
 from __future__ import annotations
