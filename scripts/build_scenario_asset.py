@@ -329,38 +329,32 @@ def main():
             "umi": {
                 "los_probability": {"family": "umi"},
                 "pathloss": {"model": "CI",
-                             "los": {"alpha": 2.0, "sigma_db": 4.0},
-                             "nlos": {"alpha": 3.2, "sigma_db": 7.82}},
+                             "los": {"alpha": 2.0},
+                             "nlos": {"alpha": 3.2}},
                 "entries": umi_entries(),
             },
             "inh_office": {
                 "los_probability": {"family": "inh_office"},
                 "pathloss": {"model": "CI",
-                             "los": {"alpha": 1.73, "sigma_db": 3.0},
-                             "nlos": {"alpha": 3.83, "sigma_db": 8.03}},
+                             "los": {"alpha": 1.73},
+                             "nlos": {"alpha": 3.83}},
                 "entries": inh_entries(),
             },
             "uma": {
                 "los_probability": {"family": "uma"},
                 "pathloss": {"model": "CI",
-                             "los": {"alpha": 2.0, "sigma_db": 4.0},
-                             "nlos": {"alpha": 3.5, "sigma_db": 6.0}},
+                             "los": {"alpha": 2.0},
+                             "nlos": {"alpha": 3.5}},
                 "entries": uma_entries(),
             },
             "rma": {
                 "los_probability": {"family": "rma"},
                 "pathloss": {"model": "CI",
-                             "los": {"alpha": 2.2, "sigma_db": 4.0},
-                             "nlos": {"alpha": 3.0, "sigma_db": 8.0}},
+                             "los": {"alpha": 2.2},
+                             "nlos": {"alpha": 3.0}},
                 "entries": rma_entries(),
             },
-            "dense_urban": {
-                "los_probability": {"family": "constant", "p": 1.0},
-                "pathloss": {"model": "FSPL_SAGIN",
-                             "los": {"alpha": 2.0, "sigma_db": 1.2},
-                             "nlos": {"alpha": 2.6, "sigma_db": 6.0}},
-                "entries": sagin_entries(),
-            },
+            "dense_urban": {"entries": sagin_entries()},
         },
     }
     OUT.parent.mkdir(parents=True, exist_ok=True)

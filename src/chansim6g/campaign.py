@@ -110,11 +110,10 @@ def _run_emimo(d: _Drop) -> tuple[dict, dict]:
     alpha = np.array([p.alpha for p in paths])
     tap_gain = mask.s * manifold * alpha[None, :]
     coeffs = tap_gain[None, :, None, :]                      # (1, M, 1, K)
+    # Path delays are the link delay plus the sorted cluster delays: in order.
     delays = np.array([p.tau_s for p in paths])
-    delays = delays - delays.min()
-    order = np.argsort(delays, kind="stable")
-    cir = CirTensor(coefficients=np.ascontiguousarray(coeffs[..., order]),
-                    tap_delays_s=delays[order], sample_times_s=d.times)
+    cir = CirTensor(coefficients=coeffs, tap_delays_s=delays - delays.min(),
+                    sample_times_s=d.times)
     cir = apply_large_scale(cir, _ci_loss(d, lsps.sf_db, (d.bs, d.ue)))
     freqs = fc + np.linspace(-cfg.bandwidth_hz / 2, cfg.bandwidth_hz / 2, n_freq)
     rows = sorted({0, d.tx.element_count - 1})    # the two elements xcorr_last reads

@@ -123,13 +123,10 @@ def write_cir(cir: CirTensor, path) -> None:
         "config_hash": cir.meta.get("config_hash", ""),
         "seed": cir.meta.get("seed", 0),
     }
-    payload = np.empty(cir.coefficients.shape + (2,), dtype="<f8")
-    payload[..., 0] = cir.coefficients.real
-    payload[..., 1] = cir.coefficients.imag
     with path.open("wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(payload.tobytes(order="C"))
+        fh.write(cir.coefficients.astype("<c16").tobytes(order="C"))
 
 
 def read_cir(path) -> CirTensor:
@@ -137,13 +134,11 @@ def read_cir(path) -> CirTensor:
     with path.open("rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
         dims = tuple(header["dims"])
-        count = 2 * int(np.prod(dims))
-        raw = np.frombuffer(fh.read(count * 8), dtype="<f8")
+        count = int(np.prod(dims))
+        raw = np.frombuffer(fh.read(count * 16), dtype="<c16")
     if raw.size != count:
         raise ValueError(f"truncated tensor file {path}")
-    flat = raw.reshape(dims + (2,))
-    coeffs = flat[..., 0] + 1j * flat[..., 1]
-    return CirTensor(coefficients=coeffs,
+    return CirTensor(coefficients=raw.reshape(dims),
                      tap_delays_s=np.array(header["tap_delays_s"]),
                      sample_times_s=np.array(header["sample_times_s"]),
                      meta={"config_hash": header.get("config_hash", ""),

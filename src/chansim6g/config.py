@@ -22,7 +22,7 @@ from .constants import C_LIGHT, wavelength
 from .geometry import ArrayGeometry, ConfigurationError, Position3D, \
     build_ula, check_apart, single_element
 from .isac import build_targets, cluster_budget
-from .largescale import data_dir, load_scenarios, lookup_lsp_table
+from .largescale import data_dir, elevation_keyed, lookup_lsp_table
 from .ris import build_panel
 
 FEATURES = ("BASE", "THZ", "EMIMO", "ISAC", "RIS", "SAGIN")
@@ -227,9 +227,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{name}: {self.feature} drops do not read it, so "
                                   f"it must keep its default {FIELDS[name].default!r}")
         blk = self.feature_block()
-        entries = load_scenarios()["scenarios"].get(self.scenario, {}).get("entries", ())
-        keyed = any("elevation_deg" in e for e in entries)
-        if entries and keyed != (self.feature == "SAGIN"):
+        keyed = elevation_keyed(self.scenario)
+        if keyed != (self.feature == "SAGIN"):
             rule = "is SAGIN-only (its tables are keyed by elevation)" if keyed else \
                 "is not elevation-keyed; SAGIN needs an elevation-keyed scenario"
             raise ConfigError(f"scenario: {self.scenario!r} {rule}")

@@ -121,7 +121,6 @@ class SlantGeometry:
     slant_range: float
     ue_position: Position3D
     sat_position: Position3D
-    central_angle_rad: float
 
 
 def slant_geometry(sat_height: float, elevation: float) -> SlantGeometry:
@@ -143,8 +142,7 @@ def slant_geometry(sat_height: float, elevation: float) -> SlantGeometry:
     slant = math.sqrt(re * re + r_sat * r_sat - 2.0 * re * r_sat * math.cos(beta))
     sat = Position3D(r_sat, 0.0, 0.0)
     ue = Position3D(re * math.cos(beta), re * math.sin(beta), 0.0)
-    return SlantGeometry(slant_range=slant, ue_position=ue, sat_position=sat,
-                         central_angle_rad=beta)
+    return SlantGeometry(slant_range=slant, ue_position=ue, sat_position=sat)
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +153,11 @@ def los_probability(curve: dict, distance_2d: float) -> float:
     """Distance-dependent LOS probability for a scenario curve descriptor.
 
     Curve families follow the public 5G standard (TR 38.901 Table 7.4.2-1):
-    ``{"family": "umi"|"uma"|"rma"|"inh_office"|"constant", ...}``.
+    ``{"family": "umi"|"uma"|"rma"|"inh_office"}``.
     """
     d = float(distance_2d)
     fam = curve.get("family")
-    if fam == "constant":
-        p = float(curve["p"])
-    elif fam == "umi":
+    if fam == "umi":
         p = 1.0 if d <= 18.0 else 18.0 / d + math.exp(-d / 36.0) * (1.0 - 18.0 / d)
     elif fam == "uma":
         p = 1.0 if d <= 18.0 else 18.0 / d + math.exp(-d / 63.0) * (1.0 - 18.0 / d)

@@ -48,34 +48,20 @@ def _default_scenarios(override: str | None) -> str:
 
 @dataclass(frozen=True)
 class LspTableEntry:
-    scenario: str
-    state: str                    # "los" | "nlos"
-    band_ghz: tuple
-    elevation_deg: float | None
     n_clusters: int
     rays_per_cluster: int
     delay_scaling: float          # r_tau
     per_cluster_shadow_db: float  # zeta
-    ds_lg_mu: float               # lg10(DS / 1 s)
-    ds_lg_sigma: float
-    asa_lg_mu: float              # lg10(spread / 1 deg), likewise below
-    asa_lg_sigma: float
-    asd_lg_mu: float
-    asd_lg_sigma: float
-    zsa_lg_mu: float
-    zsa_lg_sigma: float
-    zsd_lg_mu: float
-    zsd_lg_sigma: float
-    k_mu_db: float
-    k_sigma_db: float
-    sf_sigma_db: float
+    # LSP_ORDER: lg10(DS / 1 s), lg10(spread / 1 deg) x4, K dB, SF dB (mean 0).
+    lsp_mu: tuple
+    lsp_sigma: tuple
+    chol: np.ndarray              # read-only Cholesky factor of the 7x7 correlation
     xpr_mu_db: float
     xpr_sigma_db: float
     c_asa_deg: float              # intra-cluster spreads
     c_asd_deg: float
     c_zsa_deg: float
     c_zsd_deg: float
-    corr: np.ndarray              # 7x7, LSP_ORDER
     intra_cluster_k_db: float | None = None
     clutter_loss_db: float = 0.0
 
@@ -124,6 +110,24 @@ def _validate_corr(corr: np.ndarray, where: str) -> None:
                          f"(min eigenvalue {eigs.min():.3e})")
 
 
+def correlation_factor(corr) -> np.ndarray:
+    """Read-only lower Cholesky factor of a correlation matrix that passed
+    ``_validate_corr``; an exactly singular one gets a 1e-12 diagonal
+    jitter so the factorization succeeds."""
+    corr = np.asarray(corr, dtype=np.float64)
+    try:
+        chol = np.linalg.cholesky(corr)
+    except np.linalg.LinAlgError:
+        chol = np.linalg.cholesky(corr + 1e-12 * np.eye(7))
+    chol.flags.writeable = False  # the entry is shared by every caller
+    return chol
+
+
+def _keyed(scen: dict) -> bool:
+    # _load_raw checks that a scenario's entries are all keyed or none.
+    return any("elevation_deg" in e for e in scen.get("entries", ()))
+
+
 @functools.lru_cache(maxsize=8)
 def _load_raw(path_str: str) -> dict:
     path = Path(path_str)
@@ -133,6 +137,7 @@ def _load_raw(path_str: str) -> dict:
         raw = json.load(fh)
     # Validate every entry once at load time, never at draw time.
     for name, scen in raw.get("scenarios", {}).items():
+        keyed = _keyed(scen)
         for i, entry in enumerate(scen.get("entries", [])):
             where = f"scenario {name!r} entry {i}"
             for key in ("state", "band_ghz", "n_clusters", "rays_per_cluster", "corr"):
@@ -140,9 +145,11 @@ def _load_raw(path_str: str) -> dict:
                     raise AssetError(f"{where}: missing key {key!r}")
             if entry["n_clusters"] < 1 or entry["rays_per_cluster"] < 1:
                 raise AssetError(f"{where}: cluster/ray counts must be >= 1")
+            if ("elevation_deg" in entry) != keyed:
+                raise AssetError(f"{where}: a scenario's entries are all "
+                                 "elevation-keyed or none are")
             _validate_corr(np.asarray(entry["corr"], dtype=np.float64), where)
         pl = scen.get("pathloss")
-        keyed = any("elevation_deg" in e for e in scen.get("entries", []))
         if pl and not keyed and pl.get("model", "CI") != "CI":
             # Terrestrial drops apply the CI model with the asset's exponent.
             raise AssetError(f"scenario {name!r}: pathloss.model must be 'CI', "
@@ -156,6 +163,12 @@ def _load_raw(path_str: str) -> dict:
 
 def load_scenarios() -> dict:
     return _load_raw(_default_scenarios(os.environ.get(DATA_ENV_VAR)))
+
+
+def elevation_keyed(scenario: str) -> bool:
+    """Whether the scenario's entries are keyed by elevation bucket (the
+    satellite tables, which only SAGIN drops read)."""
+    return _keyed(_scenario(scenario))
 
 
 def scenario_los_curve(scenario: str) -> dict:
@@ -191,7 +204,7 @@ def lookup_lsp_table(scenario: str, state: str, f_hz: float,
     Frequency-dependent fields stored as lg(f) polynomials are evaluated at
     ``f_hz``. Satellite scenarios key entries additionally by 10-degree
     elevation buckets; the nearest bucket is used. Entries are built once
-    per argument set and shared; their correlation matrix is read-only.
+    per argument set and shared; their Cholesky factor is read-only.
     """
     return _lookup_lsp_table(scenario, state, f_hz, elevation_deg,
                              _default_scenarios(os.environ.get(DATA_ENV_VAR)))
@@ -214,7 +227,7 @@ def _lookup_lsp_table(scenario: str, state: str, f_hz: float,
         raise ConfigurationError(
             f"no ({scenario}, {state}) entry covers {f_ghz:g} GHz; bands: {bands}")
 
-    if any("elevation_deg" in e for e in candidates):
+    if _keyed(scen):
         if elevation_deg is None:
             raise ConfigurationError(
                 f"scenario {scenario!r} entries are elevation-keyed; pass elevation_deg")
@@ -226,45 +239,29 @@ def _lookup_lsp_table(scenario: str, state: str, f_hz: float,
                 f"no ({scenario}, {state}) entry for elevation bucket {bucket:g} deg")
     entry = candidates[0]
 
-    def fv(key, default=None):
+    def fv(key):
         if key not in entry:
-            if default is not None:
-                return default
             raise AssetError(f"scenario {scenario!r} entry missing {key!r}")
         return entry[key]
 
+    # (mu, sigma) blocks in LSP_ORDER; K's sigma defaults to 0, SF's mean is 0.
+    stats = [fv(f"{name}_lg") for name in LSP_ORDER[:5]]
+    stats += [{"sigma": 0.0, **entry.get("k_db", {"mu": 0.0})}, {**fv("sf_db"), "mu": 0.0}]
     spreads = fv("cluster_spread_deg")
-    corr = np.array(entry["corr"], dtype=np.float64)
-    corr.flags.writeable = False  # the entry is shared by every caller
     return LspTableEntry(
-        scenario=scenario,
-        state=state_l,
-        band_ghz=tuple(entry["band_ghz"]),
-        elevation_deg=entry.get("elevation_deg"),
         n_clusters=int(entry["n_clusters"]),
         rays_per_cluster=int(entry["rays_per_cluster"]),
         delay_scaling=float(fv("delay_scaling")),
         per_cluster_shadow_db=float(fv("per_cluster_shadow_db")),
-        ds_lg_mu=_eval_field(fv("ds_lg")["mu"], f_ghz),
-        ds_lg_sigma=float(fv("ds_lg")["sigma"]),
-        asa_lg_mu=_eval_field(fv("asa_lg")["mu"], f_ghz),
-        asa_lg_sigma=float(fv("asa_lg")["sigma"]),
-        asd_lg_mu=_eval_field(fv("asd_lg")["mu"], f_ghz),
-        asd_lg_sigma=float(fv("asd_lg")["sigma"]),
-        zsa_lg_mu=_eval_field(fv("zsa_lg")["mu"], f_ghz),
-        zsa_lg_sigma=float(fv("zsa_lg")["sigma"]),
-        zsd_lg_mu=_eval_field(fv("zsd_lg")["mu"], f_ghz),
-        zsd_lg_sigma=float(fv("zsd_lg")["sigma"]),
-        k_mu_db=_eval_field(fv("k_db", {"mu": 0.0})["mu"], f_ghz),
-        k_sigma_db=float(fv("k_db", {"mu": 0.0, "sigma": 0.0}).get("sigma", 0.0)),
-        sf_sigma_db=float(fv("sf_db")["sigma"]),
+        lsp_mu=tuple(_eval_field(s["mu"], f_ghz) for s in stats),
+        lsp_sigma=tuple(float(s["sigma"]) for s in stats),
+        chol=correlation_factor(entry["corr"]),
         xpr_mu_db=_eval_field(fv("xpr_db")["mu"], f_ghz),
         xpr_sigma_db=float(fv("xpr_db")["sigma"]),
         c_asa_deg=float(spreads["asa"]),
         c_asd_deg=float(spreads["asd"]),
         c_zsa_deg=float(spreads["zsa"]),
         c_zsd_deg=float(spreads["zsd"]),
-        corr=corr,
         intra_cluster_k_db=(float(entry["intra_cluster_k_db"])
                             if "intra_cluster_k_db" in entry else None),
         clutter_loss_db=float(entry.get("clutter_loss_db", 0.0)),
@@ -274,38 +271,19 @@ def _lookup_lsp_table(scenario: str, state: str, f_hz: float,
 def generate_lsps(entry: LspTableEntry, rng: np.random.Generator) -> LSPSet:
     """One drop's correlated large-scale parameters.
 
-    Seven standard normals through the Cholesky factor of the correlation
-    matrix, scaled/shifted per-parameter in the log (dB) domain; spread
-    parameters are exponentiated to linear units and capped.
+    Seven standard normals through the entry's Cholesky factor, scaled and
+    shifted per parameter in the log (dB) domain; spread parameters are
+    exponentiated to linear units and capped.
     """
-    # PSD-ness was validated at load; add a tiny jitter only if the matrix is
-    # exactly singular so Cholesky succeeds.
-    corr = entry.corr
-    try:
-        chol = np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError:
-        chol = np.linalg.cholesky(corr + 1e-12 * np.eye(7))
-    z = chol @ rng.standard_normal(7)
-
-    mu = {"ds": entry.ds_lg_mu, "asa": entry.asa_lg_mu, "asd": entry.asd_lg_mu,
-          "zsa": entry.zsa_lg_mu, "zsd": entry.zsd_lg_mu,
-          "k": entry.k_mu_db, "sf": 0.0}
-    sigma = {"ds": entry.ds_lg_sigma, "asa": entry.asa_lg_sigma,
-             "asd": entry.asd_lg_sigma, "zsa": entry.zsa_lg_sigma,
-             "zsd": entry.zsd_lg_sigma, "k": entry.k_sigma_db,
-             "sf": entry.sf_sigma_db}
-    vals = {name: float(mu[name] + sigma[name] * z[i])
-            for i, name in enumerate(LSP_ORDER)}
-
-    def spread(name, cap):
-        return min(10.0 ** vals[name], cap)
-
+    z = entry.chol @ rng.standard_normal(7)
+    ds, asa, asd, zsa, zsd, k, sf = (
+        np.asarray(entry.lsp_mu) + np.asarray(entry.lsp_sigma) * z).tolist()
     return LSPSet(
-        ds_s=10.0 ** vals["ds"],
-        asa_deg=spread("asa", _AZIMUTH_SPREAD_CAP),
-        asd_deg=spread("asd", _AZIMUTH_SPREAD_CAP),
-        zsa_deg=spread("zsa", _ZENITH_SPREAD_CAP),
-        zsd_deg=spread("zsd", _ZENITH_SPREAD_CAP),
-        k_db=vals["k"],
-        sf_db=vals["sf"],
+        ds_s=10.0 ** ds,
+        asa_deg=min(10.0 ** asa, _AZIMUTH_SPREAD_CAP),
+        asd_deg=min(10.0 ** asd, _AZIMUTH_SPREAD_CAP),
+        zsa_deg=min(10.0 ** zsa, _ZENITH_SPREAD_CAP),
+        zsd_deg=min(10.0 ** zsd, _ZENITH_SPREAD_CAP),
+        k_db=k,
+        sf_db=sf,
     )

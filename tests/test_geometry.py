@@ -110,16 +110,20 @@ class TestSlantGeometry:
 
 class TestLinkState:
     def test_certain_curve(self):
+        # umi is certain LOS up to 18 m.
         rng = np.random.default_rng(1)
-        curve = {"family": "constant", "p": 1.0}
-        states = [assign_link_state(rng, curve, 50.0) for _ in range(200)]
+        curve = {"family": "umi"}
+        states = [assign_link_state(rng, curve, 10.0) for _ in range(200)]
         assert set(states) == {"LOS"}
 
     def test_half_probability_fraction(self):
+        # rma: p = exp(-(d - 10) / 1000) = 0.5 at d = 10 + 1000 ln 2.
         # Binomial oracle: 1e5 draws at p = 0.5 land within +-0.01.
         rng = np.random.default_rng(2)
-        curve = {"family": "constant", "p": 0.5}
-        hits = sum(assign_link_state(rng, curve, 1.0) == "LOS"
+        curve = {"family": "rma"}
+        d = 10.0 + 1000.0 * math.log(2.0)
+        assert los_probability(curve, d) == pytest.approx(0.5, abs=1e-12)
+        hits = sum(assign_link_state(rng, curve, d) == "LOS"
                    for _ in range(100_000))
         assert abs(hits / 100_000 - 0.5) < 0.01
 

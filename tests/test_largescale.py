@@ -1,29 +1,31 @@
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chansim6g.geometry import ConfigurationError
 from chansim6g.largescale import (DATA_ENV_VAR, AssetError, LSP_ORDER,
-                                  LspTableEntry, data_dir, generate_lsps,
-                                  load_scenarios, lookup_lsp_table)
+                                  LspTableEntry, correlation_factor, data_dir,
+                                  generate_lsps, load_scenarios, lookup_lsp_table)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# LSP_ORDER: lg DS, lg ASA, lg ASD, lg ZSA, lg ZSD, K dB, SF dB.
+MU = (-7.5, 1.5, 1.2, 0.7, 0.4, 9.0, 0.0)
+SIGMA = (0.3, 0.2, 0.2, 0.2, 0.2, 3.0, 4.0)
 
 
 def make_entry(corr=None, **overrides):
     base = dict(
-        scenario="synthetic", state="nlos", band_ghz=(0.5, 100.0),
-        elevation_deg=None, n_clusters=12, rays_per_cluster=20,
+        n_clusters=12, rays_per_cluster=20,
         delay_scaling=2.3, per_cluster_shadow_db=3.0,
-        ds_lg_mu=-7.5, ds_lg_sigma=0.3,
-        asa_lg_mu=1.5, asa_lg_sigma=0.2,
-        asd_lg_mu=1.2, asd_lg_sigma=0.2,
-        zsa_lg_mu=0.7, zsa_lg_sigma=0.2,
-        zsd_lg_mu=0.4, zsd_lg_sigma=0.2,
-        k_mu_db=9.0, k_sigma_db=3.0, sf_sigma_db=4.0,
+        lsp_mu=MU, lsp_sigma=SIGMA,
+        chol=correlation_factor(np.eye(7) if corr is None else corr),
         xpr_mu_db=8.0, xpr_sigma_db=3.0,
         c_asa_deg=11.0, c_asd_deg=5.0, c_zsa_deg=7.0, c_zsd_deg=1.0,
-        corr=np.eye(7) if corr is None else np.asarray(corr),
     )
     base.update(overrides)
     return LspTableEntry(**base)
@@ -52,13 +54,14 @@ class TestLookup:
     def test_elevation_keying(self):
         e30 = lookup_lsp_table("dense_urban", "LOS", 2e9, elevation_deg=30.0)
         e60 = lookup_lsp_table("dense_urban", "LOS", 2e9, elevation_deg=60.0)
-        assert e30.k_mu_db != e60.k_mu_db
+        k = LSP_ORDER.index("k")
+        assert e30.lsp_mu[k] != e60.lsp_mu[k]
         # Deterministic bucketing: values change only at bucket boundaries.
         e31 = lookup_lsp_table("dense_urban", "LOS", 2e9, elevation_deg=31.0)
         e34 = lookup_lsp_table("dense_urban", "LOS", 2e9, elevation_deg=34.0)
-        assert e31.k_mu_db == e30.k_mu_db == e34.k_mu_db
+        assert e31.lsp_mu[k] == e30.lsp_mu[k] == e34.lsp_mu[k]
         e36 = lookup_lsp_table("dense_urban", "LOS", 2e9, elevation_deg=36.0)
-        assert e36.k_mu_db != e30.k_mu_db
+        assert e36.lsp_mu[k] != e30.lsp_mu[k]
 
     def test_elevation_required(self):
         with pytest.raises(ConfigurationError):
@@ -67,14 +70,12 @@ class TestLookup:
     def test_frequency_polynomial_evaluation(self):
         lo = lookup_lsp_table("umi", "LOS", 6e9)
         hi = lookup_lsp_table("umi", "LOS", 60e9)
-        assert hi.ds_lg_mu < lo.ds_lg_mu  # delay spread shrinks with frequency
+        assert hi.lsp_mu[0] < lo.lsp_mu[0]  # delay spread shrinks with frequency
 
 
 class TestGenerate:
     def test_degenerate_draw_equals_means(self):
-        entry = make_entry(ds_lg_sigma=0.0, asa_lg_sigma=0.0, asd_lg_sigma=0.0,
-                           zsa_lg_sigma=0.0, zsd_lg_sigma=0.0, k_sigma_db=0.0,
-                           sf_sigma_db=0.0)
+        entry = make_entry(lsp_sigma=(0.0,) * 7)
         lsps = generate_lsps(entry, np.random.default_rng(0))
         assert lsps.ds_s == pytest.approx(10.0 ** -7.5, rel=1e-12)
         assert lsps.asa_deg == pytest.approx(10.0 ** 1.5, rel=1e-12)
@@ -106,9 +107,8 @@ class TestGenerate:
         pairs = {(0, 1): 0.5, (0, 5): -0.4, (2, 4): 0.5, (5, 6): 0.5, (0, 6): -0.4}
         for (i, j), v in pairs.items():
             corr[i, j] = corr[j, i] = v
-        entry = make_entry(corr=corr, ds_lg_sigma=0.2, asa_lg_sigma=0.15,
-                           asd_lg_sigma=0.15, zsa_lg_sigma=0.15,
-                           zsd_lg_sigma=0.15, k_sigma_db=3.0, sf_sigma_db=4.0)
+        entry = make_entry(corr=corr,
+                           lsp_sigma=(0.2, 0.15, 0.15, 0.15, 0.15, 3.0, 4.0))
         rng = np.random.default_rng(19)
         cols = []
         for _ in range(100_000):
@@ -127,7 +127,7 @@ class TestGenerate:
         assert a == b
 
     def test_outputs_strictly_positive(self):
-        entry = make_entry(ds_lg_sigma=1.0, asa_lg_sigma=1.0)
+        entry = make_entry(lsp_sigma=(1.0, 1.0) + SIGMA[2:])
         rng = np.random.default_rng(3)
         for _ in range(5_000):
             s = generate_lsps(entry, rng)
@@ -162,6 +162,30 @@ class TestAssetValidation:
         with pytest.raises(AssetError, match="symmetric"):
             load_scenarios()
 
+    def test_partly_elevation_keyed_scenario_rejected(self, tmp_path, monkeypatch):
+        umi = json.loads(json.dumps(load_scenarios()["scenarios"]["umi"]))
+        umi["entries"][1]["elevation_deg"] = 30
+        self._use_asset(tmp_path, monkeypatch, umi)
+        with pytest.raises(AssetError, match="entry 0: .* elevation-keyed or none"):
+            load_scenarios()
+
+    def test_singular_corr_factored_once_with_jitter(self, tmp_path, monkeypatch):
+        # DS and ASA fully correlated: PSD, so it loads, but exactly singular,
+        # so a plain Cholesky fails and the entry's factor carries the jitter.
+        corr = np.eye(7)
+        corr[0, 1] = corr[1, 0] = 1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(corr)
+        self._use_asset_with_corr(tmp_path, monkeypatch, corr.tolist())
+        entry = lookup_lsp_table("umi", "LOS", 28e9)
+        assert np.array_equal(entry.chol,
+                              np.linalg.cholesky(corr + 1e-12 * np.eye(7)))
+        assert not entry.chol.flags.writeable
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            s = generate_lsps(entry, rng)
+            assert all(np.isfinite(v) for v in dataclasses.astuple(s))
+
     def test_non_ci_model_rejected_on_terrestrial_scenario(self, tmp_path,
                                                            monkeypatch):
         # Terrestrial drops apply CI whatever the asset says, so another
@@ -176,6 +200,16 @@ class TestAssetValidation:
         raw = load_scenarios()
         assert set(raw["scenarios"]) >= {"umi", "inh_office", "uma", "rma",
                                          "dense_urban"}
+
+    def test_shipped_asset_matches_builder(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "build_scenario_asset", ROOT / "scripts" / "build_scenario_asset.py")
+        builder = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(builder)
+        monkeypatch.setattr(builder, "OUT", tmp_path / "scenarios.json")
+        builder.main()
+        shipped = ROOT / "src" / "chansim6g" / "data" / "scenarios.json"
+        assert builder.OUT.read_bytes() == shipped.read_bytes()
 
 
 class TestLookupCache:

@@ -5,7 +5,7 @@ import pytest
 
 from chansim6g.constants import C_LIGHT
 from chansim6g.geometry import ConfigurationError
-from chansim6g.largescale import load_scenarios, scenario_pathloss
+from chansim6g.largescale import elevation_keyed, load_scenarios, scenario_pathloss
 from chansim6g.pathloss import (AbgParams, PathLossSample, fit_abg, pl_abg, pl_ci,
                                 pl_radar_echo, pl_sagin)
 
@@ -134,8 +134,13 @@ class TestMonotonicityAndAssets:
 
     def test_nlos_exponent_exceeds_los_everywhere(self):
         # Reflects the measured pattern: NLOS path-loss exponents are
-        # markedly higher than LOS in every shipped scenario table.
-        for scenario in load_scenarios()["scenarios"]:
+        # markedly higher than LOS in every shipped terrestrial table (the
+        # elevation-keyed satellite tables hold no exponent: SAGIN drops
+        # apply free-space loss).
+        terrestrial = [s for s in load_scenarios()["scenarios"]
+                       if not elevation_keyed(s)]
+        assert set(terrestrial) == {"umi", "inh_office", "uma", "rma"}
+        for scenario in terrestrial:
             los = scenario_pathloss(scenario, "LOS")
             nlos = scenario_pathloss(scenario, "NLOS")
             assert nlos > los, scenario

@@ -104,7 +104,8 @@ class TestNtnDrop:
         assert np.array_equal(a.coefficients, b.coefficients)
 
     def test_elevation_keyed_parameters(self):
-        from chansim6g.largescale import lookup_lsp_table
+        from chansim6g.largescale import LSP_ORDER, lookup_lsp_table
         e30 = lookup_lsp_table("dense_urban", "LOS", 2e9, elevation_deg=30.0)
         e60 = lookup_lsp_table("dense_urban", "LOS", 2e9, elevation_deg=60.0)
-        assert e60.k_mu_db > e30.k_mu_db  # higher links see less clutter
+        k = LSP_ORDER.index("k")
+        assert e60.lsp_mu[k] > e30.lsp_mu[k]  # higher links see less clutter
