@@ -1,15 +1,21 @@
 """Multi-drop campaign orchestration: one drop skeleton with a runner per
 feature, deterministic seeding, file output and metric collection.
 
-``run_drop`` runs each drop's shared prologue once (rng streams, link state,
-the table entry of a terrestrial feature, positions, arrays, sample times);
-the feature's runner in ``_RUNNERS`` returns its tensors and metrics; and
-``run_drop`` alone stamps the tensors and builds the ``DropResult``. Every
-terrestrial loss is ``_ci_loss`` over legs floored at 1 m by ``_leg``.
+A campaign slice builds one ``_Plan`` (config hash, positions, arrays, LOS
+directions, sample times) and stages its drops ``_BLOCK`` at a time: each
+drop's prologue (rng streams, link state, the table entry of a terrestrial
+feature), and, for BASE, THz and SAGIN, steps 5-10 of the drops that drew
+one link state as a single block. ``run_drop`` then finishes each drop: the
+feature's runner in ``_RUNNERS`` returns its tensors and metrics, and
+``run_drop`` alone stamps the tensors and builds the ``DropResult``. Alone,
+``run_drop(cfg, drop)`` builds its own plan and stages the drop as a block
+of one. Every terrestrial loss is ``_ci_loss`` over legs floored at 1 m by
+``_leg``.
 
-Drops are schedule-independent: each consumes only its own child rng streams
-and writes its own tensor file, so serial and parallel runs produce
-byte-identical outputs.
+Drops are schedule-independent: each consumes only its own child rng streams,
+a block computes every drop as it would alone, and each drop writes its own
+tensor file, so serial, parallel and blocked runs produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -27,13 +33,17 @@ import numpy as np
 from . import analysis, emimo, isac, ris, sagin, thz
 from .cir import CirTensor, apply_large_scale, synthesize_cir, write_cir
 from .config import FROM_TABLE, ScenarioConfig, config_hash
-from .geometry import ArrayGeometry, Position3D, assign_link_state, los_directions
-from .largescale import LspTableEntry, generate_lsps, lookup_lsp_table, \
+from .geometry import ArrayGeometry, LosDirections, Position3D, assign_link_state, \
+    los_directions
+from .largescale import LSPSet, LspTableEntry, generate_lsps, lookup_lsp_table, \
     scenario_los_curve, scenario_pathloss
 from .pathloss import PathLossSample, pl_ci, pl_radar_echo
 from .seeding import DropStreams
-from .smallscale import generate_clusters
+from .smallscale import ClusterSet, generate_clusters
 from .analysis import circular_angular_spread, gini_index, rms_delay_spread, rsrp
+
+# Drops a campaign slice stages together.
+_BLOCK = 24
 
 
 @dataclass
@@ -43,18 +53,82 @@ class DropResult:
     metrics: dict
 
 
-@dataclass
-class _Drop:
-    """What the shared prologue hands every runner."""
+@dataclass(frozen=True)
+class _Plan:
+    """What every drop of a campaign shares, built once per slice."""
     cfg: ScenarioConfig
-    streams: DropStreams
-    state: str
-    entry: LspTableEntry | None     # None for SAGIN: its table is elevation-keyed
+    chash: str                      # config_hash(cfg)
     bs: Position3D
     ue: Position3D
     tx: ArrayGeometry               # bs_array
     rx: ArrayGeometry               # ue_array
-    times: np.ndarray
+    dirs: LosDirections | None      # BS -> UE; None for SAGIN (a slant link)
+    times: np.ndarray               # read-only sample times
+    d2d: float                      # horizontal BS-UE distance
+
+
+def _plan(cfg: ScenarioConfig) -> _Plan:
+    bs, ue = cfg.bs_position3d(), cfg.ue_position3d()
+    times = np.arange(cfg.time_samples, dtype=np.float64) * cfg.time_spacing_s
+    times.flags.writeable = False   # every drop's tensors share it
+    return _Plan(cfg=cfg, chash=config_hash(cfg), bs=bs, ue=ue,
+                 tx=cfg.build_array(cfg.bs_array), rx=cfg.build_array(cfg.ue_array),
+                 dirs=None if cfg.feature == "SAGIN" else los_directions(bs, ue),
+                 times=times,
+                 d2d=math.hypot(cfg.ue_position[0] - cfg.bs_position[0],
+                                cfg.ue_position[1] - cfg.bs_position[1]))
+
+
+@dataclass
+class _Drop:
+    """One drop as staging hands it to its runner."""
+    plan: _Plan
+    streams: DropStreams
+    state: str
+    entry: LspTableEntry | None = None    # None for SAGIN: its table is elevation-keyed
+    lsps: LSPSet | None = None            # BASE and THz: steps 5-10, staged
+    clusters: ClusterSet | None = None
+    cir: CirTensor | None = None          # SAGIN: the drop's tensor, staged
+
+
+def _stage(plan: _Plan, drops) -> list:
+    """Each drop's prologue, in drop order. BASE, THz and SAGIN drops that
+    drew the same link state then run steps 5-10 as one block."""
+    cfg = plan.cfg
+    curve = scenario_los_curve(cfg.scenario) if cfg.link_state is None else None
+    staged = []
+    for drop in drops:
+        streams = DropStreams(cfg.seed, drop)
+        state = cfg.link_state
+        if state is None:   # drawn against the scenario's LOS-probability curve
+            state = assign_link_state(streams.get("link_state"), curve, plan.d2d)
+        staged.append(_Drop(plan, streams, state))
+    groups: dict = {}
+    for d in staged:
+        groups.setdefault(d.state, []).append(d)
+    fc = cfg.center_freq_hz
+    for state, group in groups.items():
+        streams = [d.streams for d in group]
+        if cfg.feature == "SAGIN":
+            blk = cfg.feature_block()
+            cirs = sagin.ntn_drop(cfg.scenario, state, fc, blk["height_m"],
+                                  math.radians(blk["elevation_deg"]), streams,
+                                  extra_atten_db=blk["extra_atten_db"],
+                                  k_rain_db=blk["k_rain_db"],
+                                  k_cloud_db=blk["k_cloud_db"], times=plan.times)
+            for d, cir in zip(group, cirs):
+                d.cir = cir
+            continue
+        entry = lookup_lsp_table(cfg.scenario, state, fc)
+        for d in group:
+            d.entry = entry
+        if cfg.feature in ("BASE", "THZ"):
+            lsps = [generate_lsps(entry, s.get("lsp")) for s in streams]
+            clusters = generate_clusters(entry, lsps, plan.dirs, state,
+                                         cfg.ue_velocity, fc, streams)
+            for d, drawn, cl in zip(group, lsps, clusters):
+                d.lsps, d.clusters = drawn, cl
+    return staged
 
 
 def _leg(a: Position3D, b: Position3D) -> float:
@@ -64,16 +138,15 @@ def _leg(a: Position3D, b: Position3D) -> float:
 
 def _ci_loss(d: _Drop, sf_db: float, *legs) -> PathLossSample:
     """CI path loss summed over the ``(a, b)`` legs, with shadow fading."""
-    alpha = scenario_pathloss(d.cfg.scenario, d.state)
-    pl = sum(pl_ci(_leg(a, b), d.cfg.center_freq_hz, alpha) for a, b in legs)
+    cfg = d.plan.cfg
+    alpha = scenario_pathloss(cfg.scenario, d.state)
+    pl = sum(pl_ci(_leg(a, b), cfg.center_freq_hz, alpha) for a, b in legs)
     return PathLossSample(pl_db=pl, shadow_db=sf_db)
 
 
 def _run_standard(d: _Drop) -> tuple[dict, dict]:
-    cfg = d.cfg
-    lsps = generate_lsps(d.entry, d.streams.get("lsp"))
-    clusters = generate_clusters(d.entry, lsps, los_directions(d.bs, d.ue), d.state,
-                                 cfg.ue_velocity, cfg.center_freq_hz, d.streams)
+    p, clusters = d.plan, d.clusters
+    cfg = p.cfg
     if cfg.feature == "THZ":
         # Config value wins over the table entry's intra-cluster K.
         sparsity_k_db = cfg.feature_block()["intra_cluster_k_db"]
@@ -81,8 +154,8 @@ def _run_standard(d: _Drop) -> tuple[dict, dict]:
             sparsity_k_db = d.entry.intra_cluster_k_db
         if sparsity_k_db is not None:
             clusters = thz.apply_sparsity(clusters, sparsity_k_db)
-    cir = synthesize_cir(clusters, d.tx, d.rx, cfg.center_freq_hz, d.times)
-    cir = apply_large_scale(cir, _ci_loss(d, lsps.sf_db, (d.bs, d.ue)))
+    cir = synthesize_cir(clusters, p.tx, p.rx, cfg.center_freq_hz, p.times)
+    cir = apply_large_scale(cir, _ci_loss(d, d.lsps.sf_db, (p.bs, p.ue)))
     return {"": cir}, {
         "ds_ns": rms_delay_spread(clusters.powers, clusters.delays_s) * 1e9,
         "asa_deg": circular_angular_spread(clusters.ray_powers.ravel(),
@@ -95,29 +168,30 @@ def _run_standard(d: _Drop) -> tuple[dict, dict]:
 
 
 def _run_emimo(d: _Drop) -> tuple[dict, dict]:
-    cfg, blk = d.cfg, d.cfg.feature_block()
+    p = d.plan
+    cfg, blk = p.cfg, p.cfg.feature_block()
     n_freq = blk["freq_samples"]
     fc = cfg.center_freq_hz
     lsps = generate_lsps(d.entry, d.streams.get("lsp"))
-    clusters = generate_clusters(d.entry, lsps, los_directions(d.bs, d.ue), d.state,
-                                 cfg.ue_velocity, fc, d.streams)
+    clusters = generate_clusters(d.entry, lsps, p.dirs, d.state, cfg.ue_velocity, fc,
+                                 d.streams)
     # The receive array sweeps the large aperture; the spherical manifold and
     # the visibility mask act along its elements.
-    paths = emimo.paths_from_clusters(clusters, d.bs.distance_to(d.ue))
-    mask = emimo.gen_sns_mask(d.tx.element_count, len(paths),
+    paths = emimo.paths_from_clusters(clusters, p.bs.distance_to(p.ue))
+    mask = emimo.gen_sns_mask(p.tx.element_count, len(paths),
                               blk["stationary_region"], d.streams.get("sns"))
-    manifold = emimo.spherical_manifold(paths, d.tx, fc)
+    manifold = emimo.spherical_manifold(paths, p.tx, fc)
     alpha = np.array([p.alpha for p in paths])
     tap_gain = mask.s * manifold * alpha[None, :]
     coeffs = tap_gain[None, :, None, :]                      # (1, M, 1, K)
     # Path delays are the link delay plus the sorted cluster delays: in order.
     delays = np.array([p.tau_s for p in paths])
     cir = CirTensor(coefficients=coeffs, tap_delays_s=delays - delays.min(),
-                    sample_times_s=d.times)
-    cir = apply_large_scale(cir, _ci_loss(d, lsps.sf_db, (d.bs, d.ue)))
+                    sample_times_s=p.times)
+    cir = apply_large_scale(cir, _ci_loss(d, lsps.sf_db, (p.bs, p.ue)))
     freqs = fc + np.linspace(-cfg.bandwidth_hz / 2, cfg.bandwidth_hz / 2, n_freq)
-    rows = sorted({0, d.tx.element_count - 1})    # the two elements xcorr_last reads
-    cfr = emimo.sns_cfr_band(paths, d.tx.element_positions[rows],
+    rows = sorted({0, p.tx.element_count - 1})    # the two elements xcorr_last reads
+    cfr = emimo.sns_cfr_band(paths, p.tx.element_positions[rows],
                              emimo.SnsMask(s=mask.s[rows]), freqs)
     rho, _ = analysis.array_cross_correlation(cfr)
     return {"": cir}, {
@@ -131,16 +205,17 @@ def _run_emimo(d: _Drop) -> tuple[dict, dict]:
 
 
 def _run_isac(d: _Drop) -> tuple[dict, dict]:
-    cfg, blk = d.cfg, d.cfg.feature_block()
+    p = d.plan
+    cfg, blk = p.cfg, p.cfg.feature_block()
     lsps = generate_lsps(d.entry, d.streams.get("lsp"))
-    targets, rx_s = isac.build_targets(blk, d.bs)
+    targets, rx_s = isac.build_targets(blk, p.bs)
     pair = isac.gen_isac_drop(
-        d.entry, lsps, d.bs, d.ue, d.state, blk["n_shared"], d.streams,
+        d.entry, lsps, p.bs, p.ue, d.state, blk["n_shared"], d.streams,
         cfg.center_freq_hz, targets=targets, rx_s_pos=rx_s,
         ue_velocity=cfg.ue_velocity, self_interference_db=blk["self_interference_db"])
-    cir_c = synthesize_cir(pair.comm, d.tx, d.rx, cfg.center_freq_hz, d.times)
-    cir_c = apply_large_scale(cir_c, _ci_loss(d, lsps.sf_db, (d.bs, d.ue)))
-    cir_s = synthesize_cir(pair.sense, d.tx, d.tx, cfg.center_freq_hz, d.times)
+    cir_c = synthesize_cir(pair.comm, p.tx, p.rx, cfg.center_freq_hz, p.times)
+    cir_c = apply_large_scale(cir_c, _ci_loss(d, lsps.sf_db, (p.bs, p.ue)))
+    cir_s = synthesize_cir(pair.sense, p.tx, p.tx, cfg.center_freq_hz, p.times)
     metrics = {
         "ds_ns": rms_delay_spread(pair.comm.powers, pair.comm.delays_s) * 1e9,
         "rsrp_dbm": rsrp(cir_c, cfg.tx_power_dbm),
@@ -151,7 +226,7 @@ def _run_isac(d: _Drop) -> tuple[dict, dict]:
     }
     if targets:     # every target has an echo cluster in pair.target_sense_idx
         t0 = targets[int(np.argmin(pair.target_echo_delays_s))]
-        echo_pl = pl_radar_echo(_leg(d.bs, t0.position), _leg(t0.position, rx_s or d.bs),
+        echo_pl = pl_radar_echo(_leg(p.bs, t0.position), _leg(t0.position, rx_s or p.bs),
                                 cfg.center_freq_hz, t0.rcs_dbsm)
         cir_s = apply_large_scale(cir_s, PathLossSample(pl_db=echo_pl, shadow_db=0.0))
         p_targets = pair.sense.powers[pair.target_sense_idx]
@@ -165,7 +240,8 @@ def _run_isac(d: _Drop) -> tuple[dict, dict]:
 
 
 def _run_ris(d: _Drop) -> tuple[dict, dict]:
-    cfg, blk, entry = d.cfg, d.cfg.feature_block(), d.entry
+    p = d.plan
+    cfg, blk, entry = p.cfg, p.cfg.feature_block(), d.entry
     ris_pos = Position3D.from_iterable(blk["position"])
     f_hz = cfg.center_freq_hz
 
@@ -190,8 +266,8 @@ def _run_ris(d: _Drop) -> tuple[dict, dict]:
     if blk["leg_k_db"] is not None:
         lsps1 = replace(lsps1, k_db=blk["leg_k_db"])
         lsps2 = replace(lsps2, k_db=blk["leg_k_db"])
-    dirs1 = los_directions(d.bs, ris_pos)
-    dirs2 = los_directions(ris_pos, d.ue)
+    dirs1 = los_directions(p.bs, ris_pos)
+    dirs2 = los_directions(ris_pos, p.ue)
     leg1 = generate_clusters(entry1, lsps1, dirs1, d.state, (0.0, 0.0, 0.0),
                              f_hz, s1)
     leg2 = generate_clusters(entry, lsps2, dirs2, d.state, cfg.ue_velocity,
@@ -207,8 +283,8 @@ def _run_ris(d: _Drop) -> tuple[dict, dict]:
         codebook = ris.uniform_codebook()
 
     cir_ni, cir_id = ris.cascade_cir_multi(leg1, leg2, [panel_ni, panel_id],
-                                           codebook, d.tx, d.rx, f_hz, d.times)
-    pl = _ci_loss(d, lsps1.sf_db, (d.bs, ris_pos), (ris_pos, d.ue))
+                                           codebook, p.tx, p.rx, f_hz, p.times)
+    pl = _ci_loss(d, lsps1.sf_db, (p.bs, ris_pos), (ris_pos, p.ue))
     cir_ni = apply_large_scale(cir_ni, pl)
     cir_id = apply_large_scale(cir_id, pl)
     noise = blk["noise_floor_dbm"]
@@ -227,16 +303,11 @@ def _run_ris(d: _Drop) -> tuple[dict, dict]:
 
 
 def _run_sagin(d: _Drop) -> tuple[dict, dict]:
-    cfg, blk = d.cfg, d.cfg.feature_block()
-    cir = sagin.ntn_drop(cfg.scenario, d.state, cfg.center_freq_hz,
-                         blk["height_m"], math.radians(blk["elevation_deg"]),
-                         d.streams, extra_atten_db=blk["extra_atten_db"],
-                         k_rain_db=blk["k_rain_db"], k_cloud_db=blk["k_cloud_db"],
-                         times=d.times)
+    cir = d.cir
     powers = np.abs(cir.coefficients[0, 0, 0]) ** 2
     return {"": cir}, {
         "ds_ns": rms_delay_spread(powers, cir.tap_delays_s) * 1e9,
-        "rsrp_dbm": rsrp(cir, cfg.tx_power_dbm),
+        "rsrp_dbm": rsrp(cir, d.plan.cfg.tx_power_dbm),
         "pl_db": cir.meta["pl_db"],
         "slant_km": cir.meta["slant_range_m"] / 1e3,
         "k_total_db": cir.meta["k_total_db"],
@@ -255,24 +326,17 @@ _RUNNERS = {
 }
 
 
-def run_drop(cfg: ScenarioConfig, drop: int) -> DropResult:
-    """One drop: the shared prologue, the feature's runner, the result."""
-    streams = DropStreams(cfg.seed, drop)
-    state = cfg.link_state
-    if state is None:       # drawn against the scenario's LOS-probability curve
-        d2d = math.hypot(cfg.ue_position[0] - cfg.bs_position[0],
-                         cfg.ue_position[1] - cfg.bs_position[1])
-        state = assign_link_state(streams.get("link_state"),
-                                  scenario_los_curve(cfg.scenario), d2d)
-    entry = None if cfg.feature == "SAGIN" else \
-        lookup_lsp_table(cfg.scenario, state, cfg.center_freq_hz)
-    times = np.arange(cfg.time_samples, dtype=np.float64) * cfg.time_spacing_s
-    tensors, metrics = _RUNNERS[cfg.feature](_Drop(
-        cfg, streams, state, entry, cfg.bs_position3d(), cfg.ue_position3d(),
-        cfg.build_array(cfg.bs_array), cfg.build_array(cfg.ue_array), times))
-    chash = config_hash(cfg)
+def run_drop(cfg: ScenarioConfig, drop: int, staged: _Drop | None = None) -> DropResult:
+    """One drop: the feature's runner on the staged drop, then the result.
+
+    ``staged`` is the drop as a campaign slice staged it, in a block with
+    the slice's plan. Without it the drop builds its own plan and is staged
+    alone, a block of one, which gives the same bytes.
+    """
+    d = staged or _stage(_plan(cfg), [drop])[0]
+    tensors, metrics = _RUNNERS[cfg.feature](d)
     for tensor in tensors.values():
-        tensor.meta.update(config_hash=chash, seed=cfg.seed)
+        tensor.meta.update(config_hash=d.plan.chash, seed=cfg.seed)
     return DropResult(drop=drop, tensors=tensors, metrics=metrics)
 
 
@@ -283,24 +347,37 @@ def _add_note(exc: BaseException, note: str) -> None:
 
 def _run_slice(cfg: ScenarioConfig, drops: range, out: Path) -> list:
     """Run ``drops`` in order and write their tensors; one
-    ``(drop, metrics, files)`` row per drop. A failure is re-raised with a
-    note naming the drop, so ``run_drop(cfg, drop)`` replays it alone."""
+    ``(drop, metrics, files)`` row per drop.
+
+    The slice builds one plan and stages its drops ``_BLOCK`` at a time,
+    then ``run_drop`` finishes each staged drop. If staging a chunk raises,
+    its drops rerun one at a time. A failure is re-raised with a note naming
+    the drop, so ``run_drop(cfg, drop)`` replays it alone.
+    """
     rows = []
-    for drop in drops:
+    plan = None
+    for start in range(0, len(drops), _BLOCK):
+        chunk = drops[start:start + _BLOCK]
         try:
-            result = run_drop(cfg, drop)
-            files = []
-            for suffix, tensor in result.tensors.items():
-                path = out / f"drop{drop:05d}.cir{suffix}"
-                tmp = path.with_suffix(path.suffix + ".tmp")
-                write_cir(tensor, tmp)
-                tmp.rename(path)
-                files.append(str(path))
-        except Exception as exc:
-            _add_note(exc, f"drop {drop} (seed {cfg.seed}) failed; "
-                           f"run_drop(cfg, {drop}) replays it alone")
-            raise
-        rows.append((drop, result.metrics, files))
+            plan = plan or _plan(cfg)
+            staged = _stage(plan, chunk)
+        except Exception:
+            staged = [None] * len(chunk)    # run_drop stages each drop alone
+        for drop, d in zip(chunk, staged):
+            try:
+                result = run_drop(cfg, drop, d)
+                files = []
+                for suffix, tensor in result.tensors.items():
+                    path = out / f"drop{drop:05d}.cir{suffix}"
+                    tmp = path.with_suffix(path.suffix + ".tmp")
+                    write_cir(tensor, tmp)
+                    tmp.rename(path)
+                    files.append(str(path))
+            except Exception as exc:
+                _add_note(exc, f"drop {drop} (seed {cfg.seed}) failed; "
+                               f"run_drop(cfg, {drop}) replays it alone")
+                raise
+            rows.append((drop, result.metrics, files))
     return rows
 
 

@@ -75,8 +75,11 @@ def _polarization_matrices(clusters: ClusterSet) -> np.ndarray:
 def _array_phases(array: ArrayGeometry, zen, az, lam: float) -> np.ndarray:
     """Element phase factors exp(j 2 pi r.p / lam) of the rays arriving or
     leaving along (zen, az), shape ``zen.shape + (elements,)``."""
-    return np.exp(2j * np.pi / lam * np.tensordot(
-        unit_vector(zen, az), array.element_positions.T, axes=1))
+    # The (rays, 3) x (3, elements) product np.tensordot forms, without its
+    # set-up.
+    u = unit_vector(zen, az)
+    r_dot_p = np.dot(u.reshape(-1, 3), array.element_positions.T)
+    return np.exp(2j * np.pi / lam * r_dot_p.reshape(u.shape[:-1] + (-1,)))
 
 
 def synthesize_cir(clusters: ClusterSet, tx: ArrayGeometry, rx: ArrayGeometry,
@@ -89,7 +92,12 @@ def synthesize_cir(clusters: ClusterSet, tx: ArrayGeometry, rx: ArrayGeometry,
     """
     lam = wavelength(f_hz)
     t = np.zeros(1) if times is None else np.asarray(times, dtype=np.float64)
-    amp = np.sqrt(clusters.ray_powers) * _polarization_matrices(clusters)[..., 0, 0]
+    # The theta-theta entry of each ray's phase/XPR matrix: 1 on the LOS
+    # specular ray, as in _polarization_matrices.
+    tt = np.exp(1j * clusters.phases[..., 0])
+    if clusters.state == "LOS":
+        tt[0, 0] = 1.0
+    amp = np.sqrt(clusters.ray_powers) * tt
     phase_rx = _array_phases(rx, clusters.zoa, clusters.aoa, lam)       # (n, m, u)
     phase_tx = _array_phases(tx, clusters.zod, clusters.aod, lam)       # (n, m, s)
     dop = np.exp(2j * np.pi * clusters.doppler_hz[..., None] * t)       # (n, m, t)

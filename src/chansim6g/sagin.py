@@ -59,30 +59,41 @@ def weather_adjusted_k(k_los_db: float, k_rain_db: float = 0.0,
 
 def ntn_drop(scenario: str, state: str, f_hz: float, sat_height_m: float,
              elevation_rad: float, streams, extra_atten_db: float = 0.0,
-             k_rain_db: float = 0.0, k_cloud_db: float = 0.0,
-             times=None) -> CirTensor:
+             k_rain_db: float = 0.0, k_cloud_db: float = 0.0, times=None):
     """One space-to-ground drop: spherical-Earth slant geometry, free-space
     slant loss plus clutter/attenuation hooks, elevation-keyed fast-fading
     parameters, then the standard small-scale pipeline with the K-factor
     replaced by its weather-adjusted value.
+
+    ``streams`` is one drop's DropStreams, giving its CirTensor, or a
+    sequence of them, giving one CirTensor per drop: a block that shares
+    the geometry, table entry and slant loss and generates its clusters in
+    one ``generate_clusters`` call.
     """
+    one = not isinstance(streams, (list, tuple))
+    if one:
+        streams = [streams]
     geom = slant_geometry(sat_height_m, elevation_rad)
     entry = lookup_lsp_table(scenario, state, f_hz,
                              elevation_deg=math.degrees(elevation_rad))
-    lsps = generate_lsps(entry, streams.get("lsp"))
-    k_total = weather_adjusted_k(lsps.k_db, k_rain_db, k_cloud_db)
-    lsps = replace(lsps, k_db=k_total)
-
+    lsps = []
+    for s in streams:
+        drawn = generate_lsps(entry, s.get("lsp"))
+        lsps.append(replace(drawn, k_db=weather_adjusted_k(drawn.k_db, k_rain_db,
+                                                           k_cloud_db)))
     pl_db = pl_sagin(geom.slant_range, f_hz,
                      extra_atten_db=extra_atten_db + entry.clutter_loss_db)
-    shadow = lsps.sf_db  # the correlated SF component of the LSP draw
 
     dirs = los_directions(geom.sat_position, geom.ue_position)
     clusters = generate_clusters(entry, lsps, dirs, state,
                                  velocity=(0.0, 0.0, 0.0), f_hz=f_hz,
                                  streams=streams)
-    cir = synthesize_cir(clusters, tx=single_element(), rx=single_element(),
-                         f_hz=f_hz, times=times)
-    cir = apply_large_scale(cir, PathLossSample(pl_db=pl_db, shadow_db=shadow))
-    cir.meta.update(slant_range_m=geom.slant_range, k_total_db=k_total)
-    return cir
+    antenna = single_element()
+    cirs = []
+    for cl, drawn in zip(clusters, lsps):
+        cir = synthesize_cir(cl, tx=antenna, rx=antenna, f_hz=f_hz, times=times)
+        # The shadow term is the correlated SF component of the LSP draw.
+        cir = apply_large_scale(cir, PathLossSample(pl_db=pl_db, shadow_db=drawn.sf_db))
+        cir.meta.update(slant_range_m=geom.slant_range, k_total_db=drawn.k_db)
+        cirs.append(cir)
+    return cirs[0] if one else cirs

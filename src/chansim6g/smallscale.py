@@ -85,47 +85,66 @@ def los_delay_scale(k_db: float) -> float:
     return 0.7705 - 0.0433 * k + 0.0002 * k ** 2 + 0.000017 * k ** 3
 
 
-def gen_cluster_delays(ds_s: float, r_tau: float, n: int,
-                       rng: np.random.Generator) -> np.ndarray:
+def gen_cluster_delays(ds_s, r_tau: float, n: int, rng) -> np.ndarray:
     """Sorted cluster delays with the minimum subtracted (tau_1 = 0).
 
     Exponential profile tau' = -r_tau * DS * ln U, without the LOS delay
     scaling: power generation uses these delays, and ``generate_clusters``
-    scales them afterwards.
+    scales them afterwards. For a block, ``ds_s`` is a (B, 1) array and
+    ``rng`` a sequence of B generators; the delays are then (B, n).
     """
-    if ds_s <= 0:
+    if np.any(np.asarray(ds_s) <= 0):
         raise ValueError(f"delay spread must be positive, got {ds_s}")
     if r_tau <= 1:
         raise ValueError(f"delay scaling factor must exceed 1, got {r_tau}")
     if n < 1:
         raise ValueError(f"cluster count must be >= 1, got {n}")
-    tau = -r_tau * ds_s * np.log(rng.uniform(size=n))
-    return np.sort(tau - tau.min())
+    tau = -r_tau * ds_s * np.log(_each(rng, lambda g: g.uniform(size=n)))
+    return np.sort(tau - tau.min(axis=-1, keepdims=True), axis=-1)
 
 
-def gen_cluster_powers(delays: np.ndarray, ds_s: float, r_tau: float,
-                       zeta_db: float, k_db: float | None, state: str,
-                       rng: np.random.Generator) -> np.ndarray:
+def gen_cluster_powers(delays: np.ndarray, ds_s, r_tau: float,
+                       zeta_db: float, k_db, state: str, rng) -> np.ndarray:
     """Cluster powers, normalized to sum 1.
 
     Exponential decay over delay with per-cluster log-normal shadowing; in
     LOS the first cluster receives K/(K+1) of the total and the remainder is
-    scaled by 1/(K+1).
+    scaled by 1/(K+1). For a block, ``delays`` is (B, n), ``ds_s`` (B, 1),
+    ``k_db`` a list of one K per drop and ``rng`` one generator per drop.
     """
     tau = np.asarray(delays, dtype=np.float64)
     if np.any(np.diff(tau) < 0):
         raise ValueError("delays must be sorted")
-    z = rng.normal(0.0, zeta_db, size=tau.size) if zeta_db > 0 else np.zeros(tau.size)
+    n = tau.shape[-1]
+    z = _each(rng, lambda g: g.normal(0.0, zeta_db, size=n)) if zeta_db > 0 \
+        else np.zeros(tau.shape)
     p = np.exp(-tau * (r_tau - 1.0) / (r_tau * ds_s)) * 10.0 ** (-z / 10.0)
-    p = p / p.sum()
+    p = p / p.sum(axis=-1, keepdims=True)
     if state.upper() == "LOS":
         if k_db is None:
             raise ValueError("LOS power generation needs the K-factor")
-        k_lin = 10.0 ** (k_db / 10.0)
+        k_lin = _db_to_linear(k_db)
         p = p / (k_lin + 1.0)
-        p[0] += k_lin / (k_lin + 1.0)
-        p = p / p.sum()  # guards rounding; analytically already 1
+        p[..., :1] += k_lin / (k_lin + 1.0)
+        p = p / p.sum(axis=-1, keepdims=True)  # guards rounding; analytically already 1
     return p
+
+
+def _each(rng, draw) -> np.ndarray:
+    """``draw(rng)`` of one drop's generator, or of each generator of a
+    block's sequence stacked on a leading drop axis."""
+    if isinstance(rng, (list, tuple)):
+        return np.array([draw(g) for g in rng])
+    return draw(rng)
+
+
+def _db_to_linear(db):
+    """10 ** (db / 10) of one value, or a (B, 1) column of it for a list of
+    one value per drop, as scalar Python powers: numpy's vectorized power
+    rounds differently on AVX-512 hosts."""
+    if isinstance(db, list):
+        return np.array([[10.0 ** (x / 10.0)] for x in db])
+    return 10.0 ** (db / 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +187,13 @@ def _spread_of(phasor: complex, total: float) -> float:
     return math.sqrt(-2.0 * math.log(r))
 
 
-def _calibrate_scales(devs: np.ndarray, q: np.ndarray, total: float,
-                      targets) -> list:
+def _calibrate_scales(devs: np.ndarray, q: np.ndarray, totals, targets) -> list:
     """Scale factor gamma per lane so the circular spread of the rays, with
     cluster deviations scaled by gamma, equals the lane's target.
 
     ``devs`` is (lanes, n) per-cluster deviations and ``q`` (lanes, n) the
     per-cluster phasors sum_m w_nm exp(j o_nm) of the ray powers w and
-    per-ray offsets o; ``total`` is the summed ray power P. With
+    per-ray offsets o; ``totals`` holds each lane's summed ray power P. With
     S(gamma) = sum_n q_n exp(j gamma d_n) the spread is
     s(gamma) = sqrt(-2 ln(|S|/P)), and its slope is Im(conj(S) T) / (s |S|^2)
     with T = sum_n d_n q_n exp(j gamma d_n).
@@ -192,9 +210,10 @@ def _calibrate_scales(devs: np.ndarray, q: np.ndarray, total: float,
     end stop.
 
     The lanes run in lockstep: each iterate evaluates S and T of every lane
-    in one array expression, and a lane's gamma does not depend on the other
-    lanes. On arrays the solve uses only complex ``exp``, ``*`` and
-    ``add.reduce``, whose results do not depend on numpy's SIMD dispatch;
+    still solving in one array expression, and a lane's gamma does not
+    depend on the other lanes. On arrays the solve uses only complex
+    ``exp``, ``*`` and ``add.reduce``, whose results do not depend on
+    numpy's SIMD dispatch;
     every spread, slope and step is scalar Python (``abs``, ``math.log``,
     ``math.sqrt``).
     """
@@ -211,21 +230,21 @@ def _calibrate_scales(devs: np.ndarray, q: np.ndarray, total: float,
     # q and d*q side by side: one reduction gives S and T.
     qd = np.concatenate([q, q * dev], axis=1).reshape(len(lanes), 2, n)
 
-    def sums(gam):
-        """Per lane, the (S, T) pair at each of the lane's gammas."""
-        phase = np.exp(1j * np.array(gam)[:, :, None] * dev[:, None, :])
-        return np.add.reduce(qd[:, None] * phase[:, :, None], axis=-1).tolist()
+    def sums(idx, gam):
+        """For each lane ``idx[k]``, the (S, T) pair at each gamma of ``gam[k]``."""
+        phase = np.exp(1j * np.array(gam)[:, :, None] * dev[idx][:, None, :])
+        return np.add.reduce(qd[idx][:, None] * phase[:, :, None], axis=-1).tolist()
 
     # Keep scaled deviations within +-0.9 pi so the spread stays monotone.
     hi = [(0.9 * math.pi) / dmax[lane] for lane in lanes]
     lo = [0.0] * len(lanes)
     gam = [min(1.0, h) for h in hi]
     # The bracket ends and the first iterate in one evaluation.
-    rows = sums([[0.0, h, g] for h, g in zip(hi, gam)])
+    rows = sums(list(range(len(lanes))), [[0.0, h, g] for h, g in zip(hi, gam)])
     solving = []
     for i, ((s0, _), (s1, _), _) in enumerate(rows):
         lane, target = lanes[i], targets[lanes[i]]
-        lo_s, hi_s = _spread_of(s0, total), _spread_of(s1, total)
+        lo_s, hi_s = _spread_of(s0, totals[lane]), _spread_of(s1, totals[lane])
         if target <= lo_s:
             gammas[lane] = 0.0  # intra-cluster dispersion alone exceeds target
         elif hi_s <= target:
@@ -235,12 +254,12 @@ def _calibrate_scales(devs: np.ndarray, q: np.ndarray, total: float,
         else:
             solving.append(i)
 
+    rows = [rows[i][-1] for i in solving]   # (S, T) at each solving lane's iterate
     for _ in range(_CALIBRATION_STEPS):
         still = []
-        for i in solving:
-            s_sum, t_sum = rows[i][-1]
+        for i, (s_sum, t_sum) in zip(solving, rows):
             g, target = gam[i], targets[lanes[i]]
-            s = _spread_of(s_sum, total)
+            s = _spread_of(s_sum, totals[lanes[i]])
             if abs(s - target) < _CALIBRATION_TOL:
                 gammas[lanes[i]] = g
                 continue
@@ -255,108 +274,110 @@ def _calibrate_scales(devs: np.ndarray, q: np.ndarray, total: float,
         solving = still
         if not solving:
             break
-        rows = sums([[g] for g in gam])
+        rows = [r[0] for r in sums(solving, [[gam[i]] for i in solving])]
     for i in solving:
         gammas[lanes[i]] = 0.5 * (lo[i] + hi[i])
     return gammas
 
 
-def _cluster_angles(powers: np.ndarray, spread_deg: float, reference: float,
-                    los: bool, k_db: float, zenith: bool,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Cluster-level angles about ``reference`` via the inverse-shape method.
-
-    Azimuth uses the Gaussian shape, zenith the Laplacian shape. In LOS the
-    first cluster is forced onto the reference (geometric) direction.
-    """
-    n = powers.size
-    s = math.radians(spread_deg)
-    ratio = powers / powers.max()
-    if zenith:
-        prime = -s * np.log(ratio) / c_theta(n, los, k_db)
-    else:
-        prime = 2.0 * (s / 1.4) * np.sqrt(-np.log(ratio)) / c_phi(n, los, k_db)
-    signs = rng.choice(np.array([-1.0, 1.0]), size=n)
-    jitter = rng.normal(0.0, s / 7.0, size=n)
-    dev = signs * prime + jitter
-    if los:
-        dev = dev - dev[0]  # cluster 1 exactly on the geometric direction
-    return reference + dev
-
-
-def gen_ray_angles(lsps: LSPSet, powers: np.ndarray, ray_p: np.ndarray,
+def gen_ray_angles(lsps, powers: np.ndarray, ray_p: np.ndarray,
                    los_dirs: LosDirections, entry: LspTableEntry, state: str,
-                   rng: np.random.Generator) -> RayAngles:
-    """Arrival/departure cluster+ray angles for one drop.
+                   rng) -> RayAngles:
+    """Arrival/departure cluster+ray angles for one drop, or for a block:
+    ``lsps`` and ``rng`` then hold one item per drop, ``powers`` is (B, n),
+    ``ray_p`` (B, n, m) and every angle array (B, n, m).
 
-    Per-ray angles are the cluster angle plus the fixed offset table scaled
-    by the intra-cluster spread; cluster deviations are then rescaled so the
+    Cluster angles follow the inverse-shape method about the geometric
+    direction: the Gaussian shape in azimuth, the Laplacian in zenith, a
+    random sign and a jitter of a seventh of the spread per cluster, and in
+    LOS cluster 1 exactly on the geometric direction. Per-ray angles are
+    the cluster angle plus the fixed offset table scaled by the
+    intra-cluster spread; cluster deviations are then rescaled so the
     realized circular spread under the ray powers ``ray_p`` matches the drawn
     spread. In LOS the specular ray (cluster 1, ray 1) sits exactly on the
-    geometric direction.
+    geometric direction. The four dimensions of every drop are calibrated
+    together, as independent lanes of one solve.
     """
+    one = isinstance(lsps, LSPSet)
+    if one:
+        lsps, powers, ray_p, rng = [lsps], powers[None], ray_p[None], [rng]
     los = state.upper() == "LOS"
-    n = powers.size
-    m = entry.rays_per_cluster
-    offs = ray_offsets(m)
+    b, n = powers.shape
 
-    # Azimuths first, then zeniths: rows (aoa, aod, zoa, zod).
-    dims = ((lsps.asa_deg, entry.c_asa_deg, los_dirs.aoa, False),
-            (lsps.asd_deg, entry.c_asd_deg, los_dirs.aod, False),
-            (lsps.zsa_deg, entry.c_zsa_deg, los_dirs.zoa, True),
-            (lsps.zsd_deg, entry.c_zsd_deg, los_dirs.zod, True))
-    refs = np.array([d[2] for d in dims])
-    # Draw every dimension's cluster angles first; the calibration draws no
-    # random numbers, so the stream is consumed in the same order.
-    devs = np.empty((len(dims), n))
-    for i, (spread_deg, _, ref, zenith) in enumerate(dims):
-        devs[i] = _cluster_angles(powers, spread_deg, ref, los, lsps.k_db,
-                                  zenith, rng) - ref
+    # Rows (aoa, aod, zoa, zod): azimuths first, then zeniths.
+    refs = np.array([los_dirs.aoa, los_dirs.aod, los_dirs.zoa, los_dirs.zod])
+    spreads = [math.radians(x) for d in ("asa_deg", "asd_deg", "zsa_deg", "zsd_deg")
+               for x in (getattr(lsp, d) for lsp in lsps)]
+    # Each drop draws, per dimension, the cluster signs, then the jitter;
+    # rng.choice of a two-element array draws exactly integers(0, 2, size).
+    signs, jitter = np.empty((2, 4, b, n))
+    for j, g in enumerate(rng):
+        for i in range(4):
+            signs[i, j] = g.integers(0, 2, size=n)
+            jitter[i, j] = g.normal(0.0, spreads[i * b + j] / 7.0, size=n)
+    s = np.reshape(spreads, (4, b, 1))
+    c_az = np.array([c_phi(n, los, x.k_db) for x in lsps])[:, None]
+    c_ze = np.array([c_theta(n, los, x.k_db) for x in lsps])[:, None]
+    log_ratio = np.log(powers / powers.max(axis=-1, keepdims=True))
+    prime = np.concatenate([2.0 * (s[:2] / 1.4) * np.sqrt(-log_ratio) / c_az,
+                            -s[2:] * log_ratio / c_ze])
+    dev = (2.0 * signs - 1.0) * prime + jitter
+    if los:
+        dev = dev - dev[..., :1]  # cluster 1 exactly on the geometric direction
+    devs = (refs[:, None, None] + dev) - refs[:, None, None]
+
     # Every cluster's rays share one offset row per dimension; in LOS the
     # specular ray (cluster 1, ray 1) has none.
-    offsets = np.array([math.radians(d[1]) for d in dims])[:, None] * offs
+    offsets = np.array([math.radians(entry.c_asa_deg), math.radians(entry.c_asd_deg),
+                        math.radians(entry.c_zsa_deg), math.radians(entry.c_zsd_deg)]
+                       )[:, None] * ray_offsets(entry.rays_per_cluster)
     ray_phasors = np.exp(1j * offsets)
-    q = np.add.reduce(ray_p * ray_phasors[:, None, :], axis=-1)
+    q = np.add.reduce(ray_p * ray_phasors[:, None, None, :], axis=-1)
     if los:
         ray_phasors[:, 0] = 1.0
-        q[:, 0] = np.add.reduce(ray_p[0] * ray_phasors, axis=-1)
-    gammas = _calibrate_scales(devs, q, float(ray_p.sum()),
-                               [math.radians(d[0]) for d in dims])
+        q[:, :, 0] = np.add.reduce(ray_p[:, 0] * ray_phasors[:, None, :], axis=-1)
+    # Lane i * b + j is dimension i of drop j.
+    gammas = _calibrate_scales(devs.reshape(-1, n), q.reshape(-1, n),
+                               ray_p.reshape(b, -1).sum(axis=1).tolist() * 4, spreads)
 
-    ang = (refs[:, None, None] + np.array(gammas)[:, None, None] * devs[:, :, None]
-           + offsets[:, None, :])
+    ang = (refs[:, None, None, None] + np.reshape(gammas, (4, b, 1, 1))
+           * devs[..., None] + offsets[:, None, None, :])
     ang[:2] = _wrap_pi(ang[:2])
     ang[2:] = _reflect_zenith(ang[2:])
     if los:
-        ang[:, 0, 0] = refs  # exact geometric direction despite wrapping
+        ang[:, :, 0, 0] = refs[:, None]  # exact geometric direction despite wrapping
+    if one:
+        ang = ang[:, 0]
     return RayAngles(aoa=ang[0], aod=ang[1], zoa=ang[2], zod=ang[3])
 
 
 def ray_powers(cluster_powers: np.ndarray, m: int, los: bool = False,
-               k_db: float | None = None) -> np.ndarray:
+               k_db=None) -> np.ndarray:
     """Per-ray power split: uniform within each cluster; in LOS the specular
-    ray of cluster 1 carries the K/(K+1) mass on top of its diffuse share."""
+    ray of cluster 1 carries the K/(K+1) mass on top of its diffuse share.
+    For a block, ``cluster_powers`` is (B, n), ``k_db`` a list of one K per
+    drop and the split (B, n, m)."""
     p = np.asarray(cluster_powers, dtype=np.float64)
-    rp = np.repeat(p[:, None], m, axis=1) / m
+    rp = np.repeat(p[..., None], m, axis=-1) / m
     if los:
         if k_db is None:
             raise ValueError("LOS ray powers need the K-factor")
-        k_lin = 10.0 ** (k_db / 10.0)
+        k_lin = _db_to_linear(k_db)
         spec = k_lin / (k_lin + 1.0)
-        diffuse_c1 = max(p[0] - spec, 0.0)
-        rp[0, :] = diffuse_c1 / m
-        rp[0, 0] += spec
+        diffuse_c1 = p[..., :1] - spec
+        diffuse_c1 = np.where(0.0 > diffuse_c1, 0.0, diffuse_c1)  # max(., 0.0)
+        rp[..., 0, :] = diffuse_c1 / m
+        rp[..., 0, :1] += spec
     return rp
 
 
-def gen_xpr_phases(entry: LspTableEntry, n: int, m: int,
-                   rng: np.random.Generator):
-    """Log-normal XPR kappa (linear) and four uniform phases per ray."""
-    x_db = rng.normal(entry.xpr_mu_db, entry.xpr_sigma_db, size=(n, m)) \
-        if entry.xpr_sigma_db > 0 else np.full((n, m), entry.xpr_mu_db)
-    kappa = 10.0 ** (x_db / 10.0)
-    phases = rng.uniform(-np.pi, np.pi, size=(n, m, 4))
-    return kappa, phases
+def gen_xpr_phases(entry: LspTableEntry, n: int, m: int, rng):
+    """Log-normal XPR kappa (linear) and four uniform phases per ray; for a
+    block (``rng`` one generator per drop), (B, n, m) and (B, n, m, 4)."""
+    x_db = _each(rng, lambda g: g.normal(entry.xpr_mu_db, entry.xpr_sigma_db, size=(n, m))
+                 if entry.xpr_sigma_db > 0 else np.full((n, m), entry.xpr_mu_db))
+    phases = _each(rng, lambda g: g.uniform(-np.pi, np.pi, size=(n, m, 4)))
+    return 10.0 ** (x_db / 10.0), phases
 
 
 def doppler_per_ray(velocity, arrival_units: np.ndarray, f_hz: float) -> np.ndarray:
@@ -364,7 +385,9 @@ def doppler_per_ray(velocity, arrival_units: np.ndarray, f_hz: float) -> np.ndar
     v = np.asarray(velocity, dtype=np.float64)
     if v.shape != (3,):
         raise ValueError(f"velocity must be a 3-vector, got shape {v.shape}")
-    return np.tensordot(arrival_units, v, axes=([-1], [0])) * f_hz / C_LIGHT
+    # The (rays, 3) x (3, 1) product np.tensordot forms, without its set-up.
+    u = np.asarray(arrival_units, dtype=np.float64)
+    return np.dot(u.reshape(-1, 3), v.reshape(3, 1)).reshape(u.shape[:-1]) * f_hz / C_LIGHT
 
 
 # ---------------------------------------------------------------------------
@@ -410,35 +433,46 @@ class ClusterSet:
         return self.ray_powers.shape[1]
 
 
-def generate_clusters(entry: LspTableEntry, lsps: LSPSet,
-                      los_dirs: LosDirections, state: str,
-                      velocity, f_hz: float, streams) -> ClusterSet:
-    """Steps 5-10 for one drop.
+def generate_clusters(entry: LspTableEntry, lsps, los_dirs: LosDirections,
+                      state: str, velocity, f_hz: float, streams):
+    """Steps 5-10 for one drop, or for a block of drops.
 
     ``streams`` provides named child generators ("delays", "powers",
     "angles", and "xpr" for the XPRs and the initial phases) so each stage's
-    draws are insulated from the others.
+    draws are insulated from the others. A block passes ``lsps`` and
+    ``streams`` as equal-length sequences, one item per drop, and gets one
+    ClusterSet per drop; its drops share the entry, link state, directions
+    and velocity. Each drop draws from its own streams in the order it does
+    alone, every array step acts elementwise or reduces within one drop, and
+    the Doppler product runs per drop, so its BLAS call keeps its shape: a
+    drop's ClusterSet does not depend on the block it ran in.
     """
+    one = isinstance(lsps, LSPSet)
+    if one:
+        lsps, streams = [lsps], [streams]
     los = state.upper() == "LOS"
     n, m = entry.n_clusters, entry.rays_per_cluster
-    k_db = lsps.k_db if los else None
+    k_db = [x.k_db for x in lsps] if los else None
+    ds = np.array([[x.ds_s] for x in lsps])
 
-    raw_delays = gen_cluster_delays(lsps.ds_s, entry.delay_scaling, n,
-                                    streams.get("delays"))
-    powers = gen_cluster_powers(raw_delays, lsps.ds_s, entry.delay_scaling,
+    raw_delays = gen_cluster_delays(ds, entry.delay_scaling, n,
+                                    [s.get("delays") for s in streams])
+    powers = gen_cluster_powers(raw_delays, ds, entry.delay_scaling,
                                 entry.per_cluster_shadow_db, k_db, state,
-                                streams.get("powers"))
-    delays = raw_delays / los_delay_scale(k_db) if los else raw_delays
+                                [s.get("powers") for s in streams])
+    delays = raw_delays / np.array([[los_delay_scale(k)] for k in k_db]) if los \
+        else raw_delays
 
     rp = ray_powers(powers, m, los=los, k_db=k_db)
     angles = gen_ray_angles(lsps, powers, rp, los_dirs, entry, state,
-                            streams.get("angles"))
-    kappa, phases = gen_xpr_phases(entry, n, m, streams.get("xpr"))
-
+                            [s.get("angles") for s in streams])
+    kappa, phases = gen_xpr_phases(entry, n, m, [s.get("xpr") for s in streams])
     arrival = unit_vector(angles.zoa, angles.aoa)
-    doppler = doppler_per_ray(velocity, arrival, f_hz)
 
-    return ClusterSet(delays_s=delays, powers=powers, ray_powers=rp,
-                      zoa=angles.zoa, aoa=angles.aoa, zod=angles.zod,
-                      aod=angles.aod, kappa=kappa, phases=phases,
-                      doppler_hz=doppler, state="LOS" if los else "NLOS")
+    sets = [ClusterSet(delays_s=delays[i], powers=powers[i], ray_powers=rp[i],
+                       zoa=angles.zoa[i], aoa=angles.aoa[i], zod=angles.zod[i],
+                       aod=angles.aod[i], kappa=kappa[i], phases=phases[i],
+                       doppler_hz=doppler_per_ray(velocity, arrival[i], f_hz),
+                       state="LOS" if los else "NLOS")
+            for i in range(len(lsps))]
+    return sets[0] if one else sets

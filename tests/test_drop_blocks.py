@@ -1,0 +1,180 @@
+"""Drop blocks: a campaign slice stages its drops in blocks that share one
+plan and, for BASE, THz and SAGIN, one pass of steps 5-10. A drop's tensors
+and metrics must not depend on the block it ran in, a failing drop must
+still be named, and the functions perfbench's tracer wraps must still be
+called through their module attributes.
+"""
+
+import importlib
+import math
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import chansim6g.campaign as campaign
+from chansim6g.campaign import run_campaign, run_drop
+from chansim6g.cir import read_cir
+from chansim6g.config import config_from_dict, load_preset
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _uma_base():
+    """perfbench's BASE config: uma at 134 m with a drawn link state, so LOS
+    and NLOS drops mix in one block."""
+    sys.path.insert(0, str(ROOT))
+    try:
+        from perfbench.workloads import BASE_CONFIG
+    finally:
+        sys.path.remove(str(ROOT))
+    return config_from_dict(dict(BASE_CONFIG))
+
+
+CONFIGS = {"thz": load_preset("thz"), "sagin": load_preset("sagin"), "base": _uma_base()}
+
+
+def _same_value(a, b):
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+def assert_same_drop(got, want):
+    assert got.drop == want.drop
+    assert sorted(got.tensors) == sorted(want.tensors)
+    for suffix, t in want.tensors.items():
+        g = got.tensors[suffix]
+        assert g.coefficients.tobytes() == t.coefficients.tobytes(), suffix
+        assert g.tap_delays_s.tobytes() == t.tap_delays_s.tobytes(), suffix
+        assert g.sample_times_s.tobytes() == t.sample_times_s.tobytes(), suffix
+        assert g.meta == t.meta, suffix
+    assert sorted(got.metrics) == sorted(want.metrics)
+    for key, value in want.metrics.items():
+        assert _same_value(got.metrics[key], value), key
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(CONFIGS)), seed=st.integers(0, 2 ** 32 - 1),
+       size=st.sampled_from([2, 24]), first=st.integers(0, 10_000), data=st.data())
+def test_drop_is_the_same_at_any_block_position(name, seed, size, first, data):
+    cfg = replace(CONFIGS[name], seed=seed)
+    pos = data.draw(st.integers(0, size - 1), label="position")
+    drop = first + pos
+    staged = campaign._stage(campaign._plan(cfg), range(first, first + size))
+    assert_same_drop(run_drop(cfg, drop, staged[pos]), run_drop(cfg, drop))
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_campaign_drops_match_run_drop_alone(name, jobs, tmp_path):
+    """30 drops, so a slice stages one full block and a partial one."""
+    cfg = replace(CONFIGS[name], drops=30, seed=20261019)
+    out = tmp_path / "out"
+    run_campaign(cfg, out, jobs=jobs)
+    rows = {}
+    lines = (out / "metrics.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        cells = dict(zip(header, line.split(",")))
+        rows[int(cells["drop"])] = cells
+    states = set()
+    for drop in range(cfg.drops):
+        alone = run_drop(cfg, drop)
+        tensor = alone.tensors[""]
+        got = read_cir(out / f"drop{drop:05d}.cir")
+        assert got.coefficients.tobytes() == tensor.coefficients.tobytes(), drop
+        assert got.tap_delays_s.tobytes() == tensor.tap_delays_s.tobytes(), drop
+        assert rows[drop]["state"] == alone.metrics["state"]
+        assert float(rows[drop]["rsrp_dbm"]) == alone.metrics["rsrp_dbm"]
+        states.add(alone.metrics["state"])
+    if name == "base":
+        assert states == {"LOS", "NLOS"}
+
+
+def _fail_at(bad_drop, real):
+    def runner(d):
+        if d.streams.drop == bad_drop:
+            raise ArithmeticError(f"planted failure in drop {bad_drop}")
+        return real(d)
+    return runner
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_failing_finish_names_its_drop(tmp_path, monkeypatch, jobs):
+    monkeypatch.setitem(campaign._RUNNERS, "THZ",
+                        _fail_at(17, campaign._RUNNERS["THZ"]))
+    cfg = load_preset("thz", drops=30, seed=5)
+    out = tmp_path / "out"
+    with pytest.raises(ArithmeticError, match="planted failure") as info:
+        run_campaign(cfg, out, jobs=jobs)
+    if sys.version_info >= (3, 11):
+        assert "drop 17 (seed 5) failed; run_drop(cfg, 17) replays it alone" \
+            in info.value.__notes__
+    assert not list(out.glob("*.tmp"))
+    with pytest.raises(ArithmeticError, match="planted failure"):
+        run_drop(cfg, 17)
+    run_drop(cfg, 16)
+
+
+def test_failing_block_reruns_its_drops_alone(tmp_path, monkeypatch):
+    """A block that raises while staging runs its drops one at a time: the
+    drops before the failing one are written, and the failing one is named."""
+    real = campaign.generate_clusters
+
+    def clusters(entry, lsps, dirs, state, velocity, f_hz, streams):
+        drops = [s.drop for s in streams] if isinstance(streams, list) else [streams.drop]
+        if 17 in drops:
+            raise FloatingPointError("planted failure in drop 17")
+        return real(entry, lsps, dirs, state, velocity, f_hz, streams)
+
+    monkeypatch.setattr(campaign, "generate_clusters", clusters)
+    cfg = load_preset("thz", drops=30, seed=5)
+    out = tmp_path / "out"
+    with pytest.raises(FloatingPointError) as info:
+        run_campaign(cfg, out)
+    if sys.version_info >= (3, 11):
+        assert "drop 17 (seed 5) failed; run_drop(cfg, 17) replays it alone" \
+            in info.value.__notes__
+    assert sorted(p.name for p in out.glob("*.cir")) == \
+        [f"drop{d:05d}.cir" for d in range(17)]
+    assert not list(out.glob("*.tmp"))
+    with pytest.raises(FloatingPointError):
+        run_drop(cfg, 17)
+
+
+# ---------------------------------------------------------------------------
+# The traced run replaces module attributes; the program must keep calling
+# through them.
+# ---------------------------------------------------------------------------
+
+def _targets():
+    sys.path.insert(0, str(ROOT))
+    try:
+        from perfbench.tracing import TARGETS
+    finally:
+        sys.path.remove(str(ROOT))
+    return TARGETS
+
+
+def test_every_tracer_target_resolves():
+    for module, attr, _span in _targets():
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+@pytest.mark.parametrize("name", ["thz", "isac", "sagin", "emimo", "ris", "base"])
+def test_campaign_calls_run_drop_once_per_drop(name, tmp_path, monkeypatch):
+    real = campaign.run_drop
+    calls = []
+
+    def counting(cfg, drop, *args, **kwargs):
+        calls.append(drop)
+        return real(cfg, drop, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "run_drop", counting)
+    base = CONFIGS["base"] if name == "base" else load_preset(name)
+    cfg = replace(base, drops=30, seed=11)
+    run_campaign(cfg, tmp_path / "out", jobs=1)
+    assert calls == list(range(30))

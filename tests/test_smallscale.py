@@ -327,7 +327,8 @@ def _same(a, b):
 def solve(devs, offsets, weights, targets):
     """_calibrate_scales on rays given by their offsets and powers."""
     q = np.sum(weights * np.exp(1j * offsets), axis=-1)
-    return smallscale._calibrate_scales(devs, q, float(weights.sum()), targets)
+    return smallscale._calibrate_scales(devs, q, [float(weights.sum())] * len(devs),
+                                        targets)
 
 
 def check_lanes(devs, offsets, weights, targets):
@@ -419,6 +420,54 @@ class TestCalibrationLockstep:
                 rounds.add(len(calls))
         assert len(rounds) >= 2, rounds
 
+    def test_lanes_with_own_totals_and_exits_are_independent(self):
+        """One call over lanes of different drops (their own ray powers and
+        totals) that leave by every exit: each lane's gamma is bit-equal to
+        the one it gets alone."""
+        rng = np.random.default_rng(29)
+        n, m = 12, 20
+        devs, qs, totals, targets, want = [], [], [], [], []
+
+        def lane(dev, offsets, w, target, exit_):
+            got = calibrate_scale_oracle(dev, offsets, w, target)[1]
+            assert got == exit_, (got, exit_)
+            devs.append(dev)
+            qs.append(np.sum(w * np.exp(1j * offsets), axis=-1))
+            totals.append(float(w.sum()))
+            targets.append(target)
+            want.append(exit_)
+
+        for scale, exit_ in ((0.5, "early"), (2.0, "below"), (3.7, "above"),
+                             (1.3, "nan"), (0.9, "zero")):
+            d, o, w = calibration_lanes(rng, 1, n, m, los=exit_ == "early")
+            w = w * scale
+            target = {"early": 0.4, "above": 3.0, "nan": float("nan")}.get(exit_)
+            if exit_ == "below":
+                target = 0.5 * oracle_spread(d[0], o[0], w, 0.0)
+            if exit_ == "zero":
+                d[0] = 0.0
+                target = 0.4
+            lane(d[0], o[0], w, target,
+                 "exhausted" if exit_ == "nan" else exit_)
+        # A spread quantized near r = 1 never meets the tolerance: the
+        # 48-iterate fallback. Two clusters carry all of the power.
+        dev = np.zeros(n)
+        dev[:2] = (-0.5, 0.5)
+        w = np.zeros((n, 1))
+        w[:2] = 0.5
+        lane(dev, np.zeros((n, 1)), w, 2.0e-8, "exhausted")
+
+        devs, qs = np.array(devs), np.array(qs)
+        assert len(set(totals)) == len(totals)
+        got = smallscale._calibrate_scales(devs, qs, totals, targets)
+        for i in range(len(targets)):
+            alone = smallscale._calibrate_scales(devs[i:i + 1], qs[i:i + 1],
+                                                 [totals[i]], [targets[i]])
+            assert _same(got[i], alone[0]), (i, want[i], got[i], alone[0])
+        assert got[1] == 0.0 and got[4] == 1.0
+        assert got[2] == 0.9 * math.pi / np.abs(devs[2]).max()
+        assert got[3] == math.ldexp(0.9 * math.pi / np.abs(devs[3]).max(), -49)
+
     def test_bracket_ends_hit_exactly(self):
         # A target equal to spread(0) or spread(hi) must take the same branch
         # as the scalar bisection: spreads use libm log, not numpy's.
@@ -473,6 +522,24 @@ class TestCalibrationLockstep:
                 assert np.array_equal(getattr(ang, name), want[name]), (seed, name)
 
 
+def _cluster_angles(powers, spread_deg, reference, los, k_db, zenith, rng):
+    """One dimension's cluster angles by the inverse-shape method: a random
+    sign, then a jitter of a seventh of the spread, per cluster."""
+    n = powers.size
+    s = math.radians(spread_deg)
+    ratio = powers / powers.max()
+    if zenith:
+        prime = -s * np.log(ratio) / smallscale.c_theta(n, los, k_db)
+    else:
+        prime = 2.0 * (s / 1.4) * np.sqrt(-np.log(ratio)) / smallscale.c_phi(n, los, k_db)
+    signs = rng.choice(np.array([-1.0, 1.0]), size=n)
+    jitter = rng.normal(0.0, s / 7.0, size=n)
+    dev = signs * prime + jitter
+    if los:
+        dev = dev - dev[0]
+    return reference + dev
+
+
 def _reference_ray_angles(lsps, powers, ray_p, entry, state, rng):
     """gen_ray_angles as one one-lane calibration per dimension."""
     los = state == "LOS"
@@ -483,8 +550,7 @@ def _reference_ray_angles(lsps, powers, ray_p, entry, state, rng):
             ("zod", lsps.zsd_deg, entry.c_zsd_deg, DIRS.zod, True))
     out = {}
     for name, spread_deg, c_deg, ref, zenith in dims:
-        cluster = smallscale._cluster_angles(powers, spread_deg, ref, los,
-                                             lsps.k_db, zenith, rng)
+        cluster = _cluster_angles(powers, spread_deg, ref, los, lsps.k_db, zenith, rng)
         offsets = math.radians(c_deg) * ray_offsets(m)[None, :] * np.ones((n, 1))
         if los:
             offsets[0, 0] = 0.0
