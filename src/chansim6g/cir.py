@@ -75,8 +75,8 @@ def _polarization_matrices(clusters: ClusterSet) -> np.ndarray:
 def _array_phases(array: ArrayGeometry, zen, az, lam: float) -> np.ndarray:
     """Element phase factors exp(j 2 pi r.p / lam) of the rays arriving or
     leaving along (zen, az), shape ``zen.shape + (elements,)``."""
-    # The (rays, 3) x (3, elements) product np.tensordot forms, without its
-    # set-up.
+    # np.tensordot's own operands to np.dot, so the BLAS call keeps its
+    # shape (and the bytes), without tensordot's set-up.
     u = unit_vector(zen, az)
     r_dot_p = np.dot(u.reshape(-1, 3), array.element_positions.T)
     return np.exp(2j * np.pi / lam * r_dot_p.reshape(u.shape[:-1] + (-1,)))

@@ -215,9 +215,4 @@ def unit_vector(zenith: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
     zenith = np.asarray(zenith, dtype=np.float64)
     azimuth = np.asarray(azimuth, dtype=np.float64)
     st = np.sin(zenith)
-    x = st * np.cos(azimuth)
-    out = np.empty(x.shape + (3,))
-    out[..., 0] = x
-    out[..., 1] = st * np.sin(azimuth)
-    out[..., 2] = np.cos(zenith)
-    return out
+    return np.stack([st * np.cos(azimuth), st * np.sin(azimuth), np.cos(zenith)], axis=-1)

@@ -385,7 +385,8 @@ def doppler_per_ray(velocity, arrival_units: np.ndarray, f_hz: float) -> np.ndar
     v = np.asarray(velocity, dtype=np.float64)
     if v.shape != (3,):
         raise ValueError(f"velocity must be a 3-vector, got shape {v.shape}")
-    # The (rays, 3) x (3, 1) product np.tensordot forms, without its set-up.
+    # np.tensordot's own operands to np.dot, so the BLAS call keeps its
+    # shape (and the bytes), without tensordot's set-up.
     u = np.asarray(arrival_units, dtype=np.float64)
     return np.dot(u.reshape(-1, 3), v.reshape(3, 1)).reshape(u.shape[:-1]) * f_hz / C_LIGHT
 
