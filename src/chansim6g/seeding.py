@@ -28,12 +28,33 @@ STREAM_IDS = {
 }
 
 
+def _words(x: int) -> list:
+    """A non-negative integer as little-endian 32-bit words, the way
+    ``SeedSequence`` reads an integer."""
+    x = int(x)
+    if x < 0:
+        raise ValueError(f"expected a non-negative integer, got {x}")
+    words = [x & 0xFFFF_FFFF]
+    while x := x >> 32:
+        words.append(x & 0xFFFF_FFFF)
+    return words
+
+
 def child_rng(seed: int, drop: int, stream: str, step: int = 0) -> np.random.Generator:
-    """Generator for one (drop, stream, step) cell of the campaign."""
+    """Generator for one (drop, stream, step) cell of the campaign: the one
+    of ``SeedSequence(entropy=seed, spawn_key=(drop, stream id, step))``.
+
+    That sequence hashes the seed's words, zero-padded to its pool size of
+    four, followed by the spawn key's words. It is built here from those
+    words as one uint32 array, which gives the same pool without its
+    per-integer conversion.
+    """
     if stream not in STREAM_IDS:
         raise KeyError(f"unknown rng stream {stream!r}; known: {sorted(STREAM_IDS)}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(drop, STREAM_IDS[stream], step))
-    return np.random.default_rng(ss)
+    run = _words(seed)
+    words = run + [0] * (4 - len(run)) + _words(drop) + [STREAM_IDS[stream]] \
+        + _words(step)
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 class DropStreams:

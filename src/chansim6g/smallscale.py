@@ -93,7 +93,7 @@ def gen_cluster_delays(ds_s, r_tau: float, n: int, rng) -> np.ndarray:
     scales them afterwards. For a block, ``ds_s`` is a (B, 1) array and
     ``rng`` a sequence of B generators; the delays are then (B, n).
     """
-    if np.any(np.asarray(ds_s) <= 0):
+    if (np.asarray(ds_s) <= 0).any():
         raise ValueError(f"delay spread must be positive, got {ds_s}")
     if r_tau <= 1:
         raise ValueError(f"delay scaling factor must exceed 1, got {r_tau}")
@@ -113,7 +113,7 @@ def gen_cluster_powers(delays: np.ndarray, ds_s, r_tau: float,
     ``k_db`` a list of one K per drop and ``rng`` one generator per drop.
     """
     tau = np.asarray(delays, dtype=np.float64)
-    if np.any(np.diff(tau) < 0):
+    if (tau[..., 1:] < tau[..., :-1]).any():
         raise ValueError("delays must be sorted")
     n = tau.shape[-1]
     z = _each(rng, lambda g: g.normal(0.0, zeta_db, size=n)) if zeta_db > 0 \
@@ -123,9 +123,9 @@ def gen_cluster_powers(delays: np.ndarray, ds_s, r_tau: float,
     if state.upper() == "LOS":
         if k_db is None:
             raise ValueError("LOS power generation needs the K-factor")
-        k_lin = _db_to_linear(k_db)
-        p = p / (k_lin + 1.0)
-        p[..., :1] += k_lin / (k_lin + 1.0)
+        k_plus_1, spec = _k_split(k_db)
+        p = p / k_plus_1
+        p[..., :1] += spec
         p = p / p.sum(axis=-1, keepdims=True)  # guards rounding; analytically already 1
     return p
 
@@ -133,18 +133,22 @@ def gen_cluster_powers(delays: np.ndarray, ds_s, r_tau: float,
 def _each(rng, draw) -> np.ndarray:
     """``draw(rng)`` of one drop's generator, or of each generator of a
     block's sequence stacked on a leading drop axis."""
-    if isinstance(rng, (list, tuple)):
-        return np.array([draw(g) for g in rng])
-    return draw(rng)
+    if not isinstance(rng, (list, tuple)):
+        return draw(rng)
+    if len(rng) == 1:
+        return draw(rng[0])[None]
+    return np.array([draw(g) for g in rng])
 
 
-def _db_to_linear(db):
-    """10 ** (db / 10) of one value, or a (B, 1) column of it for a list of
-    one value per drop, as scalar Python powers: numpy's vectorized power
-    rounds differently on AVX-512 hosts."""
-    if isinstance(db, list):
-        return np.array([[10.0 ** (x / 10.0)] for x in db])
-    return 10.0 ** (db / 10.0)
+def _k_split(k_db):
+    """(K + 1, K / (K + 1)) of a K-factor in dB, or (B, 1) columns of them
+    for a list of one K per drop. Scalar Python arithmetic: numpy's
+    vectorized power rounds differently on AVX-512 hosts."""
+    if isinstance(k_db, list):
+        pairs = [_k_split(k) for k in k_db]
+        return np.array([[a] for a, _ in pairs]), np.array([[b] for _, b in pairs])
+    k_lin = 10.0 ** (k_db / 10.0)
+    return k_lin + 1.0, k_lin / (k_lin + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +214,9 @@ def _calibrate_scales(devs: np.ndarray, q: np.ndarray, totals, targets) -> list:
     end stop.
 
     The lanes run in lockstep: each iterate evaluates S and T of every lane
-    still solving in one array expression, and a lane's gamma does not
-    depend on the other lanes. On arrays the solve uses only complex
-    ``exp``, ``*`` and ``add.reduce``, whose results do not depend on
-    numpy's SIMD dispatch;
+    in one array expression, and a lane's gamma does not depend on the other
+    lanes. On arrays the solve uses only complex ``exp``, ``*`` and
+    ``add.reduce``, whose results do not depend on numpy's SIMD dispatch;
     every spread, slope and step is scalar Python (``abs``, ``math.log``,
     ``math.sqrt``).
     """
@@ -230,17 +233,18 @@ def _calibrate_scales(devs: np.ndarray, q: np.ndarray, totals, targets) -> list:
     # q and d*q side by side: one reduction gives S and T.
     qd = np.concatenate([q, q * dev], axis=1).reshape(len(lanes), 2, n)
 
-    def sums(idx, gam):
-        """For each lane ``idx[k]``, the (S, T) pair at each gamma of ``gam[k]``."""
-        phase = np.exp(1j * np.array(gam)[:, :, None] * dev[idx][:, None, :])
-        return np.add.reduce(qd[idx][:, None] * phase[:, :, None], axis=-1).tolist()
+    def sums(gam):
+        """Per lane, the (S, T) pair at each of the lane's gammas, ``gam``
+        (lanes, gammas)."""
+        phase = np.exp(1j * gam[:, :, None] * dev[:, None, :])
+        return np.add.reduce(qd[:, None] * phase[:, :, None], axis=-1).tolist()
 
     # Keep scaled deviations within +-0.9 pi so the spread stays monotone.
     hi = [(0.9 * math.pi) / dmax[lane] for lane in lanes]
     lo = [0.0] * len(lanes)
     gam = [min(1.0, h) for h in hi]
     # The bracket ends and the first iterate in one evaluation.
-    rows = sums(list(range(len(lanes))), [[0.0, h, g] for h, g in zip(hi, gam)])
+    rows = sums(np.array([[0.0, h, g] for h, g in zip(hi, gam)]))
     solving = []
     for i, ((s0, _), (s1, _), _) in enumerate(rows):
         lane, target = lanes[i], targets[lanes[i]]
@@ -254,10 +258,10 @@ def _calibrate_scales(devs: np.ndarray, q: np.ndarray, totals, targets) -> list:
         else:
             solving.append(i)
 
-    rows = [rows[i][-1] for i in solving]   # (S, T) at each solving lane's iterate
     for _ in range(_CALIBRATION_STEPS):
         still = []
-        for i, (s_sum, t_sum) in zip(solving, rows):
+        for i in solving:
+            s_sum, t_sum = rows[i][-1]
             g, target = gam[i], targets[lanes[i]]
             s = _spread_of(s_sum, totals[lanes[i]])
             if abs(s - target) < _CALIBRATION_TOL:
@@ -274,7 +278,7 @@ def _calibrate_scales(devs: np.ndarray, q: np.ndarray, totals, targets) -> list:
         solving = still
         if not solving:
             break
-        rows = [r[0] for r in sums(solving, [[gam[i]] for i in solving])]
+        rows = sums(np.array(gam)[:, None])
     for i in solving:
         gammas[lanes[i]] = 0.5 * (lo[i] + hi[i])
     return gammas
@@ -306,8 +310,10 @@ def gen_ray_angles(lsps, powers: np.ndarray, ray_p: np.ndarray,
 
     # Rows (aoa, aod, zoa, zod): azimuths first, then zeniths.
     refs = np.array([los_dirs.aoa, los_dirs.aod, los_dirs.zoa, los_dirs.zod])
-    spreads = [math.radians(x) for d in ("asa_deg", "asd_deg", "zsa_deg", "zsd_deg")
-               for x in (getattr(lsp, d) for lsp in lsps)]
+    spreads = ([math.radians(x.asa_deg) for x in lsps]
+               + [math.radians(x.asd_deg) for x in lsps]
+               + [math.radians(x.zsa_deg) for x in lsps]
+               + [math.radians(x.zsd_deg) for x in lsps])
     # Each drop draws, per dimension, the cluster signs, then the jitter;
     # rng.choice of a two-element array draws exactly integers(0, 2, size).
     signs, jitter = np.empty((2, 4, b, n))
@@ -315,7 +321,7 @@ def gen_ray_angles(lsps, powers: np.ndarray, ray_p: np.ndarray,
         for i in range(4):
             signs[i, j] = g.integers(0, 2, size=n)
             jitter[i, j] = g.normal(0.0, spreads[i * b + j] / 7.0, size=n)
-    s = np.reshape(spreads, (4, b, 1))
+    s = np.array(spreads).reshape(4, b, 1)
     c_az = np.array([c_phi(n, los, x.k_db) for x in lsps])[:, None]
     c_ze = np.array([c_theta(n, los, x.k_db) for x in lsps])[:, None]
     log_ratio = np.log(powers / powers.max(axis=-1, keepdims=True))
@@ -340,7 +346,7 @@ def gen_ray_angles(lsps, powers: np.ndarray, ray_p: np.ndarray,
     gammas = _calibrate_scales(devs.reshape(-1, n), q.reshape(-1, n),
                                ray_p.reshape(b, -1).sum(axis=1).tolist() * 4, spreads)
 
-    ang = (refs[:, None, None, None] + np.reshape(gammas, (4, b, 1, 1))
+    ang = (refs[:, None, None, None] + np.array(gammas).reshape(4, b, 1, 1)
            * devs[..., None] + offsets[:, None, None, :])
     ang[:2] = _wrap_pi(ang[:2])
     ang[2:] = _reflect_zenith(ang[2:])
@@ -362,8 +368,7 @@ def ray_powers(cluster_powers: np.ndarray, m: int, los: bool = False,
     if los:
         if k_db is None:
             raise ValueError("LOS ray powers need the K-factor")
-        k_lin = _db_to_linear(k_db)
-        spec = k_lin / (k_lin + 1.0)
+        _, spec = _k_split(k_db)
         diffuse_c1 = p[..., :1] - spec
         diffuse_c1 = np.where(0.0 > diffuse_c1, 0.0, diffuse_c1)  # max(., 0.0)
         rp[..., 0, :] = diffuse_c1 / m
@@ -388,7 +393,8 @@ def doppler_per_ray(velocity, arrival_units: np.ndarray, f_hz: float) -> np.ndar
     # np.tensordot's own operands to np.dot, so the BLAS call keeps its
     # shape (and the bytes), without tensordot's set-up.
     u = np.asarray(arrival_units, dtype=np.float64)
-    return np.dot(u.reshape(-1, 3), v.reshape(3, 1)).reshape(u.shape[:-1]) * f_hz / C_LIGHT
+    nu = np.dot(u.reshape(-1, 3), v.reshape(3, 1)).reshape(u.shape[:-1])
+    return nu * f_hz / C_LIGHT
 
 
 # ---------------------------------------------------------------------------
