@@ -3,14 +3,15 @@
 
 Runs the five shipped presets, four BASE configs with ``link_state`` null
 (uma: 8x2 ULAs, moving UE; umi, rma and inh_office: single elements, each
-placed so its 3 drops draw LOS, NLOS, LOS) and nine preset variants at
+placed so its 3 drops draw LOS, NLOS, LOS) and ten preset variants at
 seed 42 with 3 drops each: ``ris-ula`` (4x2 ULAs, moving UE, two time
 samples, uniform codebook, 70 degree incidence), ``isac-bistatic`` (a
 sensing receiver at (8, 4, 1.5) and a 30 dB self-interference row),
 ``thz-table`` (no ``intra_cluster_k_db``, so the sparsity K comes from the
 scenario table), ``isac-moving`` (three time samples and a moving UE, so
-both ISAC sides carry their Doppler) and ``<preset>-nlos`` (``link_state``
-NLOS) for each preset. The campaigns run at ``jobs=1`` unless ``--jobs N`` is given; then
+both ISAC sides carry their Doppler), ``ris-bisector`` (no
+``bs_incidence_deg``, so the panel faces the bisector of its endpoint
+vectors) and ``<preset>-nlos`` (``link_state`` NLOS) for each preset. The campaigns run at ``jobs=1`` unless ``--jobs N`` is given; then
 ``chansim6g analyze --metrics ds,gini,rsrp,xcorr`` over each output
 directory, and hashes every ``.cir`` / ``.cir.sense`` file, ``metrics.csv``
 and ``analysis.csv``. ``tests/test_golden_digests.py`` compares the result
@@ -106,6 +107,9 @@ VARIANTS = {
     # Three time samples and a moving UE, so the Doppler of both ISAC sides
     # (the moving target's monostatic echo included) reaches the bytes.
     "isac-moving": ("isac", {"time_samples": 3, "ue_velocity": [1.5, -0.7, 0.0]}, dict),
+    # No incidence: the panel faces the bisector of its endpoint vectors.
+    "ris-bisector": ("ris", {}, lambda blk: {
+        k: v for k, v in blk.items() if k != "bs_incidence_deg"}),
     # Every feature's NLOS drop.
     **{f"{p}-nlos": (p, {"link_state": "NLOS"}, dict) for p in PRESETS},
 }

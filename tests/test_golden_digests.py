@@ -5,12 +5,13 @@
 ``chansim6g analyze --metrics ds,gini,rsrp,xcorr``, for the five presets,
 four BASE configs with a link-state draw (uma: 8x2 ULAs, moving UE; umi, rma
 and inh_office, so every LOS-probability family runs and each draws both
-states) and nine preset variants (``ris-ula``: 4x2 ULAs, moving UE, two
+states) and ten preset variants (``ris-ula``: 4x2 ULAs, moving UE, two
 time samples, uniform codebook; ``isac-bistatic``: a bistatic sensing
 receiver and a self-interference row; ``thz-table``: the sparsity K from the
 scenario table; ``isac-moving``: three time samples and a moving UE;
-``<preset>-nlos``: each preset with ``link_state`` NLOS) at seed 42, 3 drops
-each: 102 digests. The digests were pinned on numpy 2.4.6,
+``ris-bisector``: no ``bs_incidence_deg``, so the panel faces the bisector
+of its endpoint vectors; ``<preset>-nlos``: each preset with ``link_state``
+NLOS) at seed 42, 3 drops each: 107 digests. The digests were pinned on numpy 2.4.6,
 scipy 1.17.1 and OpenBLAS 0.3.31; another toolchain may round differently.
 A deliberate change of output bytes re-baselines them with
 ``python3 scripts/golden_digests.py --write``; ``--keep`` and ``--compare``
@@ -31,6 +32,9 @@ The 8 ``isac-moving/*`` digests were pinned from the code before the
 coefficient synthesis lost its antenna-pattern hook, so they guard the
 Doppler of both ISAC sides, the monostatic echo's doubled shift included
 (every other ISAC config has one time sample, where the Doppler phase is 1).
+The 5 ``ris-bisector/*`` digests were pinned from the code before steps 5-10
+became block-only, so they guard the bisector-facing panel, a branch no
+other pinned config reaches, through that change.
 38 digests were re-pinned when the angle-spread calibration moved from a
 bisection to a safeguarded Newton solve and synthesis contracted its rays
 with a batched matmul instead of einsum. The Newton solve lands gamma
