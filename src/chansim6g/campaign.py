@@ -4,13 +4,15 @@ feature, deterministic seeding, file output and metric collection.
 A campaign slice builds one ``_Plan`` (config hash, positions, arrays, LOS
 directions, sample times) and stages its drops ``_BLOCK`` at a time: each
 drop's prologue (rng streams, link state, the table entry of a terrestrial
-feature), and, for BASE, THz and SAGIN, steps 5-10 of the drops that drew
-one link state as a single block. ``run_drop`` then finishes each drop: the
-feature's runner in ``_RUNNERS`` returns its tensors and metrics, and
-``run_drop`` alone stamps the tensors and builds the ``DropResult``. Alone,
-``run_drop(cfg, drop)`` builds its own plan and stages the drop as a block
-of one. Every terrestrial loss is ``_ci_loss`` over legs floored at 1 m by
-``_leg``.
+feature), then, per drawn link state, the LSPs of every terrestrial feature
+but RIS (whose two legs draw on shifted streams), steps 5-10 of BASE, THz
+and E-MIMO as one ``generate_clusters`` block, and SAGIN's drops as one
+``sagin.ntn_drop`` block. Blocks are the only input form of steps 5-10.
+``run_drop`` then finishes each drop: the feature's runner in ``_RUNNERS``
+returns its tensors and metrics, and ``run_drop`` alone stamps the tensors
+and builds the ``DropResult``. Alone, ``run_drop(cfg, drop)`` builds its
+own plan and stages the drop as a block of one. Every terrestrial loss is
+``_ci_loss`` over legs floored at 1 m by ``_leg``.
 
 Drops are schedule-independent: each consumes only its own child rng streams,
 a block computes every drop as it would alone, and each drop writes its own
@@ -81,19 +83,20 @@ def _plan(cfg: ScenarioConfig) -> _Plan:
 
 @dataclass
 class _Drop:
-    """One drop as staging hands it to its runner."""
+    """One drop as staging hands it to its runner: what it drew, by feature."""
     plan: _Plan
     streams: DropStreams
     state: str
     entry: LspTableEntry | None = None    # None for SAGIN: its table is elevation-keyed
-    lsps: LSPSet | None = None            # BASE and THz: steps 5-10, staged
-    clusters: ClusterSet | None = None
-    cir: CirTensor | None = None          # SAGIN: the drop's tensor, staged
+    lsps: LSPSet | None = None            # every terrestrial feature but RIS
+    clusters: ClusterSet | None = None    # BASE, THz and E-MIMO: steps 5-10
+    cir: CirTensor | None = None          # SAGIN: the drop's tensor
 
 
 def _stage(plan: _Plan, drops) -> list:
-    """Each drop's prologue, in drop order. BASE, THz and SAGIN drops that
-    drew the same link state then run steps 5-10 as one block."""
+    """Each drop's prologue, in drop order. Drops that drew the same link
+    state then draw their LSPs and run steps 5-10 as one block (see the
+    module docstring for which features stage what)."""
     cfg = plan.cfg
     curve = scenario_los_curve(cfg.scenario) if cfg.link_state is None else None
     staged = []
@@ -122,12 +125,16 @@ def _stage(plan: _Plan, drops) -> list:
         entry = lookup_lsp_table(cfg.scenario, state, fc)
         for d in group:
             d.entry = entry
-        if cfg.feature in ("BASE", "THZ"):
-            lsps = [generate_lsps(entry, s.get("lsp")) for s in streams]
+        if cfg.feature == "RIS":    # its legs draw in _run_ris
+            continue
+        lsps = [generate_lsps(entry, s.get("lsp")) for s in streams]
+        for d, drawn in zip(group, lsps):
+            d.lsps = drawn
+        if cfg.feature in ("BASE", "THZ", "EMIMO"):
             clusters = generate_clusters(entry, lsps, plan.dirs, state,
                                          cfg.ue_velocity, fc, streams)
-            for d, drawn, cl in zip(group, lsps, clusters):
-                d.lsps, d.clusters = drawn, cl
+            for d, cl in zip(group, clusters):
+                d.clusters = cl
     return staged
 
 
@@ -168,13 +175,10 @@ def _run_standard(d: _Drop) -> tuple[dict, dict]:
 
 
 def _run_emimo(d: _Drop) -> tuple[dict, dict]:
-    p = d.plan
+    p, clusters = d.plan, d.clusters
     cfg, blk = p.cfg, p.cfg.feature_block()
     n_freq = blk["freq_samples"]
     fc = cfg.center_freq_hz
-    lsps = generate_lsps(d.entry, d.streams.get("lsp"))
-    clusters = generate_clusters(d.entry, lsps, p.dirs, d.state, cfg.ue_velocity, fc,
-                                 d.streams)
     # The receive array sweeps the large aperture; the spherical manifold and
     # the visibility mask act along its elements.
     paths = emimo.paths_from_clusters(clusters, p.bs.distance_to(p.ue))
@@ -188,7 +192,7 @@ def _run_emimo(d: _Drop) -> tuple[dict, dict]:
     delays = np.array([p.tau_s for p in paths])
     cir = CirTensor(coefficients=coeffs, tap_delays_s=delays - delays.min(),
                     sample_times_s=p.times)
-    cir = apply_large_scale(cir, _ci_loss(d, lsps.sf_db, (p.bs, p.ue)))
+    cir = apply_large_scale(cir, _ci_loss(d, d.lsps.sf_db, (p.bs, p.ue)))
     freqs = fc + np.linspace(-cfg.bandwidth_hz / 2, cfg.bandwidth_hz / 2, n_freq)
     rows = sorted({0, p.tx.element_count - 1})    # the two elements xcorr_last reads
     cfr = emimo.sns_cfr_band(paths, p.tx.element_positions[rows],
@@ -207,14 +211,13 @@ def _run_emimo(d: _Drop) -> tuple[dict, dict]:
 def _run_isac(d: _Drop) -> tuple[dict, dict]:
     p = d.plan
     cfg, blk = p.cfg, p.cfg.feature_block()
-    lsps = generate_lsps(d.entry, d.streams.get("lsp"))
     targets, rx_s = isac.build_targets(blk, p.bs)
     pair = isac.gen_isac_drop(
-        d.entry, lsps, p.bs, p.ue, d.state, blk["n_shared"], d.streams,
+        d.entry, d.lsps, p.bs, p.ue, d.state, blk["n_shared"], d.streams,
         cfg.center_freq_hz, targets=targets, rx_s_pos=rx_s,
         ue_velocity=cfg.ue_velocity, self_interference_db=blk["self_interference_db"])
     cir_c = synthesize_cir(pair.comm, p.tx, p.rx, cfg.center_freq_hz, p.times)
-    cir_c = apply_large_scale(cir_c, _ci_loss(d, lsps.sf_db, (p.bs, p.ue)))
+    cir_c = apply_large_scale(cir_c, _ci_loss(d, d.lsps.sf_db, (p.bs, p.ue)))
     cir_s = synthesize_cir(pair.sense, p.tx, p.tx, cfg.center_freq_hz, p.times)
     metrics = {
         "ds_ns": rms_delay_spread(pair.comm.powers, pair.comm.delays_s) * 1e9,
@@ -268,10 +271,10 @@ def _run_ris(d: _Drop) -> tuple[dict, dict]:
         lsps2 = replace(lsps2, k_db=blk["leg_k_db"])
     dirs1 = los_directions(p.bs, ris_pos)
     dirs2 = los_directions(ris_pos, p.ue)
-    leg1 = generate_clusters(entry1, lsps1, dirs1, d.state, (0.0, 0.0, 0.0),
-                             f_hz, s1)
-    leg2 = generate_clusters(entry, lsps2, dirs2, d.state, cfg.ue_velocity,
-                             f_hz, s2)
+    (leg1,) = generate_clusters(entry1, [lsps1], dirs1, d.state, (0.0, 0.0, 0.0),
+                                f_hz, [s1])
+    (leg2,) = generate_clusters(entry, [lsps2], dirs2, d.state, cfg.ue_velocity,
+                                f_hz, [s2])
 
     panel_ni = ris.build_panel(blk, cfg.bs_position, cfg.ue_position, f_hz)
     panel_id = replace(panel_ni, ideal=True)

@@ -77,20 +77,11 @@ class ArrayGeometry:
         return float(np.sqrt(d2.max()))
 
 
-def build_ula(n: int, spacing: float | None = None,
-              center_freq: float | None = None) -> ArrayGeometry:
-    """Uniform linear array along +y, boresight +x, centered on its centroid.
-
-    ``spacing`` is in meters; when omitted it defaults to half a wavelength
-    at ``center_freq``.
-    """
+def build_ula(n: int, spacing: float) -> ArrayGeometry:
+    """Uniform linear array along +y, boresight +x, centered on its centroid,
+    with ``spacing`` in meters between adjacent elements."""
     if n < 1:
         raise ConfigurationError(f"element count must be >= 1, got {n}")
-    if spacing is None:
-        if center_freq is None or center_freq <= 0:
-            raise ConfigurationError("need spacing or a positive center_freq")
-        from .constants import wavelength
-        spacing = wavelength(center_freq) / 2.0
     if spacing <= 0:
         raise ConfigurationError(f"element spacing must be positive, got {spacing}")
     idx = np.arange(n, dtype=np.float64) - (n - 1) / 2.0

@@ -18,8 +18,8 @@ from .constants import C_LIGHT
 from .geometry import ConfigurationError, Position3D, check_apart, los_directions, \
     unit_vector
 from .largescale import LSPSet, LspTableEntry
-from .smallscale import ClusterSet, _reflect_zenith, _wrap_pi, doppler_per_ray, \
-    gen_cluster_powers, gen_xpr_phases, ray_offsets, ray_powers
+from .smallscale import ClusterSet, _k_split, _reflect_zenith, _wrap_pi, \
+    doppler_per_ray, gen_cluster_powers, gen_xpr_phases, ray_offsets, ray_powers
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,13 @@ def _assemble_side(rows, entry, lsps, rng, f_hz, specular, doppler_scale=1.0):
     zoa = np.array([r.zoa for r in rows])
     zod = np.array([r.zod for r in rows])
 
-    # NLOS form: the LOS split below is ISAC's own, applied before the RCS
-    # weights.
+    # NLOS form: the LOS split below comes before the RCS weights.
     powers = gen_cluster_powers(excess, lsps.ds_s, entry.delay_scaling,
                                 entry.per_cluster_shadow_db, None, "NLOS", rng)
     if specular:
-        k_lin = 10.0 ** (lsps.k_db / 10.0)
-        powers = powers / (k_lin + 1.0)
-        powers[0] += k_lin / (k_lin + 1.0)
+        k_plus_1, spec = _k_split(lsps.k_db)
+        powers = powers / k_plus_1
+        powers[0] += spec
     weights = np.array([r.power_weight for r in rows])
     powers = powers * weights
     powers = powers / powers.sum()

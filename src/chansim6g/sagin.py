@@ -60,19 +60,16 @@ def weather_adjusted_k(k_los_db: float, k_rain_db: float = 0.0,
 def ntn_drop(scenario: str, state: str, f_hz: float, sat_height_m: float,
              elevation_rad: float, streams, extra_atten_db: float = 0.0,
              k_rain_db: float = 0.0, k_cloud_db: float = 0.0, times=None):
-    """One space-to-ground drop: spherical-Earth slant geometry, free-space
+    """Space-to-ground drops: spherical-Earth slant geometry, free-space
     slant loss plus clutter/attenuation hooks, elevation-keyed fast-fading
     parameters, then the standard small-scale pipeline with the K-factor
     replaced by its weather-adjusted value.
 
-    ``streams`` is one drop's DropStreams, giving its CirTensor, or a
-    sequence of them, giving one CirTensor per drop: a block that shares
-    the geometry, table entry and slant loss and generates its clusters in
-    one ``generate_clusters`` call.
+    ``streams`` is a sequence of DropStreams, one per drop, and the result
+    one CirTensor per drop; a single drop is a block of one. The block
+    shares the geometry, table entry and slant loss and generates its
+    clusters in one ``generate_clusters`` call.
     """
-    one = not isinstance(streams, (list, tuple))
-    if one:
-        streams = [streams]
     geom = slant_geometry(sat_height_m, elevation_rad)
     entry = lookup_lsp_table(scenario, state, f_hz,
                              elevation_deg=math.degrees(elevation_rad))
@@ -96,4 +93,4 @@ def ntn_drop(scenario: str, state: str, f_hz: float, sat_height_m: float,
         cir = apply_large_scale(cir, PathLossSample(pl_db=pl_db, shadow_db=drawn.sf_db))
         cir.meta.update(slant_range_m=geom.slant_range, k_total_db=drawn.k_db)
         cirs.append(cir)
-    return cirs[0] if one else cirs
+    return cirs

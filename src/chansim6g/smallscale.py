@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .geometry import LosDirections, unit_vector
-from .largescale import LSPSet, LspTableEntry
+from .largescale import LspTableEntry
 
 # Standard 20-ray offset table; RMS is 1 so the intra-cluster spread scale
 # multiplies through directly.
@@ -131,12 +131,10 @@ def gen_cluster_powers(delays: np.ndarray, ds_s, r_tau: float,
 
 
 def _each(rng, draw) -> np.ndarray:
-    """``draw(rng)`` of one drop's generator, or of each generator of a
-    block's sequence stacked on a leading drop axis."""
+    """``draw(rng)`` of one generator, or of each generator of a block's
+    sequence stacked on a leading drop axis."""
     if not isinstance(rng, (list, tuple)):
         return draw(rng)
-    if len(rng) == 1:
-        return draw(rng[0])[None]
     return np.array([draw(g) for g in rng])
 
 
@@ -287,9 +285,9 @@ def _calibrate_scales(devs: np.ndarray, q: np.ndarray, totals, targets) -> list:
 def gen_ray_angles(lsps, powers: np.ndarray, ray_p: np.ndarray,
                    los_dirs: LosDirections, entry: LspTableEntry, state: str,
                    rng) -> RayAngles:
-    """Arrival/departure cluster+ray angles for one drop, or for a block:
-    ``lsps`` and ``rng`` then hold one item per drop, ``powers`` is (B, n),
-    ``ray_p`` (B, n, m) and every angle array (B, n, m).
+    """Arrival/departure cluster+ray angles for a block of B drops: ``lsps``
+    and ``rng`` hold one item per drop, ``powers`` is (B, n), ``ray_p``
+    (B, n, m) and every angle array (B, n, m).
 
     Cluster angles follow the inverse-shape method about the geometric
     direction: the Gaussian shape in azimuth, the Laplacian in zenith, a
@@ -302,9 +300,6 @@ def gen_ray_angles(lsps, powers: np.ndarray, ray_p: np.ndarray,
     geometric direction. The four dimensions of every drop are calibrated
     together, as independent lanes of one solve.
     """
-    one = isinstance(lsps, LSPSet)
-    if one:
-        lsps, powers, ray_p, rng = [lsps], powers[None], ray_p[None], [rng]
     los = state.upper() == "LOS"
     b, n = powers.shape
 
@@ -352,8 +347,6 @@ def gen_ray_angles(lsps, powers: np.ndarray, ray_p: np.ndarray,
     ang[2:] = _reflect_zenith(ang[2:])
     if los:
         ang[:, :, 0, 0] = refs[:, None]  # exact geometric direction despite wrapping
-    if one:
-        ang = ang[:, 0]
     return RayAngles(aoa=ang[0], aod=ang[1], zoa=ang[2], zod=ang[3])
 
 
@@ -442,21 +435,18 @@ class ClusterSet:
 
 def generate_clusters(entry: LspTableEntry, lsps, los_dirs: LosDirections,
                       state: str, velocity, f_hz: float, streams):
-    """Steps 5-10 for one drop, or for a block of drops.
+    """Steps 5-10 for a block of drops: one ClusterSet per drop.
 
-    ``streams`` provides named child generators ("delays", "powers",
-    "angles", and "xpr" for the XPRs and the initial phases) so each stage's
-    draws are insulated from the others. A block passes ``lsps`` and
-    ``streams`` as equal-length sequences, one item per drop, and gets one
-    ClusterSet per drop; its drops share the entry, link state, directions
-    and velocity. Each drop draws from its own streams in the order it does
-    alone, every array step acts elementwise or reduces within one drop, and
-    the Doppler product runs per drop, so its BLAS call keeps its shape: a
-    drop's ClusterSet does not depend on the block it ran in.
+    ``lsps`` and ``streams`` are equal-length sequences, one item per drop;
+    a single drop is a block of one. The drops share the entry, link state,
+    directions and velocity. Each drop's streams provide named child
+    generators ("delays", "powers", "angles", and "xpr" for the XPRs and the
+    initial phases) so each stage's draws are insulated from the others.
+    Each drop draws from its own streams in the order it does alone, every
+    array step acts elementwise or reduces within one drop, and the Doppler
+    product runs per drop, so its BLAS call keeps its shape: a drop's
+    ClusterSet does not depend on the block it ran in.
     """
-    one = isinstance(lsps, LSPSet)
-    if one:
-        lsps, streams = [lsps], [streams]
     los = state.upper() == "LOS"
     n, m = entry.n_clusters, entry.rays_per_cluster
     k_db = [x.k_db for x in lsps] if los else None
@@ -476,10 +466,9 @@ def generate_clusters(entry: LspTableEntry, lsps, los_dirs: LosDirections,
     kappa, phases = gen_xpr_phases(entry, n, m, [s.get("xpr") for s in streams])
     arrival = unit_vector(angles.zoa, angles.aoa)
 
-    sets = [ClusterSet(delays_s=delays[i], powers=powers[i], ray_powers=rp[i],
+    return [ClusterSet(delays_s=delays[i], powers=powers[i], ray_powers=rp[i],
                        zoa=angles.zoa[i], aoa=angles.aoa[i], zod=angles.zod[i],
                        aod=angles.aod[i], kappa=kappa[i], phases=phases[i],
                        doppler_hz=doppler_per_ray(velocity, arrival[i], f_hz),
                        state="LOS" if los else "NLOS")
             for i in range(len(lsps))]
-    return sets[0] if one else sets

@@ -82,8 +82,8 @@ def test_criterion_03_gbsm_ensemble():
         ds_vals = np.empty(10_000)
         asa_vals = np.empty(10_000)
         for d in range(10_000):
-            cs = generate_clusters(entry, lsps, DIRS, "NLOS", (0, 0, 0), 28e9,
-                                   DropStreams(303, d))
+            cs = generate_clusters(entry, [lsps], DIRS, "NLOS", (0, 0, 0), 28e9,
+                                   [DropStreams(303, d)])[0]
             assert abs(cs.powers.sum() - 1.0) <= 1e-12
             ds_vals[d] = analysis.rms_delay_spread(cs.powers, cs.delays_s)
             asa_vals[d] = analysis.circular_angular_spread(
@@ -123,7 +123,7 @@ def test_criterion_05_emimo():
     with criterion(5, "E-MIMO near-field phase + SnS correlation trend", 120.0):
         # Edge-element phase discrepancy at the Rayleigh distance.
         f = 28e9
-        arr = build_ula(256, center_freq=f)
+        arr = build_ula(256, spacing=wavelength(f) / 2.0)
         rd = rayleigh_distance(arr.aperture, wavelength(f))
         paths = [emimo.PathGeometry(source=np.array([rd, 0.0, 0.0]),
                                     alpha=1.0 + 0j, tau_s=rd / C_LIGHT)]
@@ -165,8 +165,8 @@ def test_criterion_05_emimo():
         for d in range(n_drops):
             streams = DropStreams(1, d)
             lsps = generate_lsps(entry, streams.get("lsp"))
-            clusters = generate_clusters(entry, lsps, dirs, "LOS", (0, 0, 0),
-                                         fc, streams)
+            clusters = generate_clusters(entry, [lsps], dirs, "LOS", (0, 0, 0),
+                                         fc, [streams])[0]
             pth = emimo.paths_from_clusters(clusters, d_link)
             snsmask = emimo.gen_sns_mask(m, len(pth), 16, streams.get("sns"))
             rho, _ = analysis.array_cross_correlation(
@@ -303,13 +303,13 @@ def test_criterion_07_ris():
 def test_criterion_08_sagin():
     with criterion(8, "SAGIN path loss and envelope model", 30.0):
         pls = [ntn_drop("dense_urban", "LOS", 2e9, h, math.radians(30.0),
-                        DropStreams(808, 0)).meta["pl_db"]
+                        [DropStreams(808, 0)])[0].meta["pl_db"]
                for h in (600e3, 900e3, 1200e3, 1500e3)]
         assert np.all(np.diff(pls) > 0)
         a = ntn_drop("dense_urban", "LOS", 2e9, 600e3, math.radians(60.0),
-                     DropStreams(808, 1)).meta["pl_db"]
+                     [DropStreams(808, 1)])[0].meta["pl_db"]
         b = ntn_drop("dense_urban", "LOS", 28e9, 600e3, math.radians(60.0),
-                     DropStreams(808, 1)).meta["pl_db"]
+                     [DropStreams(808, 1)])[0].meta["pl_db"]
         assert b - a == pytest.approx(20.0 * math.log10(14.0), abs=1e-9)
 
         rng = np.random.default_rng(809)

@@ -1,8 +1,10 @@
 """Drop blocks: a campaign slice stages its drops in blocks that share one
-plan and, for BASE, THz and SAGIN, one pass of steps 5-10. A drop's tensors
-and metrics must not depend on the block it ran in, a failing drop must
-still be named, and the functions perfbench's tracer wraps must still be
-called through their module attributes.
+plan. Per drawn link state, every terrestrial feature but RIS draws its LSPs
+there, and BASE, THz, E-MIMO and SAGIN run steps 5-10 as one pass; blocks
+are the only input form of those steps. A drop's tensors and metrics must
+not depend on the block it ran in, a failing drop must still be named, and
+the functions perfbench's tracer wraps must still be called through their
+module attributes.
 """
 
 import importlib
@@ -34,7 +36,8 @@ def _uma_base():
     return config_from_dict(dict(BASE_CONFIG))
 
 
-CONFIGS = {"thz": load_preset("thz"), "sagin": load_preset("sagin"), "base": _uma_base()}
+CONFIGS = {**{name: load_preset(name) for name in ("thz", "emimo", "isac", "sagin")},
+           "base": _uma_base()}
 
 
 def _same_value(a, b):
@@ -83,10 +86,10 @@ def test_campaign_drops_match_run_drop_alone(name, jobs, tmp_path):
     states = set()
     for drop in range(cfg.drops):
         alone = run_drop(cfg, drop)
-        tensor = alone.tensors[""]
-        got = read_cir(out / f"drop{drop:05d}.cir")
-        assert got.coefficients.tobytes() == tensor.coefficients.tobytes(), drop
-        assert got.tap_delays_s.tobytes() == tensor.tap_delays_s.tobytes(), drop
+        for suffix, tensor in alone.tensors.items():
+            got = read_cir(out / f"drop{drop:05d}.cir{suffix}")
+            assert got.coefficients.tobytes() == tensor.coefficients.tobytes(), drop
+            assert got.tap_delays_s.tobytes() == tensor.tap_delays_s.tobytes(), drop
         assert rows[drop]["state"] == alone.metrics["state"]
         assert float(rows[drop]["rsrp_dbm"]) == alone.metrics["rsrp_dbm"]
         states.add(alone.metrics["state"])
@@ -125,8 +128,7 @@ def test_failing_block_reruns_its_drops_alone(tmp_path, monkeypatch):
     real = campaign.generate_clusters
 
     def clusters(entry, lsps, dirs, state, velocity, f_hz, streams):
-        drops = [s.drop for s in streams] if isinstance(streams, list) else [streams.drop]
-        if 17 in drops:
+        if 17 in [s.drop for s in streams]:
             raise FloatingPointError("planted failure in drop 17")
         return real(entry, lsps, dirs, state, velocity, f_hz, streams)
 

@@ -57,20 +57,20 @@ class TestSphericalManifold:
 
     def test_far_field_convergence(self):
         f = 28e9
-        arr = build_ula(256, center_freq=f)
+        arr = build_ula(256, spacing=wavelength(f) / 2.0)
         rd = rayleigh_distance(arr.aperture, wavelength(f))
         assert phase_discrepancy(arr, 100.0 * rd, f) < math.pi / 80
 
     def test_rayleigh_distance_phase(self):
         # The aperture-edge phase error at the near/far boundary is pi/8.
         f = 28e9
-        arr = build_ula(256, center_freq=f)
+        arr = build_ula(256, spacing=wavelength(f) / 2.0)
         rd = rayleigh_distance(arr.aperture, wavelength(f))
         assert phase_discrepancy(arr, rd, f) == pytest.approx(math.pi / 8, rel=0.02)
 
     def test_discrepancy_strictly_decreasing(self):
         f = 28e9
-        arr = build_ula(256, center_freq=f)
+        arr = build_ula(256, spacing=wavelength(f) / 2.0)
         rd = rayleigh_distance(arr.aperture, wavelength(f))
         vals = [phase_discrepancy(arr, mult * rd, f) for mult in (1, 10, 100)]
         assert vals[0] > vals[1] > vals[2]

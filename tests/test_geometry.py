@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chansim6g.constants import C_LIGHT, EARTH_RADIUS_M
+from chansim6g.constants import C_LIGHT, EARTH_RADIUS_M, wavelength
 from chansim6g.geometry import (ConfigurationError, Position3D, assign_link_state,
                                 build_ula, los_directions, los_probability,
                                 rayleigh_distance, single_element, slant_geometry,
@@ -28,7 +28,7 @@ class TestArrays:
     def test_ula_aperture_28ghz(self):
         # Oracle: D = (n - 1) * c / (2 f) for half-wavelength spacing.
         n, f = 256, 28e9
-        arr = build_ula(n, center_freq=f)
+        arr = build_ula(n, spacing=wavelength(f) / 2.0)
         expected = (n - 1) * C_LIGHT / (2.0 * f)
         assert arr.aperture == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(1.366, abs=1e-3)

@@ -66,7 +66,7 @@ class TestWeatherK:
 class TestNtnDrop:
     def _drop(self, height=600e3, elev_deg=90.0, f=2e9, seed=0, **kw):
         return ntn_drop("dense_urban", "LOS", f, height,
-                        math.radians(elev_deg), DropStreams(seed, 0), **kw)
+                        math.radians(elev_deg), [DropStreams(seed, 0)], **kw)[0]
 
     def test_zenith_path_loss_anchor(self):
         cir = self._drop()

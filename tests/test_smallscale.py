@@ -13,7 +13,7 @@ from chansim6g.smallscale import (gen_cluster_delays,
                                   gen_cluster_powers, gen_ray_angles,
                                   gen_xpr_phases, doppler_per_ray,
                                   generate_clusters, los_delay_scale,
-                                  ray_offsets, ray_powers)
+                                  ray_offsets, ray_powers, RayAngles)
 from test_largescale import make_entry
 
 DIRS = LosDirections(aod=0.6, zod=1.5, aoa=0.6 - math.pi, zoa=math.pi - 1.5)
@@ -24,6 +24,12 @@ def make_lsps(**over):
                 zsd_deg=4.0, k_db=9.0, sf_db=0.0)
     base.update(over)
     return LSPSet(**base)
+
+
+def angles_of_one(lsps, powers, ray_p, entry, state, rng):
+    """gen_ray_angles of one drop, passed as a block of one."""
+    ang = gen_ray_angles([lsps], powers[None], ray_p[None], DIRS, entry, state, [rng])
+    return RayAngles(zoa=ang.zoa[0], aoa=ang.aoa[0], zod=ang.zod[0], aod=ang.aod[0])
 
 
 def circ_spread_deg(p, ang):
@@ -64,8 +70,8 @@ class TestDelays:
         entry, lsps = make_entry(n_clusters=10), make_lsps(k_db=9.0)
         raw = gen_cluster_delays(lsps.ds_s, entry.delay_scaling, 10,
                                  DropStreams(21, 0).get("delays"))
-        los, nlos = (generate_clusters(entry, lsps, DIRS, state, (0, 0, 0),
-                                       28e9, DropStreams(21, 0))
+        los, nlos = (generate_clusters(entry, [lsps], DIRS, state, (0, 0, 0),
+                                       28e9, [DropStreams(21, 0)])[0]
                      for state in ("LOS", "NLOS"))
         assert np.array_equal(nlos.delays_s, raw)
         assert np.array_equal(los.delays_s, raw / los_delay_scale(9.0))
@@ -132,10 +138,10 @@ class TestRayAngles:
     def test_los_forces_geometric_direction(self):
         entry = make_entry(n_clusters=1)
         lsps = make_lsps()
-        ang = gen_ray_angles(lsps, np.array([1.0]),
-                             ray_powers(np.array([1.0]), entry.rays_per_cluster,
-                                        los=True, k_db=lsps.k_db),
-                             DIRS, entry, "LOS", np.random.default_rng(0))
+        ang = angles_of_one(lsps, np.array([1.0]),
+                            ray_powers(np.array([1.0]), entry.rays_per_cluster,
+                                       los=True, k_db=lsps.k_db),
+                            entry, "LOS", np.random.default_rng(0))
         assert ang.aoa[0, 0] == DIRS.aoa
         assert ang.zoa[0, 0] == DIRS.zoa
         assert ang.aod[0, 0] == DIRS.aod
@@ -151,7 +157,7 @@ class TestRayAngles:
             p = gen_cluster_powers(tau, lsps.ds_s, entry.delay_scaling,
                                    entry.per_cluster_shadow_db, None, "NLOS", rng)
             rp = ray_powers(p, entry.rays_per_cluster)
-            ang = gen_ray_angles(lsps, p, rp, DIRS, entry, "NLOS", rng)
+            ang = angles_of_one(lsps, p, rp, entry, "NLOS", rng)
             spreads.append(circ_spread_deg(rp.ravel(), ang.aoa.ravel()))
         spreads = np.array(spreads)
         # Per-drop spread calibration makes every drop land on the target.
@@ -164,8 +170,8 @@ class TestRayAngles:
         for _ in range(20):
             tau = gen_cluster_delays(lsps.ds_s, 2.3, 19, rng)
             p = gen_cluster_powers(tau, lsps.ds_s, 2.3, 3.0, None, "NLOS", rng)
-            ang = gen_ray_angles(lsps, p, ray_powers(p, entry.rays_per_cluster),
-                                 DIRS, entry, "NLOS", rng)
+            ang = angles_of_one(lsps, p, ray_powers(p, entry.rays_per_cluster),
+                                entry, "NLOS", rng)
             assert np.all((ang.aoa > -np.pi) & (ang.aoa <= np.pi))
             assert np.all((ang.zoa >= 0) & (ang.zoa <= np.pi))
             assert np.all((ang.zod >= 0) & (ang.zod <= np.pi))
@@ -212,8 +218,8 @@ class TestGenerateClusters:
     def _drop(self, seed=0, state="LOS", entry=None, lsps=None):
         entry = entry or make_entry(n_clusters=16)
         lsps = lsps or make_lsps()
-        return generate_clusters(entry, lsps, DIRS, state, (3.0, 0.0, 0.0),
-                                 28e9, DropStreams(seed, 0))
+        return generate_clusters(entry, [lsps], DIRS, state, (3.0, 0.0, 0.0),
+                                 28e9, [DropStreams(seed, 0)])[0]
 
     def test_invariants(self):
         for seed in range(30):
@@ -236,8 +242,8 @@ class TestGenerateClusters:
         lsps = make_lsps(ds_s=100e-9)
         med = np.median([
             _rms_ds(cs.powers, cs.delays_s)
-            for cs in (generate_clusters(entry, lsps, DIRS, "NLOS",
-                                         (0, 0, 0), 28e9, DropStreams(7, d))
+            for cs in (generate_clusters(entry, [lsps], DIRS, "NLOS",
+                                         (0, 0, 0), 28e9, [DropStreams(7, d)])[0]
                        for d in range(3000))])
         assert abs(med - 100e-9) / 100e-9 < 0.15
 
@@ -515,7 +521,7 @@ class TestCalibrationLockstep:
             rp = ray_powers(p, entry.rays_per_cluster, los=los,
                             k_db=lsps.k_db if los else None)
             rng = np.random.default_rng(seed)
-            ang = gen_ray_angles(lsps, p, rp, DIRS, entry, state, rng)
+            ang = angles_of_one(lsps, p, rp, entry, state, rng)
             want = _reference_ray_angles(lsps, p, rp, entry, state,
                                          np.random.default_rng(seed))
             for name in ("aoa", "aod", "zoa", "zod"):
