@@ -281,12 +281,12 @@ def _run_ris(d: _Drop) -> tuple[dict, dict]:
     if blk["codebook"] == "steering":
         in_local = panel_ni.to_local(dirs1.zoa, dirs1.aoa)
         out_local = panel_ni.to_local(dirs2.zod, dirs2.aod)
-        codebook = ris.steering_codebook(in_local, out_local)
+        design_u = ris.steering_codebook(in_local, out_local)
     else:
-        codebook = ris.uniform_codebook()
+        design_u = ris.uniform_codebook()
 
     cir_ni, cir_id = ris.cascade_cir_multi(leg1, leg2, [panel_ni, panel_id],
-                                           codebook, p.tx, p.rx, f_hz, p.times)
+                                           design_u, p.tx, p.rx, f_hz, p.times)
     pl = _ci_loss(d, lsps1.sf_db, (p.bs, ris_pos), (ris_pos, p.ue))
     cir_ni = apply_large_scale(cir_ni, pl)
     cir_id = apply_large_scale(cir_id, pl)

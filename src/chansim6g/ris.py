@@ -1,14 +1,20 @@
-"""RIS extension: load-impedance element reflection, equivalence-theorem
-element radiation pattern, coherent panel pattern, and the Tx-RIS-Rx
-cascaded channel.
+"""RIS extension: the Tx-RIS-Rx cascaded channel through a panel of
+load-impedance elements.
+
+``cascade_cir_multi`` evaluates the element reflection (load-impedance
+model) and the panel pattern (equivalence-theorem element currents summed
+coherently over the grid under a steering or uniform codebook) in closed
+form inside the cascade kernel. The broadcast form of the same pattern,
+direction by direction, is the test oracle in ``tests/ris_oracle.py``.
 
 Conventions (panel local frame): elements lie in the x-y plane on a centered
 grid, normal +z. Directions are (zenith from normal, azimuth); ``in``
 directions point from the panel toward the source, ``out`` toward the
 observer. Pattern blocks are indexed [incident pol, outgoing pol] with V
-along the zenith basis vector and H along the azimuth basis vector. The
-programmable codebook phase modulates the reflected-field part only; the
-incident-field part of the equivalent currents is codebook-independent.
+along the zenith basis vector and H along the azimuth basis vector. A
+codebook is its tangential design vector ``u`` (2,): element phases
+-k u.d, which modulate the reflected-field part only; the incident-field
+part of the equivalent currents is codebook-independent.
 
 The cascade kernel (``_cascade_taps``) never forms the (I, J) grid of
 leg-1/leg-2 ray pairs. It takes the leg-1 rays in front of the panel
@@ -60,54 +66,23 @@ def _reflection_arrays(z_e, z_m, cos_t, pol: str):
     raise ValueError(f"polarization must be V or H, got {pol!r}")
 
 
-def element_reflection(z_e: complex, z_m: complex, theta_in: float,
-                       pol: str = "V") -> complex:
-    """Reflection coefficient of a thin sheet with electric impedance ``z_e``
-    and magnetic impedance ``z_m`` at incidence ``theta_in``.
-
-    Infinite impedances are accepted as limits (open electric sheet /
-    magnetic wall gives +1, the short (PEC) limit gives -1 for V).
-    """
-    if not (0.0 <= theta_in < math.pi / 2):
-        raise ValueError(f"incidence angle must be in [0, pi/2), got {theta_in}")
-    val = _reflection_arrays(complex(z_e), complex(z_m),
-                             np.asarray(math.cos(theta_in)), pol.upper())
-    return complex(val)
-
-
 # ---------------------------------------------------------------------------
 # Panel description and codebooks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RisCodebook:
-    """Per-element phase profile applied to the reflected field.
-
-    ``steering`` codebooks cancel the tangential position phases for a
-    nominal (incident, outgoing) pair ("continuous anomalous reflection");
-    they stay separable in (x, y), enabling the closed-form panel sum.
-    """
-
-    kind: str                            # "uniform" | "steering" | "table"
-    phases: np.ndarray | None = None     # (nx, ny) radians, kind == "table"
-    design_u: np.ndarray | None = None   # tangential steering vector (2,)
+def uniform_codebook() -> np.ndarray:
+    """Design vector of the uniform (all-zero phase) codebook."""
+    return np.zeros(2)
 
 
-def uniform_codebook() -> RisCodebook:
-    return RisCodebook(kind="uniform", design_u=np.zeros(2))
-
-
-def steering_codebook(in_dir, out_dir) -> RisCodebook:
-    """Design a continuous-anomalous-reflection profile for a nominal
-    (incident, outgoing) direction pair, both (zenith, azimuth) in the panel
-    frame."""
+def steering_codebook(in_dir, out_dir) -> np.ndarray:
+    """Design vector of a continuous-anomalous-reflection profile for a
+    nominal (incident, outgoing) direction pair, both (zenith, azimuth) in
+    the panel frame: its element phases cancel the tangential position
+    phases of that pair."""
     u_in = unit_vector(*in_dir)[:2]
     u_out = unit_vector(*out_dir)[:2]
-    return RisCodebook(kind="steering", design_u=np.asarray(u_in + u_out))
-
-
-def table_codebook(phases: np.ndarray) -> RisCodebook:
-    return RisCodebook(kind="table", phases=np.asarray(phases, dtype=np.float64))
+    return np.asarray(u_in + u_out)
 
 
 @dataclass(frozen=True)
@@ -132,17 +107,6 @@ class RisPanel:
     @property
     def rotation_matrix(self) -> np.ndarray:
         return np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
-
-    def grid_coords(self):
-        """Element center coordinates about the panel center, meters."""
-        xs = (np.arange(1, self.nx + 1) - (1 + self.nx) / 2.0) * self.d_element
-        ys = (np.arange(1, self.ny + 1) - (1 + self.ny) / 2.0) * self.d_element
-        return xs, ys
-
-    def element_positions(self) -> np.ndarray:
-        xs, ys = self.grid_coords()
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=-1)
 
     def reflection(self, zen_in, pol: str):
         """Angle-dependent element reflection.
@@ -236,7 +200,7 @@ def build_panel(block: dict, bs_position, ue_position, f_hz: float) -> RisPanel:
 
 
 # ---------------------------------------------------------------------------
-# Element radiation pattern (equivalence theorem, uniform rectangular patch)
+# Panel pattern factors (equivalence theorem, uniform rectangular patch)
 # ---------------------------------------------------------------------------
 
 def _basis(zen, az):
@@ -253,82 +217,6 @@ def _sinc(x):
     return np.sinc(x / np.pi)  # sin(x)/x with the 0 limit
 
 
-def _element_blocks(panel: RisPanel, in_dir, out_dir, f_hz: float,
-                    r_eval: float = 100.0):
-    """Element pattern block from the reflected-field equivalent currents.
-
-    The incident-field half of the Huygens pair radiates into the forward
-    half-space and contributes nothing to the reflection hemisphere, so the
-    currents here are J = n x H_r, M = -n x E_r; the block is therefore
-    exactly proportional to the element reflection coefficient. Returns
-    (..., 2, 2) arrays indexed [p1, p2], already carrying the
-    angle-dependent Gamma (or unit magnitude in ideal mode).
-    """
-    zen_i, az_i = (np.asarray(a, dtype=np.float64) for a in in_dir)
-    zen_o, az_o = (np.asarray(a, dtype=np.float64) for a in out_dir)
-    zen_i, az_i, zen_o, az_o = np.broadcast_arrays(zen_i, az_i, zen_o, az_o)
-    shape = zen_i.shape
-
-    lam = wavelength(f_hz)
-    k = 2.0 * math.pi / lam
-    edge = panel.d_element              # square aperture filling the pitch
-    area = edge * edge
-
-    r_in, th_in, ph_in = _basis(zen_i, az_i)
-    r_out, th_out, ph_out = _basis(zen_o, az_o)
-    k_i = -r_in
-    k_r = k_i.copy()
-    k_r[..., 2] = -k_r[..., 2]
-
-    # Reflected-field polarization basis consistent with the PEC limits:
-    # tangential E cancels for V with Gamma = -1 and for H with Gamma = +1.
-    v_r = th_in.copy()
-    v_r[..., 2] = -v_r[..., 2]
-    h_r = -ph_in
-
-    gamma_v = panel.reflection(zen_i, "V")
-    gamma_h = panel.reflection(zen_i, "H")
-
-    du = r_out[..., 0] + r_in[..., 0]
-    dv = r_out[..., 1] + r_in[..., 1]
-    taper = area * _sinc(0.5 * k * du * edge) * _sinc(0.5 * k * dv * edge)
-
-    z_hat = np.zeros(shape + (3,))
-    z_hat[..., 2] = 1.0
-    prefactor = -1j * k * np.exp(-1j * k * r_eval) / (4.0 * math.pi * r_eval)
-    norm = (4.0 * math.pi / lam) * r_eval * np.exp(1j * k * r_eval)
-    scale = (norm * prefactor) * taper
-
-    block_ref = np.empty(shape + (2, 2), dtype=np.complex128)
-    for p1, (e_r, gamma) in enumerate(((v_r, gamma_v), (h_r, gamma_h))):
-        field = gamma[..., None] * e_r
-        h_vec = np.cross(k_r, field)        # eta-normalized H
-        j_s = np.cross(z_hat, h_vec)        # eta * J_s
-        m_s = -np.cross(z_hat, field)
-        n_th = np.sum(j_s * th_out, axis=-1)
-        n_ph = np.sum(j_s * ph_out, axis=-1)
-        l_th = np.sum(m_s * th_out, axis=-1)
-        l_ph = np.sum(m_s * ph_out, axis=-1)
-        block_ref[..., p1, 0] = scale * (n_th + l_ph)
-        block_ref[..., p1, 1] = scale * (n_ph - l_th)
-    return block_ref
-
-
-def element_pattern(panel: RisPanel, in_dir, out_dir, f_hz: float,
-                    codebook_phase=0.0, r_eval: float = 100.0) -> np.ndarray:
-    """2x2 complex pattern block F[p1, p2] of a single element.
-
-    Equivalent surface currents are formed from the reflected field of a
-    uniform-field rectangular patch and radiated to ``out_dir``; the
-    evaluation distance ``r_eval`` cancels by construction. The codebook
-    phase multiplies the whole block (it modulates the reflection).
-    """
-    ref = _element_blocks(panel, in_dir, out_dir, f_hz, r_eval=r_eval)
-    beta = np.exp(1j * np.asarray(codebook_phase))
-    return beta[..., None, None] * ref if np.ndim(codebook_phase) \
-        else complex(beta) * ref
-
-
 def _dirichlet(a, n: int):
     """Centered-grid geometric sum: sin(n a / 2) / sin(a / 2), real."""
     a = np.asarray(a, dtype=np.float64)
@@ -341,39 +229,6 @@ def _dirichlet(a, n: int):
     limit = n * np.cos(0.5 * n * a) / np.where(np.abs(np.cos(0.5 * a)) < 1e-12,
                                                1.0, np.cos(0.5 * a))
     return np.where(small, limit, val)
-
-
-def overall_pattern(panel: RisPanel, codebook: RisCodebook, in_dir, out_dir,
-                    f_hz: float) -> np.ndarray:
-    """Coherent panel pattern: element blocks summed with per-element
-    position phases exp(j k r_in.d) exp(j k r_out.d) and codebook phases.
-    Directions behind the panel give zeros. Returns F[..., p1, p2].
-    """
-    zen_i, az_i = (np.asarray(a, dtype=np.float64) for a in in_dir)
-    zen_o, az_o = (np.asarray(a, dtype=np.float64) for a in out_dir)
-    zen_i, az_i, zen_o, az_o = np.broadcast_arrays(zen_i, az_i, zen_o, az_o)
-    k = 2.0 * math.pi / wavelength(f_hz)
-
-    front = (zen_i < GRAZING_LIMIT_RAD) & (zen_o < GRAZING_LIMIT_RAD)
-    ref = _element_blocks(panel, (zen_i, az_i), (zen_o, az_o), f_hz)
-
-    u = unit_vector(zen_i, az_i) + unit_vector(zen_o, az_o)
-    if codebook.kind in ("uniform", "steering"):
-        du = u[..., 0] - codebook.design_u[0]
-        dv = u[..., 1] - codebook.design_u[1]
-        af_cb = (_dirichlet(k * du * panel.d_element, panel.nx)
-                 * _dirichlet(k * dv * panel.d_element, panel.ny))
-    elif codebook.kind == "table":
-        if codebook.phases is None or codebook.phases.shape != (panel.nx, panel.ny):
-            raise ConfigurationError("codebook table shape mismatch")
-        pos = panel.element_positions()
-        af_cb = np.einsum("...p->...",
-                          np.exp(1j * (k * np.tensordot(u, pos.T, axes=1)
-                                       + codebook.phases.ravel())))
-    else:
-        raise ConfigurationError(f"unknown codebook kind {codebook.kind!r}")
-
-    return ref * af_cb[..., None, None] * front[..., None, None]
 
 
 # Front leg-1 rays per tile of the cascade kernel: the per-tile work
@@ -408,7 +263,7 @@ def _weight_factors(k: float, panel: RisPanel, design_u, r_in, r_out):
     return left, right, p, q, n
 
 
-def _cascade_taps(panels, codebook: RisCodebook, in_zen, in_az, a_vec, p_in,
+def _cascade_taps(panels, design_u, in_zen, in_az, a_vec, p_in,
                   out_zen, out_az, b_vec, p_out, row_w, col_w,
                   f_hz: float) -> list:
     """Cluster-pair taps of the cascade, one (N1, S, N2 TU) array per panel:
@@ -438,10 +293,9 @@ def _cascade_taps(panels, codebook: RisCodebook, in_zen, in_az, a_vec, p_in,
     skipped.
 
     ``panels`` must share geometry (grid and pitch) and may differ in
-    reflection behavior; the weight grids are computed once.
+    reflection behavior; the weight grids are computed once. ``design_u``
+    (2,) is the codebook's design vector.
     """
-    if codebook.kind not in ("uniform", "steering"):
-        raise ConfigurationError("the cascade needs a separable codebook")
     ref_panel = panels[0]
     for p in panels[1:]:
         if (p.nx, p.ny, p.d_element) != \
@@ -488,8 +342,8 @@ def _cascade_taps(panels, codebook: RisCodebook, in_zen, in_az, a_vec, p_in,
     proj = (gain[:, None] * np.concatenate(
         [b0 * th_out + b1 * ph_out, b0 * ph_out - b1 * th_out], axis=1)).T
 
-    left, right, p_arg, q_arg, n = _weight_factors(k, ref_panel, codebook.design_u,
-                                                   r_in, r_out)
+    left, right, p_arg, q_arg, n = _weight_factors(k, ref_panel, design_u, r_in,
+                                                   r_out)
     # Angle addition loses relative accuracy as a denominator nears zero,
     # where w peaks. Entries whose denominator product falls under this
     # bound (every singular one does: a sinc argument under 1e-9 or a
@@ -537,9 +391,9 @@ def _cascade_taps(panels, codebook: RisCodebook, in_zen, in_az, a_vec, p_in,
 # Cascaded CIR
 # ---------------------------------------------------------------------------
 
-def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels,
-                      codebook: RisCodebook, tx: ArrayGeometry,
-                      rx: ArrayGeometry, f_hz: float, times=None) -> list:
+def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels, design_u,
+                      tx: ArrayGeometry, rx: ArrayGeometry, f_hz: float,
+                      times=None) -> list:
     """Tx-RIS-Rx cascaded coefficients: double ray sum over the two legs with
     the panel pattern block between the per-leg polarization matrices; one
     tap per cluster pair at delay tau1 + tau2, Doppler from the RIS-Rx leg.
@@ -548,8 +402,8 @@ def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels,
     departure angles the outgoing direction, both rotated into the panel
     frame. Several panels sharing geometry (e.g. ideal vs non-ideal
     modulation) are evaluated against the same legs in one pass; one tensor
-    per panel is returned. The codebook must be separable (uniform or
-    steering).
+    per panel is returned. ``design_u`` is the codebook's design vector
+    (``steering_codebook`` or ``uniform_codebook``).
 
     Both arrays have isotropic theta-polarized elements, so the panel sees
     the first column of each leg-1 ray's phase/XPR matrix (theta at the Tx)
@@ -581,7 +435,7 @@ def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels,
     out_zen, out_az = panel0.to_local(leg2.zod.ravel(), leg2.aod.ravel())
     # The pattern block is indexed [incident, outgoing], so q pairs with the
     # Tx half.
-    taps = _cascade_taps(panels, codebook, in_zen, in_az, a_vec,
+    taps = _cascade_taps(panels, design_u, in_zen, in_az, a_vec,
                          leg1.ray_powers.ravel(), out_zen, out_az, b_vec,
                          leg2.ray_powers.ravel(), row_w, col_w, f_hz)
 

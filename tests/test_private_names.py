@@ -18,8 +18,6 @@ PACKAGE = Path(chansim6g.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 
 KEEP = {
-    "table_codebook": "oracle: test_table_codebook_matches_steering checks the "
-                      "steering closed form against the table codebook",
     "load_materials": "the only reader of the shipped materials.json asset",
 }
 

@@ -5,13 +5,13 @@ import pytest
 
 from chansim6g.cir import _polarization_matrices
 from chansim6g.constants import Z0_OHM, wavelength
-from chansim6g.geometry import (ConfigurationError, build_ula, single_element,
-                                unit_vector)
+from chansim6g.geometry import build_ula, single_element, unit_vector
 from chansim6g.ris import (CASCADE_TILE, GRAZING_LIMIT_RAD, RisPanel,
-                           cascade_cir_multi, element_pattern,
-                           element_reflection, overall_pattern,
-                           rotation_facing, rotation_with_incidence,
-                           steering_codebook, table_codebook, uniform_codebook)
+                           cascade_cir_multi, rotation_facing,
+                           rotation_with_incidence, steering_codebook,
+                           uniform_codebook)
+from ris_oracle import (element_pattern, element_reflection, grid_coords,
+                        overall_pattern)
 from test_cir import make_clusters
 
 F = 28e9
@@ -130,7 +130,7 @@ class TestOverallPattern:
         for x in range(1, 7):
             for y in range(1, 6):
                 d = np.array([(x - 3.5) * LAM / 2, (y - 3.0) * LAM / 2])
-                beta = -k * (cb.design_u[0] * d[0] + cb.design_u[1] * d[1])
+                beta = -k * (cb[0] * d[0] + cb[1] * d[1])
                 acc += np.exp(1j * (k * (u @ d) + beta))
         assert np.allclose(fast, elem * acc, rtol=1e-12)
 
@@ -138,9 +138,8 @@ class TestOverallPattern:
         panel = RisPanel(nx=4, ny=4, d_element=LAM / 2, ideal=True)
         cb = steering_codebook((0.3, 0.0), (0.6, 1.0))
         k = 2 * math.pi / LAM
-        gx, gy = panel.grid_coords()
-        phases = -k * (cb.design_u[0] * gx[:, None] + cb.design_u[1] * gy[None, :])
-        tab = table_codebook(phases)
+        gx, gy = grid_coords(panel)
+        tab = -k * (cb[0] * gx[:, None] + cb[1] * gy[None, :])
         inc, out = (0.4, 0.2), (0.7, 1.5)
         assert np.allclose(overall_pattern(panel, cb, inc, out, F),
                            overall_pattern(panel, tab, inc, out, F), rtol=1e-9)
@@ -322,13 +321,6 @@ class TestCascade:
             assert np.max(np.abs(cir.coefficients - expected)) \
                 <= 1e-12 * np.max(np.abs(expected))
         assert not np.allclose(got[0].coefficients, got[1].coefficients)
-
-    def test_table_codebook_rejected(self):
-        leg = make_clusters([0.0], [1.0], aoa=[0.3], zoa=[1.2])
-        panel = RisPanel(nx=2, ny=2, d_element=LAM / 2)
-        with pytest.raises(ConfigurationError, match="separable"):
-            cascade_cir_multi(leg, leg, [panel], table_codebook(np.zeros((2, 2))),
-                              single_element(), single_element(), F)
 
 
 def grazing_legs(rng, front_rows, n1=6, m1=8, n2=5, m2=8, away_cols=()):
