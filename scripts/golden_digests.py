@@ -3,7 +3,7 @@
 
 Runs the five shipped presets, four BASE configs with ``link_state`` null
 (uma: 8x2 ULAs, moving UE; umi, rma and inh_office: single elements, each
-placed so its 3 drops draw LOS, NLOS, LOS) and ten preset variants at
+placed so its 3 drops draw LOS, NLOS, LOS) and eleven preset variants at
 seed 42 with 3 drops each: ``ris-ula`` (4x2 ULAs, moving UE, two time
 samples, uniform codebook, 70 degree incidence), ``isac-bistatic`` (a
 sensing receiver at (8, 4, 1.5) and a 30 dB self-interference row),
@@ -11,7 +11,10 @@ sensing receiver at (8, 4, 1.5) and a 30 dB self-interference row),
 scenario table), ``isac-moving`` (three time samples and a moving UE, so
 both ISAC sides carry their Doppler), ``ris-bisector`` (no
 ``bs_incidence_deg``, so the panel faces the bisector of its endpoint
-vectors) and ``<preset>-nlos`` (``link_state`` NLOS) for each preset. The campaigns run at ``jobs=1`` unless ``--jobs N`` is given; then
+vectors), ``isac-echoes`` (15 monostatic targets in three velocity groups,
+no shared clusters and three time samples, so the sensing side is echoes
+only) and ``<preset>-nlos`` (``link_state`` NLOS) for each preset. The
+campaigns run at ``jobs=1`` unless ``--jobs N`` is given; then
 ``chansim6g analyze --metrics ds,gini,rsrp,xcorr`` over each output
 directory, and hashes every ``.cir`` / ``.cir.sense`` file, ``metrics.csv``
 and ``analysis.csv``. ``tests/test_golden_digests.py`` compares the result
@@ -110,6 +113,16 @@ VARIANTS = {
     # No incidence: the panel faces the bisector of its endpoint vectors.
     "ris-bisector": ("ris", {}, lambda blk: {
         k: v for k, v in blk.items() if k != "bs_incidence_deg"}),
+    # As many monostatic targets as inh_office LOS has clusters and nothing
+    # shared: the sensing side has no environment clusters, so the clutter
+    # ratio takes its empty-environment sentinel. Three velocities, each
+    # shared by five targets, and three time samples carry their Doppler.
+    "isac-echoes": ("isac", {"time_samples": 3}, lambda blk: {
+        **blk, "n_shared": 0, "targets": [
+            {"position": [2.0 + i % 5, -4.0 + 3.0 * (i // 5), 1.0 + 0.5 * (i % 3)],
+             "rcs_dbsm": -5.0 + i,
+             "velocity": [[1.0, 0.0, 0.0], [0.0, -0.8, 0.0], [0.6, 0.6, 0.2]][i % 3]}
+            for i in range(15)]}),
     # Every feature's NLOS drop.
     **{f"{p}-nlos": (p, {"link_state": "NLOS"}, dict) for p in PRESETS},
 }
