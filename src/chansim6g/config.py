@@ -49,6 +49,7 @@ class Spec:
 
 
 _POSITIVE = {"lo": 0, "ends": "(]"}
+_OHMS = {"lo": 0, "hi": 1e15}
 _VELOCITY = Spec("triple", (0.0, 0.0, 0.0), lo=0, hi=C_LIGHT, ends="[)")
 FIELDS = {
     "scenario": Spec("text"),
@@ -78,6 +79,8 @@ TARGET = {"position": Spec("triple"), "rcs_dbsm": Spec("number", 0.0),
 # negative below a K of about -63 dB, which bounds leg_k_db, and k_rain_db
 # plus k_cloud_db (40 dB keeps the drawn K 8 sigma clear of it). The RIS
 # cascade's power goes as element_pitch**4 and underflows below ~1e-80 m.
+# A sheet impedance's magnitude is bounded so 2 * Z * cos stays finite; at
+# 1e15 ohm the reflection is within 1e-10 of the open-sheet limit.
 BLOCKS = {
     "thz": {"intra_cluster_k_db": Spec("number", FROM_TABLE, null=True)},
     "emimo": {"stationary_region": Spec("integer", 16, lo=1),
@@ -91,7 +94,8 @@ BLOCKS = {
             "number", "half_wavelength", lo=1e-5, choices=("half_wavelength",)),
         # absent: the panel normal bisects the two endpoint directions
         "bs_incidence_deg": Spec("number", None, lo=0, hi=90, ends="[)"),
-        "z_e_ohm": Spec("pair", (20000.0, 0.0)), "z_m_ohm": Spec("pair", (655000.0, 0.0)),
+        "z_e_ohm": Spec("pair", (20000.0, 0.0), **_OHMS),
+        "z_m_ohm": Spec("pair", (655000.0, 0.0), **_OHMS),
         "ideal_reference": Spec("choice", "pec", choices=("pec", "pmc")),
         "codebook": Spec("choice", "steering", choices=("steering", "uniform")),
         # null: the drop's own draw
@@ -160,7 +164,7 @@ def _check(path: str, spec: Spec, v):
     if not _fits(spec, v):
         need = _NEEDS.get(spec.kind, "")
         if spec.lo > -math.inf:
-            need += (" of length" if spec.kind == "triple" else "") + (
+            need += {"triple": " of length", "pair": " of magnitude"}.get(spec.kind, "") + (
                 f" in {spec.ends[0]}{spec.lo:g}, {spec.hi:g}{spec.ends[1]}"
                 if spec.hi < math.inf else f" >{'=' * (spec.ends[0] == '[')} {spec.lo:g}")
         words = [*map(repr, spec.choices), need, "null" * spec.null]

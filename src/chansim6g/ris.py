@@ -49,20 +49,12 @@ GRAZING_LIMIT_RAD = math.radians(89.0)
 # ---------------------------------------------------------------------------
 
 def _reflection_arrays(z_e, z_m, cos_t, pol: str):
-    ze_inf = math.isinf(abs(z_e))
-    zm_inf = math.isinf(abs(z_m))
     if pol == "V":
-        term_e = np.zeros_like(cos_t, dtype=np.complex128) if ze_inf \
-            else -Z0_OHM / (2.0 * z_e * cos_t + Z0_OHM)
-        term_m = np.ones_like(cos_t, dtype=np.complex128) if zm_inf \
-            else (z_m * cos_t) / (z_m * cos_t + 2.0 * Z0_OHM)
-        return term_e + term_m
+        return -Z0_OHM / (2.0 * z_e * cos_t + Z0_OHM) \
+            + (z_m * cos_t) / (z_m * cos_t + 2.0 * Z0_OHM)
     if pol == "H":
-        term_e = np.zeros_like(cos_t, dtype=np.complex128) if ze_inf \
-            else (Z0_OHM * cos_t) / (2.0 * z_e + Z0_OHM * cos_t)
-        term_m = np.ones_like(cos_t, dtype=np.complex128) if zm_inf \
-            else z_m / (z_m + 2.0 * Z0_OHM * cos_t)
-        return term_e - term_m
+        return (Z0_OHM * cos_t) / (2.0 * z_e + Z0_OHM * cos_t) \
+            - z_m / (z_m + 2.0 * Z0_OHM * cos_t)
     raise ValueError(f"polarization must be V or H, got {pol!r}")
 
 

@@ -22,11 +22,8 @@ from chansim6g.ris import (GRAZING_LIMIT_RAD, RisPanel, _basis, _dirichlet,
 def element_reflection(z_e: complex, z_m: complex, theta_in: float,
                        pol: str = "V") -> complex:
     """Reflection coefficient of a thin sheet with electric impedance ``z_e``
-    and magnetic impedance ``z_m`` at incidence ``theta_in``.
-
-    Infinite impedances are accepted as limits (open electric sheet /
-    magnetic wall gives +1, the short (PEC) limit gives -1 for V).
-    """
+    and magnetic impedance ``z_m`` at incidence ``theta_in`` (the short
+    (PEC) limit gives -1 for V)."""
     if not (0.0 <= theta_in < math.pi / 2):
         raise ValueError(f"incidence angle must be in [0, pi/2), got {theta_in}")
     val = _reflection_arrays(complex(z_e), complex(z_m),

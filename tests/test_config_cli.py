@@ -187,6 +187,12 @@ class TestValidation:
         ({"leg_xpr_db": float("inf")}, "leg_xpr_db"), ({"leg_xpr_db": {}}, "leg_xpr_db"),
         ({"noise_floor_dbm": "loud"}, "noise_floor_dbm"),
         ({"noise_floor_dbm": None}, "noise_floor_dbm"),
+        # 2 * Z overflowed in the element reflection: "non-finite channel
+        # coefficient".
+        ({"z_e_ohm": [1e308, 1e308]}, "z_e_ohm: must be a finite .* of magnitude"),
+        ({"z_e_ohm": [1e308, 0.0]}, "z_e_ohm"),
+        ({"z_m_ohm": [1e308, 1e308]}, "z_m_ohm"),
+        ({"z_m_ohm": [0.0, -2e15]}, "z_m_ohm"),
     ])
     def test_bad_ris_key_or_number_rejected(self, block, field, tmp_path):
         raw = json.loads(preset_path("ris").read_text())
@@ -196,6 +202,13 @@ class TestValidation:
         path = tmp_path / "ris_block.json"
         path.write_text(json.dumps(raw))
         assert cli_main(["validate", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("key", ["z_e_ohm", "z_m_ohm"])
+    def test_impedance_at_its_bound_runs(self, key):
+        raw = json.loads(preset_path("ris").read_text())
+        raw["ris"][key] = [0.0, 1e15]
+        for tensor in run_drop(config_from_dict(raw), 0).tensors.values():
+            assert np.all(np.isfinite(tensor.coefficients))
 
     # A typo'd or stale key used to run with the key's default: isac.n_share
     # ran with sharing degree 0.

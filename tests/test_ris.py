@@ -29,10 +29,6 @@ class TestElementReflection:
         assert element_reflection(0.0, 0.0, 0.3, "V") == -1.0
         assert element_reflection(0.0, 0.0, 0.3, "H") == pytest.approx(1.0, abs=1e-12)
 
-    def test_magnetic_wall_limit(self):
-        assert element_reflection(float("inf"), float("inf"), 0.5, "V") == 1.0
-        assert element_reflection(float("inf"), float("inf"), 0.5, "H") == -1.0
-
     def test_angle_dependence_and_oracle(self):
         z_e, z_m = 150.0 + 20.0j, 90.0 - 10.0j
         g0 = element_reflection(z_e, z_m, 0.0, "V")
