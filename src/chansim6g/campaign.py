@@ -182,14 +182,13 @@ def _run_emimo(d: _Drop) -> tuple[dict, dict]:
     # The receive array sweeps the large aperture; the spherical manifold and
     # the visibility mask act along its elements.
     paths = emimo.paths_from_clusters(clusters, p.bs.distance_to(p.ue))
-    mask = emimo.gen_sns_mask(p.tx.element_count, len(paths),
+    mask = emimo.gen_sns_mask(p.tx.element_count, paths.tau_s.size,
                               blk["stationary_region"], d.streams.get("sns"))
     manifold = emimo.spherical_manifold(paths, p.tx, fc)
-    alpha = np.array([p.alpha for p in paths])
-    tap_gain = mask.s * manifold * alpha[None, :]
+    tap_gain = mask.s * manifold * paths.alpha[None, :]
     coeffs = tap_gain[None, :, None, :]                      # (1, M, 1, K)
     # Path delays are the link delay plus the sorted cluster delays: in order.
-    delays = np.array([p.tau_s for p in paths])
+    delays = paths.tau_s
     cir = CirTensor(coefficients=coeffs, tap_delays_s=delays - delays.min(),
                     sample_times_s=p.times)
     cir = apply_large_scale(cir, _ci_loss(d, d.lsps.sf_db, (p.bs, p.ue)))

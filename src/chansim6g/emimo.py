@@ -15,20 +15,27 @@ from .smallscale import ClusterSet
 
 
 @dataclass(frozen=True)
-class PathGeometry:
-    """One propagation path seen from the array reference point."""
+class Paths:
+    """Propagation paths seen from the array reference point, one row each."""
 
-    source: np.ndarray   # (3,) vector from reference point to first scatterer
-    alpha: complex       # complex amplitude at the reference point
-    tau_s: float         # propagation delay
+    sources: np.ndarray  # (k, 3) vectors from the reference point to the first scatterers
+    alpha: np.ndarray    # (k,) complex amplitudes at the reference point
+    tau_s: np.ndarray    # (k,) propagation delays
 
     def __post_init__(self):
-        src = np.asarray(self.source, dtype=np.float64)
-        if src.shape != (3,):
-            raise ValueError(f"source must be a 3-vector, got {src.shape}")
-        if np.linalg.norm(src) <= 0:
+        src = np.asarray(self.sources, dtype=np.float64)
+        if src.ndim != 2 or src.shape[1] != 3:
+            raise ValueError(f"sources must be 3-vectors, got shape {src.shape}")
+        if np.any(np.linalg.norm(src, axis=1) <= 0):
             raise ValueError("scattering source cannot coincide with the reference point")
-        object.__setattr__(self, "source", src)
+        alpha = np.asarray(self.alpha, dtype=np.complex128)
+        tau = np.asarray(self.tau_s, dtype=np.float64)
+        if alpha.shape != (len(src),) or tau.shape != (len(src),):
+            raise ValueError(f"need one amplitude and delay per source, got "
+                             f"{alpha.shape} and {tau.shape} for {len(src)}")
+        object.__setattr__(self, "sources", src)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "tau_s", tau)
 
 
 @dataclass(frozen=True)
@@ -46,7 +53,7 @@ class SnsMask:
         object.__setattr__(self, "s", s)
 
 
-def paths_from_clusters(clusters: ClusterSet, link_distance_m: float) -> list:
+def paths_from_clusters(clusters: ClusterSet, link_distance_m: float) -> Paths:
     """Reconstruct single-bounce path geometry from a stochastic drop.
 
     Path 1 is the direct ray at the link distance; scatterers for the
@@ -56,34 +63,28 @@ def paths_from_clusters(clusters: ClusterSet, link_distance_m: float) -> list:
     """
     if link_distance_m <= 0:
         raise ValueError("link distance must be positive")
-    paths = []
-    tau_link = link_distance_m / C_LIGHT
-    for k in range(clusters.n_clusters):
-        direction = unit_vector(clusters.zoa[k, 0], clusters.aoa[k, 0])
-        if k == 0 and clusters.state == "LOS":
-            rng_k = link_distance_m
-        else:
-            rng_k = 0.5 * (link_distance_m + C_LIGHT * clusters.delays_s[k])
-        phase = clusters.phases[k, 0, 0]
-        alpha = np.sqrt(clusters.powers[k]) * np.exp(1j * phase)
-        paths.append(PathGeometry(source=direction * rng_k, alpha=complex(alpha),
-                                  tau_s=tau_link + clusters.delays_s[k]))
-    return paths
+    ranges = 0.5 * (link_distance_m + C_LIGHT * clusters.delays_s)
+    if clusters.state == "LOS":
+        ranges[0] = link_distance_m
+    return Paths(
+        sources=unit_vector(clusters.zoa[:, 0], clusters.aoa[:, 0]) * ranges[:, None],
+        alpha=np.sqrt(clusters.powers) * np.exp(1j * clusters.phases[:, 0, 0]),
+        tau_s=link_distance_m / C_LIGHT + clusters.delays_s)
 
 
-def _ranges(paths, elements):
+def _ranges(paths: Paths, elements):
     """Ranges |d_k| (k,) of the paths' scattering sources from the reference
     point and |d_k - e_m| (elements, k) from each element."""
     pos = elements.element_positions if isinstance(elements, ArrayGeometry) \
         else np.asarray(elements, dtype=np.float64)
-    src = np.stack([p.source for p in paths])               # (k, 3)
+    src = paths.sources
     d_elem = np.linalg.norm(src[None, :, :] - pos[:, None, :], axis=-1)
     if np.any(d_elem <= 0):
         raise ValueError("an array element coincides with a scattering source")
     return np.linalg.norm(src, axis=1), d_elem
 
 
-def spherical_manifold(paths, elements, f_hz: float) -> np.ndarray:
+def spherical_manifold(paths: Paths, elements, f_hz: float) -> np.ndarray:
     """Exact spherical-wave manifold A(f), shape (elements, paths).
 
     a_{m,k} = (|d_k| / |d_k - e_m|) * exp(-j 2 pi f (|d_k - e_m| - |d_k|)/c).
@@ -94,21 +95,18 @@ def spherical_manifold(paths, elements, f_hz: float) -> np.ndarray:
         -2j * np.pi * f_hz * (d_elem - d_ref[None, :]) / C_LIGHT)
 
 
-def planar_manifold(paths, elements, f_hz: float) -> np.ndarray:
+def planar_manifold(paths: Paths, elements, f_hz: float) -> np.ndarray:
     """Plane-wave approximation of the manifold (far-field limit)."""
     pos = elements.element_positions if isinstance(elements, ArrayGeometry) \
         else np.asarray(elements, dtype=np.float64)
-    src = np.stack([p.source for p in paths])
-    d_hat = src / np.linalg.norm(src, axis=1, keepdims=True)
+    d_hat = paths.sources / np.linalg.norm(paths.sources, axis=1, keepdims=True)
     proj = pos @ d_hat.T                                    # (m, k)
     return np.exp(2j * np.pi * f_hz * proj / C_LIGHT)
 
 
-def path_cfr(paths, f_hz: float) -> np.ndarray:
+def path_cfr(paths: Paths, f_hz: float) -> np.ndarray:
     """Reference-point path CFRs alpha_k exp(-j 2 pi f tau_k), shape (k,)."""
-    alpha = np.array([p.alpha for p in paths])
-    tau = np.array([p.tau_s for p in paths])
-    return alpha * np.exp(-2j * np.pi * f_hz * tau)
+    return paths.alpha * np.exp(-2j * np.pi * f_hz * paths.tau_s)
 
 
 def gen_sns_mask(m: int, k: int, stationary_region: int,
@@ -143,7 +141,7 @@ def assemble_sns_cfr(mask: SnsMask, manifold: np.ndarray,
     return (s * manifold) @ cfr
 
 
-def sns_cfr_band(paths, elements, mask: SnsMask, freqs_hz) -> np.ndarray:
+def sns_cfr_band(paths: Paths, elements, mask: SnsMask, freqs_hz) -> np.ndarray:
     """CFR matrix over a frequency grid, shape (elements, freqs).
 
     Equivalent to assembling per frequency, with the path geometry reduced to
@@ -151,10 +149,8 @@ def sns_cfr_band(paths, elements, mask: SnsMask, freqs_hz) -> np.ndarray:
     """
     freqs = np.atleast_1d(np.asarray(freqs_hz, dtype=np.float64))
     d_ref, d_elem = _ranges(paths, elements)
-    alpha = np.array([p.alpha for p in paths])
-    tau = np.array([p.tau_s for p in paths])
     # Total per-element path delay: tau_k plus the spherical excess.
-    delay = tau[None, :] + (d_elem - d_ref[None, :]) / C_LIGHT     # (m, k)
-    gain = mask.s * (d_ref[None, :] / d_elem) * alpha[None, :]
+    delay = paths.tau_s[None, :] + (d_elem - d_ref[None, :]) / C_LIGHT    # (m, k)
+    gain = mask.s * (d_ref[None, :] / d_elem) * paths.alpha[None, :]
     phase = np.exp(-2j * np.pi * delay[:, :, None] * freqs[None, None, :])
     return np.matmul(gain[:, None, :], phase)[:, 0, :]

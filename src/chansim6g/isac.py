@@ -44,73 +44,84 @@ class IsacChannelPair:
     target_echo_delays_s: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-@dataclass
-class _Cluster:
-    abs_delay_s: float
-    aod: float
-    aoa: float
-    zoa: float
-    zod: float
-    shared_id: int = -1        # >= 0 marks a shared cluster
-    target_id: int = -1        # >= 0 marks a target echo
-    power_weight: float = 1.0  # RCS / self-interference weight, linear
-    velocity: tuple | None = None  # None: static scatterer
+# The columns of one side's cluster rows, a float (n, 11) array with one
+# row per cluster: absolute delay, angles, the shared-cluster id (>= 0 marks
+# a shared cluster), the target id (>= 0 marks a target echo), the RCS or
+# self-interference power weight (linear) and the velocity (NaN: static).
+_DELAY, _AOD, _AOA, _ZOA, _ZOD, _SHARED, _TARGET, _WEIGHT = range(8)
+_VELOCITY = slice(8, 11)
+
+
+def _rows(delay, aod, aoa, zoa, zod, shared_id=-1, target_id=-1, weight=1.0,
+          velocity=math.nan) -> np.ndarray:
+    """Cluster rows from their columns; a scalar fills every row."""
+    rows = np.empty((np.size(delay), 11))
+    for col, value in enumerate((delay, aod, aoa, zoa, zod, shared_id, target_id, weight)):
+        rows[:, col] = value
+    rows[:, _VELOCITY] = velocity
+    return rows
+
+
+def _doppler(velocity, arrival, f_hz, scale):
+    """(n, m) Doppler shifts of rows with (n, 3) velocities (NaN: static)
+    and (n, m, 3) ray arrivals: one product per distinct velocity, told
+    apart by its bytes. Static rows are exact zeros."""
+    vel = np.ascontiguousarray(velocity)
+    rows_of: dict = {}      # a velocity's bytes -> its rows
+    for i, key in enumerate(vel.view(np.dtype((np.void, vel.itemsize * 3))).ravel().tolist()):
+        rows_of.setdefault(key, []).append(i)
+    doppler = np.zeros(arrival.shape[:2])
+    for idx in rows_of.values():
+        if not math.isnan(vel[idx[0], 0]):
+            doppler[idx] = scale * doppler_per_ray(vel[idx[0]], arrival[idx], f_hz)
+    return doppler
 
 
 def _assemble_side(rows, entry, lsps, rng, f_hz, specular, doppler_scale=1.0):
-    """Sort rows by absolute delay and build a ClusterSet (LOS when
-    ``specular``) plus index maps."""
-    rows = sorted(rows, key=lambda r: r.abs_delay_s)
-    offset = rows[0].abs_delay_s
+    """Order rows by absolute delay and build a ClusterSet (LOS when
+    ``specular``) plus index maps. The draws are blocks of one drop."""
+    rows = rows[np.argsort(rows[:, _DELAY], kind="stable")]
+    offset = float(rows[0, _DELAY])
     n = len(rows)
     m = entry.rays_per_cluster
-    excess = np.array([r.abs_delay_s - offset for r in rows])
+    excess = rows[:, _DELAY] - offset
     excess[0] = 0.0  # exact zero despite float subtraction
-    aod = np.array([r.aod for r in rows])
-    aoa = np.array([r.aoa for r in rows])
-    zoa = np.array([r.zoa for r in rows])
-    zod = np.array([r.zod for r in rows])
 
     # NLOS form: the LOS split below comes before the RCS weights.
-    powers = gen_cluster_powers(excess, lsps.ds_s, entry.delay_scaling,
-                                entry.per_cluster_shadow_db, None, "NLOS", rng)
+    powers = gen_cluster_powers(excess[None], lsps.ds_s, entry.delay_scaling,
+                                entry.per_cluster_shadow_db, None, "NLOS", [rng])
+    k_db = [lsps.k_db] if specular else None
     if specular:
-        k_plus_1, spec = _k_split(lsps.k_db)
+        k_plus_1, spec = _k_split(k_db)
         powers = powers / k_plus_1
-        powers[0] += spec
-    weights = np.array([r.power_weight for r in rows])
-    powers = powers * weights
+        powers[:, :1] += spec
+    powers = powers[0] * rows[:, _WEIGHT]
     powers = powers / powers.sum()
 
     offs = ray_offsets(m)
+    aod, aoa, zoa, zod = rows[:, _AOD:_ZOD + 1].T
     az_a = _wrap_pi(aoa[:, None] + math.radians(entry.c_asa_deg) * offs[None, :])
     zen_a = _reflect_zenith(zoa[:, None] + math.radians(entry.c_zsa_deg) * offs[None, :])
     az_d = _wrap_pi(aod[:, None] + math.radians(entry.c_asd_deg) * offs[None, :])
     zen_d = _reflect_zenith(zod[:, None] + math.radians(entry.c_zsd_deg) * offs[None, :])
 
-    kappa, phases = gen_xpr_phases(entry, n, m, rng)
-    rp = ray_powers(powers, m, los=specular, k_db=lsps.k_db if specular else None)
+    kappa, phases = gen_xpr_phases(entry, n, m, [rng])
+    rp = ray_powers(powers[None], m, los=specular, k_db=k_db)[0]
 
-    arrival = unit_vector(zen_a, az_a)
-    doppler = np.zeros((n, m))
-    for i, r in enumerate(rows):
-        if r.velocity is not None:
-            doppler[i] = doppler_scale * doppler_per_ray(r.velocity, arrival[i], f_hz)
-
+    doppler = _doppler(rows[:, _VELOCITY], unit_vector(zen_a, az_a), f_hz, doppler_scale)
     cs = ClusterSet(delays_s=excess, powers=powers, ray_powers=rp,
                     zoa=zen_a, aoa=az_a, zod=zen_d, aod=az_d,
-                    kappa=kappa, phases=phases, doppler_hz=doppler,
+                    kappa=kappa[0], phases=phases[0], doppler_hz=doppler,
                     state="LOS" if specular else "NLOS")
-    shared_idx = np.array([i for i, r in enumerate(rows) if r.shared_id >= 0], dtype=int)
-    shared_ids = np.array([rows[i].shared_id for i in shared_idx], dtype=int)
-    target_idx = np.array([i for i, r in enumerate(rows) if r.target_id >= 0], dtype=int)
-    return cs, shared_idx, shared_ids, target_idx, offset
+    shared_idx = np.flatnonzero(rows[:, _SHARED] >= 0)
+    target_idx = np.flatnonzero(rows[:, _TARGET] >= 0)
+    return cs, shared_idx, rows[shared_idx, _SHARED].astype(int), target_idx, offset
 
 
 def _env_rows(rng, n_env, shared, base_abs, base_dirs, spreads, excess_scale,
               velocity):
-    """One side's environment clusters: the shared ones, then ``n_env`` of
-    its own.
+    """One side's environment cluster rows: the shared ones, then ``n_env``
+    of its own.
 
     ``shared`` is the (excess delays, departure azimuths) of the shared
     clusters; each draws its arrival azimuth, arrival zenith and departure
@@ -126,16 +137,14 @@ def _env_rows(rng, n_env, shared, base_abs, base_dirs, spreads, excess_scale,
     own_sh = rng.normal(0.0, [asa, zsa, zsd], size=(n_shared, 3))
     env_excess = excess_scale * np.log(rng.uniform(size=n_env))
     own_env = rng.normal(0.0, [asd, asa, zsa, zsd], size=(n_env, 4))
-    delay = base_abs + np.concatenate([shared_excess, env_excess])
-    aod = np.concatenate([shared_aod, _wrap_pi(base_aod + own_env[:, 0])])
-    aoa = _wrap_pi(base_aoa + np.concatenate([own_sh[:, 0], own_env[:, 1]]))
-    zoa = _reflect_zenith(base_zoa + np.concatenate([own_sh[:, 1], own_env[:, 2]]))
-    zod = _reflect_zenith(base_zod + np.concatenate([own_sh[:, 2], own_env[:, 3]]))
-    return [_Cluster(abs_delay_s=d, aod=a, aoa=b, zoa=c, zod=e,
-                     shared_id=i if i < n_shared else -1, velocity=velocity)
-            for i, (d, a, b, c, e) in enumerate(zip(
-                delay.tolist(), aod.tolist(), aoa.tolist(), zoa.tolist(),
-                zod.tolist()))]
+    return _rows(
+        delay=base_abs + np.concatenate([shared_excess, env_excess]),
+        aod=np.concatenate([shared_aod, _wrap_pi(base_aod + own_env[:, 0])]),
+        aoa=_wrap_pi(base_aoa + np.concatenate([own_sh[:, 0], own_env[:, 1]])),
+        zoa=_reflect_zenith(base_zoa + np.concatenate([own_sh[:, 1], own_env[:, 2]])),
+        zod=_reflect_zenith(base_zod + np.concatenate([own_sh[:, 2], own_env[:, 3]])),
+        shared_id=np.concatenate([np.arange(n_shared), np.full(n_env, -1)]),
+        velocity=velocity)
 
 
 def cluster_budget(entry: LspTableEntry, los: bool, n_shared: int,
@@ -220,9 +229,9 @@ def gen_isac_drop(entry: LspTableEntry, lsps: LSPSet, tx_pos: Position3D,
                        (dirs_c.aod, dirs_c.aoa, dirs_c.zoa, dirs_c.zod),
                        spreads, -r_tau * ds, ue_v)
     if los:
-        rows_c.append(_Cluster(abs_delay_s=tau_link_c, aod=dirs_c.aod,
-                               aoa=dirs_c.aoa, zoa=dirs_c.zoa, zod=dirs_c.zod,
-                               velocity=ue_v))
+        rows_c = np.concatenate([rows_c, _rows(
+            delay=tau_link_c, aod=dirs_c.aod, aoa=dirs_c.aoa, zoa=dirs_c.zoa,
+            zod=dirs_c.zod, velocity=ue_v)])
     comm, shared_c_idx, shared_c_ids, _, _ = _assemble_side(
         rows_c, entry, lsps, rng_c, f_hz, los)
 
@@ -234,43 +243,39 @@ def gen_isac_drop(entry: LspTableEntry, lsps: LSPSet, tx_pos: Position3D,
     base_abs_s = float(echo_delays.min()) if n_targets else tau_link_c
     if mono_static:
         base_aoa_s, base_zoa_s, base_zod_s = dirs_c.aod, dirs_c.zod, dirs_c.zod
+        # Echoes return along the departure ray.
+        echo_aoa, echo_zoa = [d.aod for d in dirs_t], [d.zod for d in dirs_t]
     else:
         d_s = los_directions(rx_s, tx_pos)
         base_aoa_s, base_zoa_s, base_zod_s = d_s.aod, d_s.zod, dirs_c.zod
-    rows_s = _env_rows(rng_s, n_sense_env, shared, base_abs_s,
-                       (dirs_c.aod, base_aoa_s, base_zoa_s, base_zod_s),
-                       spreads, -r_tau * ds, None)
-    for tid, (t, d) in enumerate(zip(targets, dirs_t)):
-        if mono_static:
-            aoa_t, zoa_t = d.aod, d.zod  # echo returns along the departure ray
-        else:
-            back = los_directions(t.position, rx_s)
-            aoa_t, zoa_t = back.aoa, back.zoa
-        rows_s.append(_Cluster(abs_delay_s=float(echo_delays[tid]), aod=d.aod,
-                               aoa=aoa_t, zoa=zoa_t, zod=d.zod,
-                               target_id=tid,
-                               power_weight=10.0 ** (t.rcs_dbsm / 10.0),
-                               velocity=tuple(t.velocity)))
+        back = [los_directions(t.position, rx_s) for t in targets]
+        echo_aoa, echo_zoa = [b.aoa for b in back], [b.zoa for b in back]
+    rows_s = [
+        _env_rows(rng_s, n_sense_env, shared, base_abs_s,
+                  (dirs_c.aod, base_aoa_s, base_zoa_s, base_zod_s),
+                  spreads, -r_tau * ds, math.nan),
+        _rows(delay=echo_delays, aod=[d.aod for d in dirs_t], aoa=echo_aoa,
+              zoa=echo_zoa, zod=[d.zod for d in dirs_t], target_id=np.arange(n_targets),
+              weight=[10.0 ** (t.rcs_dbsm / 10.0) for t in targets],
+              velocity=np.reshape([t.velocity for t in targets], (-1, 3)))]
     if self_interference_db is not None:
-        rows_s.append(_Cluster(
-            abs_delay_s=tx_pos.distance_to(rx_s) / C_LIGHT,
+        rows_s.append(_rows(
+            delay=tx_pos.distance_to(rx_s) / C_LIGHT,
             aod=dirs_c.aod, aoa=base_aoa_s, zoa=base_zoa_s, zod=dirs_c.zod,
-            power_weight=10.0 ** (-self_interference_db / 10.0)))
+            weight=10.0 ** (-self_interference_db / 10.0)))
     sense, shared_s_idx, shared_s_ids, target_idx, off_s = _assemble_side(
-        rows_s, entry, lsps, rng_s, f_hz, False,
+        np.concatenate(rows_s), entry, lsps, rng_s, f_hz, False,
         doppler_scale=2.0 if mono_static else 1.0)
 
     # Shared departure rays bitwise identical across the two channels: copy
     # the comm side's ray array rows by shared id.
-    if n_shared:
-        by_id_c = {int(i): idx for idx, i in zip(shared_c_idx, shared_c_ids)}
-        for idx, sid in zip(shared_s_idx, shared_s_ids):
-            sense.aod[idx] = comm.aod[by_id_c[int(sid)]]
+    comm_of = np.empty(n_shared, dtype=int)
+    comm_of[shared_c_ids] = shared_c_idx
+    sense.aod[shared_s_idx] = comm.aod[comm_of[shared_s_ids]]
     if mono_static:
         # Echoes retrace their rays: per-ray arrival equals departure.
-        for idx in target_idx:
-            sense.aoa[idx] = sense.aod[idx]
-            sense.zoa[idx] = sense.zod[idx]
+        sense.aoa[target_idx] = sense.aod[target_idx]
+        sense.zoa[target_idx] = sense.zod[target_idx]
 
     return IsacChannelPair(
         comm=comm, sense=sense,

@@ -86,12 +86,13 @@ def los_delay_scale(k_db: float) -> float:
 
 
 def gen_cluster_delays(ds_s, r_tau: float, n: int, rng) -> np.ndarray:
-    """Sorted cluster delays with the minimum subtracted (tau_1 = 0).
+    """Sorted cluster delays of a block of B drops, (B, n), with each drop's
+    minimum subtracted (tau_1 = 0).
 
     Exponential profile tau' = -r_tau * DS * ln U, without the LOS delay
     scaling: power generation uses these delays, and ``generate_clusters``
-    scales them afterwards. For a block, ``ds_s`` is a (B, 1) array and
-    ``rng`` a sequence of B generators; the delays are then (B, n).
+    scales them afterwards. ``ds_s`` is a (B, 1) array and ``rng`` a
+    sequence of B generators.
     """
     if (np.asarray(ds_s) <= 0).any():
         raise ValueError(f"delay spread must be positive, got {ds_s}")
@@ -105,11 +106,12 @@ def gen_cluster_delays(ds_s, r_tau: float, n: int, rng) -> np.ndarray:
 
 def gen_cluster_powers(delays: np.ndarray, ds_s, r_tau: float,
                        zeta_db: float, k_db, state: str, rng) -> np.ndarray:
-    """Cluster powers, normalized to sum 1.
+    """Cluster powers of a block of B drops, (B, n), each row normalized to
+    sum 1.
 
     Exponential decay over delay with per-cluster log-normal shadowing; in
     LOS the first cluster receives K/(K+1) of the total and the remainder is
-    scaled by 1/(K+1). For a block, ``delays`` is (B, n), ``ds_s`` (B, 1),
+    scaled by 1/(K+1). ``delays`` is (B, n), ``ds_s`` a scalar or (B, 1),
     ``k_db`` a list of one K per drop and ``rng`` one generator per drop.
     """
     tau = np.asarray(delays, dtype=np.float64)
@@ -131,22 +133,17 @@ def gen_cluster_powers(delays: np.ndarray, ds_s, r_tau: float,
 
 
 def _each(rng, draw) -> np.ndarray:
-    """``draw(rng)`` of one generator, or of each generator of a block's
-    sequence stacked on a leading drop axis."""
-    if not isinstance(rng, (list, tuple)):
-        return draw(rng)
+    """``draw(g)`` of each generator of a block's sequence, stacked on a
+    leading drop axis."""
     return np.array([draw(g) for g in rng])
 
 
-def _k_split(k_db):
-    """(K + 1, K / (K + 1)) of a K-factor in dB, or (B, 1) columns of them
-    for a list of one K per drop. Scalar Python arithmetic: numpy's
-    vectorized power rounds differently on AVX-512 hosts."""
-    if isinstance(k_db, list):
-        pairs = [_k_split(k) for k in k_db]
-        return np.array([[a] for a, _ in pairs]), np.array([[b] for _, b in pairs])
-    k_lin = 10.0 ** (k_db / 10.0)
-    return k_lin + 1.0, k_lin / (k_lin + 1.0)
+def _k_split(k_db) -> tuple:
+    """(B, 1) columns of K + 1 and K / (K + 1) for a list of one K-factor
+    in dB per drop. Scalar Python arithmetic: numpy's vectorized power
+    rounds differently on AVX-512 hosts."""
+    k_lin = [10.0 ** (k / 10.0) for k in k_db]
+    return np.array([[k + 1.0] for k in k_lin]), np.array([[k / (k + 1.0)] for k in k_lin])
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +349,10 @@ def gen_ray_angles(lsps, powers: np.ndarray, ray_p: np.ndarray,
 
 def ray_powers(cluster_powers: np.ndarray, m: int, los: bool = False,
                k_db=None) -> np.ndarray:
-    """Per-ray power split: uniform within each cluster; in LOS the specular
-    ray of cluster 1 carries the K/(K+1) mass on top of its diffuse share.
-    For a block, ``cluster_powers`` is (B, n), ``k_db`` a list of one K per
-    drop and the split (B, n, m)."""
+    """Per-ray power split of a block of B drops, (B, n, m): uniform within
+    each cluster; in LOS the specular ray of cluster 1 carries the K/(K+1)
+    mass on top of its diffuse share. ``cluster_powers`` is (B, n) and
+    ``k_db`` a list of one K per drop."""
     p = np.asarray(cluster_powers, dtype=np.float64)
     rp = np.repeat(p[..., None], m, axis=-1) / m
     if los:
@@ -370,8 +367,9 @@ def ray_powers(cluster_powers: np.ndarray, m: int, los: bool = False,
 
 
 def gen_xpr_phases(entry: LspTableEntry, n: int, m: int, rng):
-    """Log-normal XPR kappa (linear) and four uniform phases per ray; for a
-    block (``rng`` one generator per drop), (B, n, m) and (B, n, m, 4)."""
+    """Log-normal XPR kappa (linear), (B, n, m), and four uniform phases per
+    ray, (B, n, m, 4), of a block of B drops: ``rng`` holds one generator
+    per drop."""
     x_db = _each(rng, lambda g: g.normal(entry.xpr_mu_db, entry.xpr_sigma_db, size=(n, m))
                  if entry.xpr_sigma_db > 0 else np.full((n, m), entry.xpr_mu_db))
     phases = _each(rng, lambda g: g.uniform(-np.pi, np.pi, size=(n, m, 4)))
@@ -427,10 +425,6 @@ class ClusterSet:
     @property
     def n_clusters(self) -> int:
         return self.delays_s.size
-
-    @property
-    def rays_per_cluster(self) -> int:
-        return self.ray_powers.shape[1]
 
 
 def generate_clusters(entry: LspTableEntry, lsps, los_dirs: LosDirections,

@@ -127,8 +127,8 @@ def test_criterion_05_emimo():
         f = 28e9
         arr = build_ula(256, spacing=wavelength(f) / 2.0)
         rd = rayleigh_distance(arr.aperture, wavelength(f))
-        paths = [emimo.PathGeometry(source=np.array([rd, 0.0, 0.0]),
-                                    alpha=1.0 + 0j, tau_s=rd / C_LIGHT)]
+        paths = emimo.Paths(sources=np.array([[rd, 0.0, 0.0]]),
+                            alpha=np.array([1.0 + 0j]), tau_s=np.array([rd / C_LIGHT]))
         sph = emimo.spherical_manifold(paths, arr, f)
         pla = emimo.planar_manifold(paths, arr, f)
         disc = np.max(np.abs(np.angle(sph[:, 0] * np.conj(pla[:, 0]))))
@@ -137,10 +137,11 @@ def test_criterion_05_emimo():
         # Triple-loop oracle for the masked-manifold assembly.
         rng = np.random.default_rng(505)
         small = build_ula(16, spacing=0.004)
-        pths = [emimo.PathGeometry(source=rng.uniform(2, 20, 3),
-                                   alpha=complex(*rng.normal(size=2)),
-                                   tau_s=rng.uniform(0, 1e-7))
-                for _ in range(3)]
+        draws = [(rng.uniform(2, 20, 3), complex(*rng.normal(size=2)),
+                  rng.uniform(0, 1e-7)) for _ in range(3)]
+        pths = emimo.Paths(sources=np.array([s for s, _, _ in draws]),
+                           alpha=np.array([a for _, a, _ in draws]),
+                           tau_s=np.array([t for _, _, t in draws]))
         mask = emimo.SnsMask(s=(rng.uniform(size=(16, 3)) > 0.4).astype(float))
         man = emimo.spherical_manifold(pths, small, f)
         cfr = emimo.path_cfr(pths, f)
@@ -170,15 +171,13 @@ def test_criterion_05_emimo():
             clusters = generate_clusters(entry, [lsps], dirs, "LOS", (0, 0, 0),
                                          fc, [streams])[0]
             pth = emimo.paths_from_clusters(clusters, d_link)
-            snsmask = emimo.gen_sns_mask(m, len(pth), 16, streams.get("sns"))
+            snsmask = emimo.gen_sns_mask(m, pth.tau_s.size, 16, streams.get("sns"))
             rho, _ = analysis.array_cross_correlation(
                 emimo.sns_cfr_band(pth, array, snsmask, freqs))
             acc_sns += rho
             man_fc = emimo.planar_manifold(pth, array, fc)
-            tau = np.array([p.tau_s for p in pth])
-            alpha = np.array([p.alpha for p in pth])
-            base_cfr = man_fc @ (alpha[:, None]
-                                 * np.exp(-2j * np.pi * np.outer(tau, freqs)))
+            base_cfr = man_fc @ (pth.alpha[:, None]
+                                 * np.exp(-2j * np.pi * np.outer(pth.tau_s, freqs)))
             rho_b, _ = analysis.array_cross_correlation(base_cfr)
             acc_base += rho_b
         sns_curve = acc_sns / n_drops

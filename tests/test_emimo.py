@@ -12,9 +12,9 @@ from chansim6g.cir import read_cir
 from chansim6g.cli import main as cli_main
 from chansim6g.config import config_from_dict, preset_path
 from chansim6g.constants import C_LIGHT, wavelength
-from chansim6g.emimo import (PathGeometry, SnsMask, assemble_sns_cfr,
-                             gen_sns_mask, path_cfr, paths_from_clusters,
-                             planar_manifold, spherical_manifold, sns_cfr_band)
+from chansim6g.emimo import (Paths, SnsMask, assemble_sns_cfr, gen_sns_mask,
+                             path_cfr, paths_from_clusters, planar_manifold,
+                             spherical_manifold, sns_cfr_band)
 from chansim6g.geometry import build_ula, rayleigh_distance
 
 
@@ -22,9 +22,7 @@ def make_paths(sources, alphas=None, taus=None):
     k = len(sources)
     alphas = alphas if alphas is not None else np.ones(k)
     taus = taus if taus is not None else np.zeros(k)
-    return [PathGeometry(source=np.asarray(s, dtype=float), alpha=complex(a),
-                         tau_s=float(t))
-            for s, a, t in zip(sources, alphas, taus)]
+    return Paths(sources=sources, alpha=alphas, tau_s=taus)
 
 
 def loop_sns_mask(m, k, stationary_region, rng):
@@ -188,27 +186,27 @@ class TestPathReconstruction:
     def test_direct_path_at_link_distance(self):
         cs = self._clusters()
         paths = paths_from_clusters(cs, 14.14)
-        assert np.linalg.norm(paths[0].source) == pytest.approx(14.14, rel=1e-12)
-        assert paths[0].tau_s == pytest.approx(14.14 / C_LIGHT, rel=1e-12)
+        assert np.linalg.norm(paths.sources[0]) == pytest.approx(14.14, rel=1e-12)
+        assert paths.tau_s[0] == pytest.approx(14.14 / C_LIGHT, rel=1e-12)
 
     def test_scatterer_ranges_positive_and_consistent(self):
         cs = self._clusters()
         d_link = 14.14
         paths = paths_from_clusters(cs, d_link)
-        for k, p in enumerate(paths):
-            r = np.linalg.norm(p.source)
+        for k, (source, tau) in enumerate(zip(paths.sources, paths.tau_s)):
+            r = np.linalg.norm(source)
             assert r > 0
             if k > 0:
                 expected = 0.5 * (d_link + C_LIGHT * cs.delays_s[k])
                 assert r == pytest.approx(expected, rel=1e-12)
-            assert p.tau_s == pytest.approx(d_link / C_LIGHT + cs.delays_s[k],
-                                            rel=1e-12)
+            assert tau == pytest.approx(d_link / C_LIGHT + cs.delays_s[k],
+                                        rel=1e-12)
 
     def test_amplitudes_carry_cluster_power(self):
         cs = self._clusters()
         paths = paths_from_clusters(cs, 14.14)
-        for k, p in enumerate(paths):
-            assert abs(p.alpha) == pytest.approx(math.sqrt(cs.powers[k]), rel=1e-12)
+        for k, alpha in enumerate(paths.alpha):
+            assert abs(alpha) == pytest.approx(math.sqrt(cs.powers[k]), rel=1e-12)
 
 
 class TestBirthCorrelationEffect:

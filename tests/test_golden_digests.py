@@ -12,8 +12,9 @@ scenario table; ``isac-moving``: three time samples and a moving UE;
 ``ris-bisector``: no ``bs_incidence_deg``, so the panel faces the bisector
 of its endpoint vectors; ``isac-echoes``: 15 monostatic targets in three
 velocity groups, no shared clusters, three time samples; ``<preset>-nlos``:
-each preset with ``link_state`` NLOS) at seed 42, 3 drops each: 115 digests. The digests were pinned on numpy 2.4.6,
-scipy 1.17.1 and OpenBLAS 0.3.31; another toolchain may round differently.
+each preset with ``link_state`` NLOS) at seed 42, 3 drops each: 115
+digests. The digests were pinned on numpy 2.4.6, scipy 1.17.1 and OpenBLAS
+0.3.31; another toolchain may round differently.
 A deliberate change of output bytes re-baselines them with
 ``python3 scripts/golden_digests.py --write``; ``--keep`` and ``--compare``
 show how far the bytes moved. The 10 ``ris/*`` and ``ris-ula/*`` digests

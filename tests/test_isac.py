@@ -7,11 +7,11 @@ import pytest
 from chansim6g import isac
 from chansim6g.constants import C_LIGHT
 from chansim6g.geometry import ConfigurationError, Position3D
-from chansim6g.isac import (SensingTarget, _Cluster, clutter_power_ratio,
-                            gen_isac_drop, sharing_degree)
+from chansim6g.isac import (SensingTarget, clutter_power_ratio, gen_isac_drop,
+                            sharing_degree)
 from chansim6g.largescale import LSPSet
 from chansim6g.seeding import DropStreams
-from chansim6g.smallscale import ClusterSet, _reflect_zenith, _wrap_pi
+from chansim6g.smallscale import ClusterSet, _reflect_zenith, _wrap_pi, doppler_per_ray
 from test_largescale import make_entry
 
 TX = Position3D(0.0, 0.0, 1.5)
@@ -230,25 +230,27 @@ def scalar_env_rows(rng, n_env, shared, base_abs, base_dirs, spreads,
     shared_excess, shared_aod = shared
     base_aod, base_aoa, base_zoa, base_zod = base_dirs
     asd_rad, asa_rad, zsa_rad, zsd_rad = spreads
-    rows = []
+    rows = []   # (delay, aod, aoa, zoa, zod, shared_id) per cluster
     for sid in range(shared_excess.size):
-        rows.append(_Cluster(
-            abs_delay_s=base_abs + float(shared_excess[sid]),
-            aod=float(shared_aod[sid]),
-            aoa=float(_wrap_pi(base_aoa + rng.normal(0.0, asa_rad))),
-            zoa=float(_reflect_zenith(base_zoa + rng.normal(0.0, zsa_rad))),
-            zod=float(_reflect_zenith(base_zod + rng.normal(0.0, zsd_rad))),
-            shared_id=sid, velocity=velocity))
+        rows.append((
+            base_abs + float(shared_excess[sid]),
+            float(shared_aod[sid]),
+            float(_wrap_pi(base_aoa + rng.normal(0.0, asa_rad))),
+            float(_reflect_zenith(base_zoa + rng.normal(0.0, zsa_rad))),
+            float(_reflect_zenith(base_zod + rng.normal(0.0, zsd_rad))),
+            sid))
     env_excess = excess_scale * np.log(rng.uniform(size=n_env))
     for i in range(n_env):
-        rows.append(_Cluster(
-            abs_delay_s=base_abs + float(env_excess[i]),
-            aod=float(_wrap_pi(base_aod + rng.normal(0.0, asd_rad))),
-            aoa=float(_wrap_pi(base_aoa + rng.normal(0.0, asa_rad))),
-            zoa=float(_reflect_zenith(base_zoa + rng.normal(0.0, zsa_rad))),
-            zod=float(_reflect_zenith(base_zod + rng.normal(0.0, zsd_rad))),
-            velocity=velocity))
-    return rows
+        rows.append((
+            base_abs + float(env_excess[i]),
+            float(_wrap_pi(base_aod + rng.normal(0.0, asd_rad))),
+            float(_wrap_pi(base_aoa + rng.normal(0.0, asa_rad))),
+            float(_reflect_zenith(base_zoa + rng.normal(0.0, zsa_rad))),
+            float(_reflect_zenith(base_zod + rng.normal(0.0, zsd_rad))),
+            -1))
+    delay, aod, aoa, zoa, zod, shared_id = np.array(rows).reshape(-1, 6).T
+    return isac._rows(delay=delay, aod=aod, aoa=aoa, zoa=zoa, zod=zod,
+                      shared_id=shared_id, velocity=velocity)
 
 
 class RecordingStreams(DropStreams):
@@ -318,3 +320,53 @@ def test_env_rows_match_scalar_draws(monkeypatch, case, seed):
     ref_pair, ref_states = run()
     assert_pairs_equal(vec_pair, ref_pair)
     assert vec_states == ref_states
+
+
+# ---------------------------------------------------------------------------
+# Grouped Doppler products against one product per row
+# ---------------------------------------------------------------------------
+
+def per_row_doppler(velocity, arrival, f_hz, scale):
+    """``isac._doppler`` as one ``doppler_per_ray`` product per moving row."""
+    doppler = np.zeros(arrival.shape[:2])
+    for i, v in enumerate(velocity):
+        if not np.isnan(v[0]):
+            doppler[i] = scale * doppler_per_ray(v, arrival[i], f_hz)
+    return doppler
+
+
+# Fifteen targets in three velocity groups, and a pair whose velocities
+# differ only in the sign of a zero.
+GROUPED_TARGETS = tuple(
+    SensingTarget(position=Position3D(2.0 + i % 5, -4.0 + 3.0 * (i // 5), 1.0 + 0.5 * (i % 3)),
+                  rcs_dbsm=-5.0 + i,
+                  velocity=[(1.0, 0.0, 0.0), (0.0, -0.8, 0.0), (0.6, 0.6, 0.2)][i % 3])
+    for i in range(15)) + (
+    SensingTarget(position=Position3D(-3.0, 2.0, 1.5), velocity=(-0.0, 0.0, 0.0)),
+    SensingTarget(position=Position3D(-2.0, -3.0, 2.0), velocity=(0.0, 0.0, 0.0)))
+
+
+@pytest.mark.parametrize("case", [
+    dict(state="LOS", n_shared=0, targets=GROUPED_TARGETS[:15]),
+    dict(state="LOS", n_shared=2, targets=GROUPED_TARGETS, ue_velocity=(1.5, -0.7, 0.0)),
+    dict(state="NLOS", n_shared=3, targets=GROUPED_TARGETS, self_interference_db=30.0,
+         ue_velocity=(0.0, 2.0, 0.5)),
+    dict(state="NLOS", n_shared=1, targets=GROUPED_TARGETS[10:],
+         rx_s_pos=Position3D(8.0, 4.0, 1.5), self_interference_db=25.0),
+], ids=["echoes-only", "los-moving", "si-nlos", "bistatic"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_grouped_doppler_matches_per_row(monkeypatch, case, seed):
+    entry = make_entry(n_clusters=20, rays_per_cluster=20)
+    case = dict(case)
+    state, n_shared = case.pop("state"), case.pop("n_shared")
+
+    def run():
+        return gen_isac_drop(entry, make_lsps(), TX, RX, state, n_shared,
+                             DropStreams(seed, 1), 28e9, **case)
+
+    grouped = run()
+    monkeypatch.setattr(isac, "_doppler", per_row_doppler)
+    per_row = run()
+    assert np.array_equal(grouped.comm.doppler_hz, per_row.comm.doppler_hz)
+    assert np.array_equal(grouped.sense.doppler_hz, per_row.sense.doppler_hz)
+    assert np.any(grouped.sense.doppler_hz[grouped.target_sense_idx] != 0.0)

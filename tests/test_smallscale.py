@@ -49,18 +49,18 @@ class _ConstUniform:
 
 class TestDelays:
     def test_equal_draws_collapse_to_zero(self):
-        tau = gen_cluster_delays(100e-9, 3.0, 8, _ConstUniform(0.37))
+        tau = gen_cluster_delays(100e-9, 3.0, 8, [_ConstUniform(0.37)])
         assert np.all(tau == 0.0)
 
     def test_exponential_mean(self):
         # Oracle: tau' = -r DS ln U has mean r * DS.
-        tau = gen_cluster_delays(100e-9, 3.0, 100_000, np.random.default_rng(4))
+        tau = gen_cluster_delays(100e-9, 3.0, 100_000, [np.random.default_rng(4)])[0]
         assert abs(tau.mean() - 300e-9) / 300e-9 < 0.01
 
     def test_first_delay_zero_and_sorted(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
-            tau = gen_cluster_delays(50e-9, 2.3, 19, rng)
+            tau = gen_cluster_delays(50e-9, 2.3, 19, [rng])[0]
             assert tau[0] == 0.0
             assert np.all(np.diff(tau) >= 0)
 
@@ -69,7 +69,7 @@ class TestDelays:
         # powers were computed from the unscaled ones.
         entry, lsps = make_entry(n_clusters=10), make_lsps(k_db=9.0)
         raw = gen_cluster_delays(lsps.ds_s, entry.delay_scaling, 10,
-                                 DropStreams(21, 0).get("delays"))
+                                 [DropStreams(21, 0).get("delays")])[0]
         los, nlos = (generate_clusters(entry, [lsps], DIRS, state, (0, 0, 0),
                                        28e9, [DropStreams(21, 0)])[0]
                      for state in ("LOS", "NLOS"))
@@ -79,22 +79,22 @@ class TestDelays:
     def test_preconditions(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            gen_cluster_delays(0.0, 3.0, 8, rng)
+            gen_cluster_delays(0.0, 3.0, 8, [rng])
         with pytest.raises(ValueError):
-            gen_cluster_delays(1e-7, 1.0, 8, rng)
+            gen_cluster_delays(1e-7, 1.0, 8, [rng])
 
 
 class TestPowers:
     def test_zero_delays_equal_powers(self):
         tau = np.zeros(10)
-        p = gen_cluster_powers(tau, 100e-9, 3.0, 0.0, None, "NLOS",
-                               np.random.default_rng(0))
+        p = gen_cluster_powers(tau[None], 100e-9, 3.0, 0.0, None, "NLOS",
+                               [np.random.default_rng(0)])[0]
         assert np.allclose(p, 0.1, atol=1e-15)
 
     def test_pure_specular_limit(self):
         tau = np.linspace(0, 300e-9, 12)
-        p = gen_cluster_powers(tau, 100e-9, 3.0, 3.0, 300.0, "LOS",
-                               np.random.default_rng(1))
+        p = gen_cluster_powers(tau[None], 100e-9, 3.0, 3.0, [300.0], "LOS",
+                               [np.random.default_rng(1)])[0]
         assert p[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(p[1:] < 1e-12)
 
@@ -104,16 +104,16 @@ class TestPowers:
         ds, r = 100e-9, 3.0
         tau = np.sort(np.random.default_rng(2).uniform(0, 500e-9, 40))
         tau[0] = 0.0
-        p = gen_cluster_powers(tau, ds, r, 0.0, None, "NLOS",
-                               np.random.default_rng(3))
+        p = gen_cluster_powers(tau[None], ds, r, 0.0, None, "NLOS",
+                               [np.random.default_rng(3)])[0]
         slope, _ = np.polyfit(tau, np.log10(p), 1)
         assert slope == pytest.approx(-(r - 1) / (r * ds * math.log(10)), rel=1e-9)
 
     def test_normalization_after_k_injection(self):
         rng = np.random.default_rng(5)
         for k_db in (-5.0, 0.0, 9.0, 20.0):
-            tau = gen_cluster_delays(65e-9, 2.5, 15, rng)
-            p = gen_cluster_powers(tau, 65e-9, 2.5, 3.0, k_db, "LOS", rng)
+            tau = gen_cluster_delays(65e-9, 2.5, 15, [rng])
+            p = gen_cluster_powers(tau, 65e-9, 2.5, 3.0, [k_db], "LOS", [rng])[0]
             assert abs(p.sum() - 1.0) <= 1e-12
             k_lin = 10.0 ** (k_db / 10.0)
             assert p[0] >= k_lin / (k_lin + 1.0) - 1e-12
@@ -139,8 +139,8 @@ class TestRayAngles:
         entry = make_entry(n_clusters=1)
         lsps = make_lsps()
         ang = angles_of_one(lsps, np.array([1.0]),
-                            ray_powers(np.array([1.0]), entry.rays_per_cluster,
-                                       los=True, k_db=lsps.k_db),
+                            ray_powers(np.array([[1.0]]), entry.rays_per_cluster,
+                                       los=True, k_db=[lsps.k_db])[0],
                             entry, "LOS", np.random.default_rng(0))
         assert ang.aoa[0, 0] == DIRS.aoa
         assert ang.zoa[0, 0] == DIRS.zoa
@@ -153,10 +153,10 @@ class TestRayAngles:
         spreads = []
         for _ in range(200):
             tau = gen_cluster_delays(lsps.ds_s, entry.delay_scaling,
-                                     entry.n_clusters, rng)
+                                     entry.n_clusters, [rng])
             p = gen_cluster_powers(tau, lsps.ds_s, entry.delay_scaling,
-                                   entry.per_cluster_shadow_db, None, "NLOS", rng)
-            rp = ray_powers(p, entry.rays_per_cluster)
+                                   entry.per_cluster_shadow_db, None, "NLOS", [rng])[0]
+            rp = ray_powers(p[None], entry.rays_per_cluster)[0]
             ang = angles_of_one(lsps, p, rp, entry, "NLOS", rng)
             spreads.append(circ_spread_deg(rp.ravel(), ang.aoa.ravel()))
         spreads = np.array(spreads)
@@ -168,9 +168,9 @@ class TestRayAngles:
         lsps = make_lsps(asa_deg=80.0, zsa_deg=40.0)
         rng = np.random.default_rng(9)
         for _ in range(20):
-            tau = gen_cluster_delays(lsps.ds_s, 2.3, 19, rng)
-            p = gen_cluster_powers(tau, lsps.ds_s, 2.3, 3.0, None, "NLOS", rng)
-            ang = angles_of_one(lsps, p, ray_powers(p, entry.rays_per_cluster),
+            tau = gen_cluster_delays(lsps.ds_s, 2.3, 19, [rng])
+            p = gen_cluster_powers(tau, lsps.ds_s, 2.3, 3.0, None, "NLOS", [rng])[0]
+            ang = angles_of_one(lsps, p, ray_powers(p[None], entry.rays_per_cluster)[0],
                                 entry, "NLOS", rng)
             assert np.all((ang.aoa > -np.pi) & (ang.aoa <= np.pi))
             assert np.all((ang.zoa >= 0) & (ang.zoa <= np.pi))
@@ -180,21 +180,21 @@ class TestRayAngles:
 class TestXprPhases:
     def test_degenerate_xpr(self):
         entry = make_entry(xpr_mu_db=8.0, xpr_sigma_db=0.0)
-        kappa, _ = gen_xpr_phases(entry, 4, 20, np.random.default_rng(0))
+        kappa, _ = gen_xpr_phases(entry, 4, 20, [np.random.default_rng(0)])
         assert np.all(kappa == 10.0 ** 0.8)
 
     def test_phase_uniformity_chi2(self):
         from scipy.stats import chisquare
         entry = make_entry()
         rng = np.random.default_rng(23)
-        _, phases = gen_xpr_phases(entry, 100, 25, rng)
-        draws = np.concatenate([gen_xpr_phases(entry, 100, 25, rng)[1].ravel()
+        _, phases = gen_xpr_phases(entry, 100, 25, [rng])
+        draws = np.concatenate([gen_xpr_phases(entry, 100, 25, [rng])[1].ravel()
                                 for _ in range(100)])
         counts, _ = np.histogram(draws, bins=36, range=(-np.pi, np.pi))
         assert chisquare(counts).pvalue > 0.01
 
     def test_phase_range(self):
-        _, phases = gen_xpr_phases(make_entry(), 10, 20, np.random.default_rng(1))
+        _, phases = gen_xpr_phases(make_entry(), 10, 20, [np.random.default_rng(1)])
         assert np.all((phases > -np.pi) & (phases <= np.pi))
 
 
@@ -320,9 +320,9 @@ def calibration_lanes(rng, lanes, n, m, los=False, dev_sigma=0.5):
     if los and n:
         devs -= devs[:, :1]
         offsets[:, 0, 0] = 0.0
-        weights = ray_powers(p, m, los=True, k_db=rng.uniform(-5.0, 15.0))
+        weights = ray_powers(p[None], m, los=True, k_db=[rng.uniform(-5.0, 15.0)])[0]
     else:
-        weights = ray_powers(p, m)
+        weights = ray_powers(p[None], m)[0]
     return devs, offsets, weights
 
 
@@ -515,11 +515,11 @@ class TestCalibrationLockstep:
             state = "LOS" if seed % 2 else "NLOS"
             lsps = make_lsps(asa_deg=5.0 + seed, zsd_deg=0.5 + seed / 10)
             p = gen_cluster_powers(
-                gen_cluster_delays(lsps.ds_s, 2.3, 16, np.random.default_rng(seed)),
-                lsps.ds_s, 2.3, 3.0, None, "NLOS", np.random.default_rng(seed))
+                gen_cluster_delays(lsps.ds_s, 2.3, 16, [np.random.default_rng(seed)]),
+                lsps.ds_s, 2.3, 3.0, None, "NLOS", [np.random.default_rng(seed)])[0]
             los = state == "LOS"
-            rp = ray_powers(p, entry.rays_per_cluster, los=los,
-                            k_db=lsps.k_db if los else None)
+            rp = ray_powers(p[None], entry.rays_per_cluster, los=los,
+                            k_db=[lsps.k_db] if los else None)[0]
             rng = np.random.default_rng(seed)
             ang = angles_of_one(lsps, p, rp, entry, state, rng)
             want = _reference_ray_angles(lsps, p, rp, entry, state,
