@@ -3,7 +3,7 @@
 
 Runs the five shipped presets, four BASE configs with ``link_state`` null
 (uma: 8x2 ULAs, moving UE; umi, rma and inh_office: single elements, each
-placed so its 3 drops draw LOS, NLOS, LOS) and eleven preset variants at
+placed so its 3 drops draw LOS, NLOS, LOS) and twelve preset variants at
 seed 42 with 3 drops each: ``ris-ula`` (4x2 ULAs, moving UE, two time
 samples, uniform codebook, 70 degree incidence), ``isac-bistatic`` (a
 sensing receiver at (8, 4, 1.5) and a 30 dB self-interference row),
@@ -13,7 +13,10 @@ both ISAC sides carry their Doppler), ``ris-bisector`` (no
 ``bs_incidence_deg``, so the panel faces the bisector of its endpoint
 vectors), ``isac-echoes`` (15 monostatic targets in three velocity groups,
 no shared clusters and three time samples, so the sensing side is echoes
-only) and ``<preset>-nlos`` (``link_state`` NLOS) for each preset. The
+only), ``ris-drawn`` (``link_state`` null with the UE at (60, 30, 1.5), so
+its drops draw LOS, NLOS, LOS, and ``asa_deg``, ``leg_k_db`` and
+``leg_xpr_db`` null, so both legs take the table's values) and
+``<preset>-nlos`` (``link_state`` NLOS) for each preset. The
 campaigns run at ``jobs=1`` unless ``--jobs N`` is given; then
 ``chansim6g analyze --metrics ds,gini,rsrp,xcorr`` over each output
 directory, and hashes every ``.cir`` / ``.cir.sense`` file, ``metrics.csv``
@@ -123,6 +126,11 @@ VARIANTS = {
              "rcs_dbsm": -5.0 + i,
              "velocity": [[1.0, 0.0, 0.0], [0.0, -0.8, 0.0], [0.6, 0.6, 0.2]][i % 3]}
             for i in range(15)]}),
+    # A drawn link state (seed 42 gives LOS, NLOS, LOS) and no leg
+    # overrides: both legs take the table's XPR, arrival spreads and K.
+    "ris-drawn": ("ris", {"link_state": None, "ue_position": [60.0, 30.0, 1.5]},
+                  lambda blk: {**blk, "asa_deg": None, "leg_k_db": None,
+                               "leg_xpr_db": None}),
     # Every feature's NLOS drop.
     **{f"{p}-nlos": (p, {"link_state": "NLOS"}, dict) for p in PRESETS},
 }
