@@ -2,12 +2,13 @@
 feature, deterministic seeding, file output and metric collection.
 
 A campaign slice builds one ``_Plan`` (config hash, positions, arrays, LOS
-directions, sample times) and stages its drops ``_BLOCK`` at a time: each
-drop's prologue (rng streams, link state, the table entry of a terrestrial
-feature), then, per drawn link state, the LSPs of every terrestrial feature
-but RIS (whose two legs draw on shifted streams), steps 5-10 of BASE, THz
-and E-MIMO as one ``generate_clusters`` block, and SAGIN's drops as one
-``sagin.ntn_drop`` block. Blocks are the only input form of steps 5-10.
+directions, sample times, and a RIS slice's panel geometry) and stages its
+drops ``_BLOCK`` at a time: each drop's prologue (rng streams, link state,
+the table entry of a terrestrial feature), then, per drawn link state, the
+LSPs of every terrestrial feature, steps 5-10 of BASE, THz and E-MIMO as one
+``generate_clusters`` block, those of each RIS leg as one block on the
+leg's shifted streams, and SAGIN's drops as one ``sagin.ntn_drop`` block.
+Blocks are the only input form of steps 5-10.
 ``run_drop`` then finishes each drop: the feature's runner in ``_RUNNERS``
 returns its tensors and metrics, and ``run_drop`` alone stamps the tensors
 and builds the ``DropResult``. Alone, ``run_drop(cfg, drop)`` builds its
@@ -56,6 +57,31 @@ class DropResult:
 
 
 @dataclass(frozen=True)
+class _RisGeometry:
+    """The panel between a RIS slice's two legs, from config constants."""
+    pos: Position3D
+    dirs1: LosDirections            # BS -> panel (leg 1)
+    dirs2: LosDirections            # panel -> UE (leg 2)
+    panels: tuple                   # (non-ideal, ideal): one cascade pass
+    design_u: np.ndarray            # read-only codebook design vector
+
+
+def _ris_geometry(cfg: ScenarioConfig, bs: Position3D, ue: Position3D) -> _RisGeometry:
+    blk = cfg.feature_block()
+    pos = Position3D.from_iterable(blk["position"])
+    dirs1, dirs2 = los_directions(bs, pos), los_directions(pos, ue)
+    panel = ris.build_panel(blk, cfg.bs_position, cfg.ue_position, cfg.center_freq_hz)
+    if blk["codebook"] == "steering":
+        design_u = ris.steering_codebook(panel.to_local(dirs1.zoa, dirs1.aoa),
+                                         panel.to_local(dirs2.zod, dirs2.aod))
+    else:
+        design_u = ris.uniform_codebook()
+    design_u.flags.writeable = False   # every drop's cascade shares it
+    return _RisGeometry(pos=pos, dirs1=dirs1, dirs2=dirs2,
+                        panels=(panel, replace(panel, ideal=True)), design_u=design_u)
+
+
+@dataclass(frozen=True)
 class _Plan:
     """What every drop of a campaign shares, built once per slice."""
     cfg: ScenarioConfig
@@ -67,6 +93,7 @@ class _Plan:
     dirs: LosDirections | None      # BS -> UE; None for SAGIN (a slant link)
     times: np.ndarray               # read-only sample times
     d2d: float                      # horizontal BS-UE distance
+    ris: _RisGeometry | None        # None for every feature but RIS
 
 
 def _plan(cfg: ScenarioConfig) -> _Plan:
@@ -78,7 +105,8 @@ def _plan(cfg: ScenarioConfig) -> _Plan:
                  dirs=None if cfg.feature == "SAGIN" else los_directions(bs, ue),
                  times=times,
                  d2d=math.hypot(cfg.ue_position[0] - cfg.bs_position[0],
-                                cfg.ue_position[1] - cfg.bs_position[1]))
+                                cfg.ue_position[1] - cfg.bs_position[1]),
+                 ris=_ris_geometry(cfg, bs, ue) if cfg.feature == "RIS" else None)
 
 
 @dataclass
@@ -88,8 +116,9 @@ class _Drop:
     streams: DropStreams
     state: str
     entry: LspTableEntry | None = None    # None for SAGIN: its table is elevation-keyed
-    lsps: LSPSet | None = None            # every terrestrial feature but RIS
+    lsps: LSPSet | None = None            # every terrestrial feature; RIS: leg 1's
     clusters: ClusterSet | None = None    # BASE, THz and E-MIMO: steps 5-10
+    legs: tuple | None = None             # RIS: (Tx -> RIS, RIS -> Rx) ClusterSets
     cir: CirTensor | None = None          # SAGIN: the drop's tensor
 
 
@@ -125,7 +154,8 @@ def _stage(plan: _Plan, drops) -> list:
         entry = lookup_lsp_table(cfg.scenario, state, fc)
         for d in group:
             d.entry = entry
-        if cfg.feature == "RIS":    # its legs draw in _run_ris
+        if cfg.feature == "RIS":
+            _stage_ris_legs(plan, entry, state, group)
             continue
         lsps = [generate_lsps(entry, s.get("lsp")) for s in streams]
         for d, drawn in zip(group, lsps):
@@ -136,6 +166,39 @@ def _stage(plan: _Plan, drops) -> list:
             for d, cl in zip(group, clusters):
                 d.clusters = cl
     return staged
+
+
+def _stage_ris_legs(plan: _Plan, entry: LspTableEntry, state: str, group: list) -> None:
+    """Both legs of the RIS drops that drew ``state``: leg 1 (Tx -> RIS, its
+    ASA at the panel the configured sweep value) and leg 2 (RIS -> Rx) each
+    draw their LSPs per drop and run steps 5-10 as one block. The legs draw
+    on the drop's streams at steps 1 and 2, which keeps them insulated."""
+    cfg, geo = plan.cfg, plan.ris
+    blk = cfg.feature_block()
+    s1 = [d.streams.shifted(1) for d in group]
+    s2 = [d.streams.shifted(2) for d in group]
+    lsps1 = [generate_lsps(entry, s.get("lsp")) for s in s1]
+    lsps2 = [generate_lsps(entry, s.get("lsp")) for s in s2]
+    if blk["leg_xpr_db"] is not None:
+        # Co-polarized comparison study: the ideal/non-ideal pairing isolates
+        # the reflection magnitude, so cross-polar leakage is suppressed.
+        entry = replace(entry, xpr_mu_db=blk["leg_xpr_db"], xpr_sigma_db=0.0)
+    entry1 = entry
+    if blk["asa_deg"] is not None:
+        # The sweep controls the realized arrival spread at the panel: the
+        # intra-cluster spread shrinks with it so narrow settings stay narrow.
+        asa = blk["asa_deg"]
+        entry1 = replace(entry, c_asa_deg=min(entry.c_asa_deg, asa / 3.0),
+                         c_zsa_deg=min(entry.c_zsa_deg, asa / 3.0))
+        lsps1 = [replace(x, asa_deg=asa, zsa_deg=min(x.zsa_deg, asa)) for x in lsps1]
+    if blk["leg_k_db"] is not None:
+        lsps1 = [replace(x, k_db=blk["leg_k_db"]) for x in lsps1]
+        lsps2 = [replace(x, k_db=blk["leg_k_db"]) for x in lsps2]
+    fc = cfg.center_freq_hz
+    legs1 = generate_clusters(entry1, lsps1, geo.dirs1, state, (0.0, 0.0, 0.0), fc, s1)
+    legs2 = generate_clusters(entry, lsps2, geo.dirs2, state, cfg.ue_velocity, fc, s2)
+    for d, lsps, leg1, leg2 in zip(group, lsps1, legs1, legs2):
+        d.lsps, d.legs = lsps, (leg1, leg2)
 
 
 def _leg(a: Position3D, b: Position3D) -> float:
@@ -242,51 +305,12 @@ def _run_isac(d: _Drop) -> tuple[dict, dict]:
 
 
 def _run_ris(d: _Drop) -> tuple[dict, dict]:
-    p = d.plan
-    cfg, blk, entry = p.cfg, p.cfg.feature_block(), d.entry
-    ris_pos = Position3D.from_iterable(blk["position"])
-    f_hz = cfg.center_freq_hz
-
-    # Leg 1: Tx -> RIS (its ASA at the panel is the configured sweep value);
-    # leg 2: RIS -> Rx. Separate stream steps keep the legs insulated.
-    s1, s2 = d.streams.shifted(1), d.streams.shifted(2)
-    lsps1 = generate_lsps(entry, s1.get("lsp"))
-    lsps2 = generate_lsps(entry, s2.get("lsp"))
-    if blk["leg_xpr_db"] is not None:
-        # Co-polarized comparison study: the ideal/non-ideal pairing isolates
-        # the reflection magnitude, so cross-polar leakage is suppressed.
-        entry = replace(entry, xpr_mu_db=blk["leg_xpr_db"], xpr_sigma_db=0.0)
-    entry1 = entry
-    if blk["asa_deg"] is not None:
-        # The sweep controls the realized arrival spread at the panel: the
-        # intra-cluster spread shrinks with it so narrow settings stay narrow.
-        asa = blk["asa_deg"]
-        lsps1 = replace(lsps1, asa_deg=asa)
-        entry1 = replace(entry, c_asa_deg=min(entry.c_asa_deg, asa / 3.0),
-                         c_zsa_deg=min(entry.c_zsa_deg, asa / 3.0))
-        lsps1 = replace(lsps1, zsa_deg=min(lsps1.zsa_deg, asa))
-    if blk["leg_k_db"] is not None:
-        lsps1 = replace(lsps1, k_db=blk["leg_k_db"])
-        lsps2 = replace(lsps2, k_db=blk["leg_k_db"])
-    dirs1 = los_directions(p.bs, ris_pos)
-    dirs2 = los_directions(ris_pos, p.ue)
-    (leg1,) = generate_clusters(entry1, [lsps1], dirs1, d.state, (0.0, 0.0, 0.0),
-                                f_hz, [s1])
-    (leg2,) = generate_clusters(entry, [lsps2], dirs2, d.state, cfg.ue_velocity,
-                                f_hz, [s2])
-
-    panel_ni = ris.build_panel(blk, cfg.bs_position, cfg.ue_position, f_hz)
-    panel_id = replace(panel_ni, ideal=True)
-    if blk["codebook"] == "steering":
-        in_local = panel_ni.to_local(dirs1.zoa, dirs1.aoa)
-        out_local = panel_ni.to_local(dirs2.zod, dirs2.aod)
-        design_u = ris.steering_codebook(in_local, out_local)
-    else:
-        design_u = ris.uniform_codebook()
-
-    cir_ni, cir_id = ris.cascade_cir_multi(leg1, leg2, [panel_ni, panel_id],
-                                           design_u, p.tx, p.rx, f_hz, p.times)
-    pl = _ci_loss(d, lsps1.sf_db, (p.bs, ris_pos), (ris_pos, p.ue))
+    p, geo = d.plan, d.plan.ris
+    cfg, blk = p.cfg, p.cfg.feature_block()
+    leg1, leg2 = d.legs
+    cir_ni, cir_id = ris.cascade_cir_multi(leg1, leg2, geo.panels, geo.design_u,
+                                           p.tx, p.rx, cfg.center_freq_hz, p.times)
+    pl = _ci_loss(d, d.lsps.sf_db, (p.bs, geo.pos), (geo.pos, p.ue))
     cir_ni = apply_large_scale(cir_ni, pl)
     cir_id = apply_large_scale(cir_id, pl)
     noise = blk["noise_floor_dbm"]

@@ -11,8 +11,9 @@ and output.
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +47,7 @@ class CirTensor:
             raise ValueError("axis metadata inconsistent with coefficient dims")
         if np.any(np.diff(tap) < 0):
             raise ValueError("tap delays must be sorted")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("non-finite channel coefficient")
+        _check_finite(c)
         self.coefficients = c
         self.tap_delays_s = tap
         self.sample_times_s = t
@@ -55,6 +55,11 @@ class CirTensor:
     @property
     def shape(self):
         return self.coefficients.shape
+
+
+def _check_finite(coefficients: np.ndarray) -> None:
+    if not np.all(np.isfinite(coefficients)):
+        raise ValueError("non-finite channel coefficient")
 
 
 def _polarization_matrices(clusters: ClusterSet) -> np.ndarray:
@@ -111,10 +116,18 @@ def synthesize_cir(clusters: ClusterSet, tx: ArrayGeometry, rx: ArrayGeometry,
 
 
 def apply_large_scale(cir: CirTensor, pl: PathLossSample) -> CirTensor:
-    """Scale every coefficient by the total loss amplitude factor."""
+    """Scale every coefficient by the total loss amplitude factor.
+
+    Scaling keeps the checked tensor's shape, axes and tap order, so of its
+    checks only finiteness runs again: a large gain can overflow.
+    """
     scale = 10.0 ** (-pl.total_db / 20.0)
-    return replace(cir, coefficients=cir.coefficients * scale,
-                   meta={**cir.meta, "pl_db": pl.pl_db})
+    coefficients = cir.coefficients * scale
+    _check_finite(coefficients)
+    scaled = copy.copy(cir)     # shares the axes; no __post_init__
+    scaled.coefficients = coefficients
+    scaled.meta = {**cir.meta, "pl_db": pl.pl_db}
+    return scaled
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,26 @@ class TestLargeScale:
         after = np.log10(np.sum(np.abs(out.coefficients) ** 2))
         assert after - before == pytest.approx(-(pl + sf) / 10.0, abs=1e-9)
 
+    def test_overflowing_gain_is_rejected(self):
+        """A finite scale (1e300) that overflows a coefficient still fails
+        the tensor's finiteness check."""
+        cir = CirTensor(coefficients=np.full((1, 1, 1, 2), 1e10 + 0j),
+                        tap_delays_s=np.array([0.0, 1e-9]), sample_times_s=np.zeros(1))
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="non-finite channel coefficient"):
+            apply_large_scale(cir, PathLossSample(-6000.0, 0.0))
+
+    def test_result_is_a_new_tensor(self):
+        cs = make_clusters([0.0, 10e-9], [0.6, 0.4], aoa=[0.1, 0.9])
+        cir = synthesize_cir(cs, single_element(), single_element(), 28e9)
+        cir.meta["seed"] = 7
+        before = cir.coefficients.copy()
+        out = apply_large_scale(cir, PathLossSample(20.0, 0.0))
+        assert isinstance(out, CirTensor) and out is not cir
+        assert np.array_equal(cir.coefficients, before)
+        assert cir.meta == {"seed": 7} and out.meta == {"seed": 7, "pl_db": 20.0}
+        assert out.tap_delays_s is cir.tap_delays_s
+
 
 class TestFileFormat:
     def _tensor(self):

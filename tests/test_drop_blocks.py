@@ -1,13 +1,15 @@
 """Drop blocks: a campaign slice stages its drops in blocks that share one
-plan. Per drawn link state, every terrestrial feature but RIS draws its LSPs
-there, and BASE, THz, E-MIMO and SAGIN run steps 5-10 as one pass; blocks
-are the only input form of those steps. A drop's tensors and metrics must
-not depend on the block it ran in, a failing drop must still be named, and
-the functions perfbench's tracer wraps must still be called through their
-module attributes.
+plan. Per drawn link state, every terrestrial feature draws its LSPs there,
+and BASE, THz, E-MIMO, each RIS leg and SAGIN run steps 5-10 as one pass;
+blocks are the only input form of those steps. A RIS slice's panel geometry
+is built once, on the plan. A drop's tensors and metrics must not depend on
+the block it ran in, a failing drop must still be named, and the functions
+perfbench's tracer wraps must still be called through their module
+attributes.
 """
 
 import importlib
+import importlib.util
 import math
 import sys
 from dataclasses import replace
@@ -36,8 +38,20 @@ def _uma_base():
     return config_from_dict(dict(BASE_CONFIG))
 
 
-CONFIGS = {**{name: load_preset(name) for name in ("thz", "emimo", "isac", "sagin")},
-           "base": _uma_base()}
+def _golden_config(name):
+    """A config of ``scripts/golden_digests.py``, e.g. the ``ris-drawn``
+    variant: a drawn link state (LOS and NLOS legs in one block) and no leg
+    overrides."""
+    path = ROOT / "scripts" / "golden_digests.py"
+    spec = importlib.util.spec_from_file_location("golden_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.campaign_configs()[name]
+
+
+CONFIGS = {**{name: load_preset(name)
+              for name in ("thz", "emimo", "isac", "ris", "sagin")},
+           "base": _uma_base(), "ris-drawn": _golden_config("ris-drawn")}
 
 
 def _same_value(a, b):
@@ -93,7 +107,7 @@ def test_campaign_drops_match_run_drop_alone(name, jobs, tmp_path):
         assert rows[drop]["state"] == alone.metrics["state"]
         assert float(rows[drop]["rsrp_dbm"]) == alone.metrics["rsrp_dbm"]
         states.add(alone.metrics["state"])
-    if name == "base":
+    if name in ("base", "ris-drawn"):
         assert states == {"LOS", "NLOS"}
 
 
@@ -103,6 +117,21 @@ def _fail_at(bad_drop, real):
             raise ArithmeticError(f"planted failure in drop {bad_drop}")
         return real(d)
     return runner
+
+
+def test_ris_campaign_builds_its_panel_once(tmp_path, monkeypatch):
+    """The panel, its directions and codebook are config constants: the
+    slice's plan builds them, not each drop."""
+    real = campaign.ris.build_panel
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(campaign.ris, "build_panel", counting)
+    run_campaign(replace(CONFIGS["ris"], drops=30, seed=11), tmp_path / "out", jobs=1)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
