@@ -93,7 +93,7 @@ class _Plan:
     dirs: LosDirections | None      # BS -> UE; None for SAGIN (a slant link)
     times: np.ndarray               # read-only sample times
     d2d: float                      # horizontal BS-UE distance
-    ris: _RisGeometry | None        # None for every feature but RIS
+    ris: _RisGeometry | None        # RIS only, else None
 
 
 def _plan(cfg: ScenarioConfig) -> _Plan:

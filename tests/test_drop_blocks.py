@@ -134,6 +134,21 @@ def test_ris_campaign_builds_its_panel_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_failing_plan_names_its_drop(tmp_path, monkeypatch):
+    """A RIS plan builds the panel. If that raises, the slice's drops run
+    alone, and the first one is named."""
+    def broken(*args):
+        raise ValueError("planted panel failure")
+
+    monkeypatch.setattr(campaign.ris, "build_panel", broken)
+    cfg = replace(CONFIGS["ris"], drops=3, seed=5)
+    with pytest.raises(ValueError, match="planted panel failure") as info:
+        run_campaign(cfg, tmp_path / "out")
+    if sys.version_info >= (3, 11):
+        assert "drop 0 (seed 5) failed; run_drop(cfg, 0) replays it alone" \
+            in info.value.__notes__
+
+
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_failing_finish_names_its_drop(tmp_path, monkeypatch, jobs):
     monkeypatch.setitem(campaign._RUNNERS, "THZ",
