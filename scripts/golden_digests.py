@@ -3,7 +3,7 @@
 
 Runs the five shipped presets, four BASE configs with ``link_state`` null
 (uma: 8x2 ULAs, moving UE; umi, rma and inh_office: single elements, each
-placed so its 3 drops draw LOS, NLOS, LOS) and twelve preset variants at
+placed so its 3 drops draw LOS, NLOS, LOS) and thirteen preset variants at
 seed 42 with 3 drops each: ``ris-ula`` (4x2 ULAs, moving UE, two time
 samples, uniform codebook, 70 degree incidence), ``isac-bistatic`` (a
 sensing receiver at (8, 4, 1.5) and a 30 dB self-interference row),
@@ -15,9 +15,10 @@ vectors), ``isac-echoes`` (15 monostatic targets in three velocity groups,
 no shared clusters and three time samples, so the sensing side is echoes
 only), ``ris-drawn`` (``link_state`` null with the UE at (60, 30, 1.5), so
 its drops draw LOS, NLOS, LOS, and ``asa_deg``, ``leg_k_db`` and
-``leg_xpr_db`` null, so both legs take the table's values) and
-``<preset>-nlos`` (``link_state`` NLOS) for each preset. The
-campaigns run at ``jobs=1`` unless ``--jobs N`` is given; then
+``leg_xpr_db`` null, so both legs take the table's values),
+``isac-drawn`` (``link_state`` null with the UE at (6, 0, 1.5), so its
+drops draw LOS, NLOS, LOS) and ``<preset>-nlos`` (``link_state`` NLOS) for
+each preset. The campaigns run at ``jobs=1`` unless ``--jobs N`` is given; then
 ``chansim6g analyze --metrics ds,gini,rsrp,xcorr`` over each output
 directory, and hashes every ``.cir`` / ``.cir.sense`` file, ``metrics.csv``
 and ``analysis.csv``. ``tests/test_golden_digests.py`` compares the result
@@ -131,6 +132,10 @@ VARIANTS = {
     "ris-drawn": ("ris", {"link_state": None, "ue_position": [60.0, 30.0, 1.5]},
                   lambda blk: {**blk, "asa_deg": None, "leg_k_db": None,
                                "leg_xpr_db": None}),
+    # A drawn ISAC link state (seed 42 gives LOS, NLOS, LOS) at a 6 m
+    # horizontal distance, inside inh_office's 1.2-6.5 m LOS-probability
+    # branch.
+    "isac-drawn": ("isac", {"link_state": None, "ue_position": [6.0, 0.0, 1.5]}, dict),
     # Every feature's NLOS drop.
     **{f"{p}-nlos": (p, {"link_state": "NLOS"}, dict) for p in PRESETS},
 }

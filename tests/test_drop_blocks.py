@@ -51,7 +51,8 @@ def _golden_config(name):
 
 CONFIGS = {**{name: load_preset(name)
               for name in ("thz", "emimo", "isac", "ris", "sagin")},
-           "base": _uma_base(), "ris-drawn": _golden_config("ris-drawn")}
+           "base": _uma_base(), "ris-drawn": _golden_config("ris-drawn"),
+           "isac-drawn": _golden_config("isac-drawn")}
 
 
 def _same_value(a, b):
@@ -107,7 +108,7 @@ def test_campaign_drops_match_run_drop_alone(name, jobs, tmp_path):
         assert rows[drop]["state"] == alone.metrics["state"]
         assert float(rows[drop]["rsrp_dbm"]) == alone.metrics["rsrp_dbm"]
         states.add(alone.metrics["state"])
-    if name in ("base", "ris-drawn"):
+    if name in ("base", "ris-drawn", "isac-drawn"):
         assert states == {"LOS", "NLOS"}
 
 

@@ -5,16 +5,17 @@
 ``chansim6g analyze --metrics ds,gini,rsrp,xcorr``, for the five presets,
 four BASE configs with a link-state draw (uma: 8x2 ULAs, moving UE; umi, rma
 and inh_office, so every LOS-probability family runs and each draws both
-states) and twelve preset variants (``ris-ula``: 4x2 ULAs, moving UE, two
+states) and thirteen preset variants (``ris-ula``: 4x2 ULAs, moving UE, two
 time samples, uniform codebook; ``isac-bistatic``: a bistatic sensing
 receiver and a self-interference row; ``thz-table``: the sparsity K from the
 scenario table; ``isac-moving``: three time samples and a moving UE;
 ``ris-bisector``: no ``bs_incidence_deg``, so the panel faces the bisector
 of its endpoint vectors; ``isac-echoes``: 15 monostatic targets in three
 velocity groups, no shared clusters, three time samples; ``ris-drawn``: a
-drawn link state and no leg overrides; ``<preset>-nlos``: each preset with
-``link_state`` NLOS) at seed 42, 3 drops each: 120 digests. The digests were pinned on numpy 2.4.6, scipy 1.17.1 and OpenBLAS
-0.3.31; another toolchain may round differently.
+drawn link state and no leg overrides; ``isac-drawn``: a drawn ISAC link
+state; ``<preset>-nlos``: each preset with ``link_state`` NLOS) at seed 42,
+3 drops each: 128 digests. The digests were pinned on numpy 2.4.6, scipy
+1.17.1 and OpenBLAS 0.3.31; another toolchain may round differently.
 A deliberate change of output bytes re-baselines them with
 ``python3 scripts/golden_digests.py --write``; ``--keep`` and ``--compare``
 show how far the bytes moved. The 10 ``ris/*`` and ``ris-ula/*`` digests
@@ -45,6 +46,10 @@ The 5 ``ris-drawn/*`` digests were pinned from the code before RIS staged
 its legs in drop blocks, so they guard that change with a block of two link
 states (drops 0-2 draw LOS, NLOS, LOS) and the legs' table XPR, arrival
 spreads and K, which no other pinned RIS config reaches.
+The 8 ``isac-drawn/*`` digests were pinned from the code before ISAC's
+fixed geometry moved onto the campaign plan, so they guard that change
+with ISAC drops of both link states in one slice (drops 0-2 draw LOS,
+NLOS, LOS), which no other pinned ISAC config draws.
 38 digests were re-pinned when the angle-spread calibration moved from a
 bisection to a safeguarded Newton solve and synthesis contracted its rays
 with a batched matmul instead of einsum. The Newton solve lands gamma
