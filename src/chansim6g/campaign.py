@@ -2,9 +2,10 @@
 feature, deterministic seeding, file output and metric collection.
 
 A campaign slice builds one ``_Plan`` (config hash, positions, arrays, LOS
-directions, sample times, and a RIS slice's panel geometry) and stages its
-drops ``_BLOCK`` at a time: each drop's prologue (rng streams, link state,
-the table entry of a terrestrial feature), then, per drawn link state, the
+directions, sample times, a RIS slice's panel geometry and an ISAC slice's
+``isac.build_geometry``, which ``validate`` runs too) and stages its drops
+``_BLOCK`` at a time: each drop's prologue (rng streams, link state, the
+table entry of a terrestrial feature), then, per drawn link state, the
 LSPs of every terrestrial feature, steps 5-10 of BASE, THz and E-MIMO as one
 ``generate_clusters`` block, those of each RIS leg as one block on the
 leg's shifted streams, and SAGIN's drops as one ``sagin.ntn_drop`` block.
@@ -12,8 +13,8 @@ Blocks are the only input form of steps 5-10.
 ``run_drop`` then finishes each drop: the feature's runner in ``_RUNNERS``
 returns its tensors and metrics, and ``run_drop`` alone stamps the tensors
 and builds the ``DropResult``. Alone, ``run_drop(cfg, drop)`` builds its
-own plan and stages the drop as a block of one. Every terrestrial loss is
-``_ci_loss`` over legs floored at 1 m by ``_leg``.
+own plan and stages the drop as a block of one. Every terrestrial link loss
+is ``_ci_loss`` over legs floored at 1 m, as is ISAC's radar-echo loss.
 
 Drops are schedule-independent: each consumes only its own child rng streams,
 a block computes every drop as it would alone, and each drop writes its own
@@ -40,7 +41,7 @@ from .geometry import ArrayGeometry, LosDirections, Position3D, assign_link_stat
     los_directions
 from .largescale import LSPSet, LspTableEntry, generate_lsps, lookup_lsp_table, \
     scenario_los_curve, scenario_pathloss
-from .pathloss import PathLossSample, pl_ci, pl_radar_echo
+from .pathloss import PathLossSample, pl_ci
 from .seeding import DropStreams
 from .smallscale import ClusterSet, generate_clusters
 from .analysis import circular_angular_spread, gini_index, rms_delay_spread, rsrp
@@ -94,6 +95,7 @@ class _Plan:
     times: np.ndarray               # read-only sample times
     d2d: float                      # horizontal BS-UE distance
     ris: _RisGeometry | None        # RIS only, else None
+    isac: isac.IsacGeometry | None  # ISAC only, else None
 
 
 def _plan(cfg: ScenarioConfig) -> _Plan:
@@ -106,7 +108,9 @@ def _plan(cfg: ScenarioConfig) -> _Plan:
                  times=times,
                  d2d=math.hypot(cfg.ue_position[0] - cfg.bs_position[0],
                                 cfg.ue_position[1] - cfg.bs_position[1]),
-                 ris=_ris_geometry(cfg, bs, ue) if cfg.feature == "RIS" else None)
+                 ris=_ris_geometry(cfg, bs, ue) if cfg.feature == "RIS" else None,
+                 isac=isac.build_geometry(cfg.feature_block(), bs, ue, cfg.center_freq_hz,
+                                          cfg.ue_velocity) if cfg.feature == "ISAC" else None)
 
 
 @dataclass
@@ -201,16 +205,13 @@ def _stage_ris_legs(plan: _Plan, entry: LspTableEntry, state: str, group: list) 
         d.lsps, d.legs = lsps, (leg1, leg2)
 
 
-def _leg(a: Position3D, b: Position3D) -> float:
-    """Length of one link leg, floored at 1 m like the loss anchors."""
-    return max(a.distance_to(b), 1.0)
-
-
 def _ci_loss(d: _Drop, sf_db: float, *legs) -> PathLossSample:
-    """CI path loss summed over the ``(a, b)`` legs, with shadow fading."""
+    """CI path loss summed over the ``(a, b)`` legs, each floored at 1 m like
+    the loss anchors, with shadow fading."""
     cfg = d.plan.cfg
     alpha = scenario_pathloss(cfg.scenario, d.state)
-    pl = sum(pl_ci(_leg(a, b), cfg.center_freq_hz, alpha) for a, b in legs)
+    pl = sum(pl_ci(max(a.distance_to(b), 1.0), cfg.center_freq_hz, alpha)
+             for a, b in legs)
     return PathLossSample(pl_db=pl, shadow_db=sf_db)
 
 
@@ -271,13 +272,8 @@ def _run_emimo(d: _Drop) -> tuple[dict, dict]:
 
 
 def _run_isac(d: _Drop) -> tuple[dict, dict]:
-    p = d.plan
-    cfg, blk = p.cfg, p.cfg.feature_block()
-    targets, rx_s = isac.build_targets(blk, p.bs)
-    pair = isac.gen_isac_drop(
-        d.entry, d.lsps, p.bs, p.ue, d.state, blk["n_shared"], d.streams,
-        cfg.center_freq_hz, targets=targets, rx_s_pos=rx_s,
-        ue_velocity=cfg.ue_velocity, self_interference_db=blk["self_interference_db"])
+    p, cfg = d.plan, d.plan.cfg
+    pair = isac.gen_isac_drop(p.isac, d.entry, d.lsps, d.state, d.streams)
     cir_c = synthesize_cir(pair.comm, p.tx, p.rx, cfg.center_freq_hz, p.times)
     cir_c = apply_large_scale(cir_c, _ci_loss(d, d.lsps.sf_db, (p.bs, p.ue)))
     cir_s = synthesize_cir(pair.sense, p.tx, p.tx, cfg.center_freq_hz, p.times)
@@ -289,16 +285,11 @@ def _run_isac(d: _Drop) -> tuple[dict, dict]:
         "state": d.state,
         "n_clusters": pair.comm.n_clusters,
     }
-    if targets:     # every target has an echo cluster in pair.target_sense_idx
-        t0 = targets[int(np.argmin(pair.target_echo_delays_s))]
-        echo_pl = pl_radar_echo(_leg(p.bs, t0.position), _leg(t0.position, rx_s or p.bs),
-                                cfg.center_freq_hz, t0.rcs_dbsm)
-        cir_s = apply_large_scale(cir_s, PathLossSample(pl_db=echo_pl, shadow_db=0.0))
-        p_targets = pair.sense.powers[pair.target_sense_idx]
-        env_mask = np.ones(pair.sense.n_clusters, dtype=bool)
-        env_mask[pair.target_sense_idx] = False
-        pr = isac.clutter_power_ratio(float(p_targets.sum()),
-                                      pair.sense.powers[env_mask])
+    if p.isac.echo_loss_db is not None:     # every target has an echo cluster
+        cir_s = apply_large_scale(cir_s, PathLossSample(pl_db=p.isac.echo_loss_db,
+                                                        shadow_db=0.0))
+        powers, idx = pair.sense.powers, pair.target_sense_idx
+        pr = isac.clutter_power_ratio(float(powers[idx].sum()), np.delete(powers, idx))
         metrics["clutter_pr_db"] = (10.0 * math.log10(pr)
                                     if math.isfinite(pr) else math.inf)
     return {"": cir_c, ".sense": cir_s}, metrics

@@ -21,7 +21,7 @@ import numpy as np
 from .constants import C_LIGHT, wavelength
 from .geometry import ArrayGeometry, ConfigurationError, Position3D, \
     build_ula, check_apart, single_element
-from .isac import build_targets, cluster_budget
+from .isac import build_geometry, cluster_budget
 from .largescale import data_dir, elevation_keyed, lookup_lsp_table
 from .ris import build_panel
 
@@ -72,7 +72,11 @@ _TYPE = Spec("choice", "single", choices=("single", "ula"))
 ARRAYS = {"single": {"type": _TYPE},
           "ula": {"type": _TYPE, "n": Spec("integer", lo=1), "spacing": Spec(
               "number", "half_wavelength", choices=("half_wavelength",), **_POSITIVE)}}
-TARGET = {"position": Spec("triple"), "rcs_dbsm": Spec("number", 0.0),
+# An echo's power weight is 10 ** (rcs_dbsm / 10): it overflows above about
+# 3083 dBsm, and below about -3000 the echo's power underflows to 0. 300
+# dBsm keeps the weight 278 decades clear of both and is far past any real
+# object (an insect is near -30 dBsm, a large ship near +70).
+TARGET = {"position": Spec("triple"), "rcs_dbsm": Spec("number", 0.0, lo=-300, hi=300),
           "velocity": _VELOCITY}
 # Every key a feature block may hold: the keys its runner reads (for ris,
 # build_panel reads the panel keys). The TR 38.901 LOS delay scaling turns
@@ -247,18 +251,14 @@ class ScenarioConfig:
                 build_panel(blk, self.bs_position, self.ue_position,
                             self.center_freq_hz)
             elif self.feature == "ISAC":
-                build_targets(blk, self.bs_position3d())
+                build_geometry(blk, self.bs_position3d(), self.ue_position3d(),
+                               self.center_freq_hz, self.ue_velocity)
+                # Every state a drop can take must leave room for the clusters.
+                for state in [self.link_state] if self.link_state else ["LOS", "NLOS"]:
+                    e = lookup_lsp_table(self.scenario, state, self.center_freq_hz)
+                    cluster_budget(e, state == "LOS", blk["n_shared"], len(blk["targets"]))
         except ConfigurationError as exc:
             raise ConfigError(str(exc)) from None
-        if self.feature == "ISAC":
-            # Every state a drop can take must leave room for the clusters.
-            for state in [self.link_state] if self.link_state else ["LOS", "NLOS"]:
-                e = lookup_lsp_table(self.scenario, state, self.center_freq_hz)
-                try:
-                    cluster_budget(e, state == "LOS", blk["n_shared"],
-                                   len(blk["targets"]))
-                except ConfigurationError as exc:
-                    raise ConfigError(f"isac.n_shared: {exc}") from None
         return self
 
     # ------------------------------------------------------------------

@@ -2,6 +2,9 @@
 non-shared clusters, target echoes with RCS weighting, clutter, and the
 sharing-degree metric.
 
+``build_geometry`` builds a slice's fixed layout once, with the checks
+``validate`` runs; ``gen_isac_drop`` adds one drop's draws to it.
+
 Sharing follows the cluster-level model: shared clusters reuse the same
 excess-delay and departure-azimuth draws in both channels (arrival angles
 and zeniths are channel-specific), amplitudes are always channel-specific.
@@ -10,7 +13,7 @@ and zeniths are channel-specific), amplitudes are always channel-specific.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,19 +21,9 @@ from .constants import C_LIGHT
 from .geometry import ConfigurationError, Position3D, check_apart, los_directions, \
     unit_vector
 from .largescale import LSPSet, LspTableEntry
+from .pathloss import pl_radar_echo
 from .smallscale import ClusterSet, _k_split, _reflect_zenith, _wrap_pi, \
     doppler_per_ray, gen_cluster_powers, gen_xpr_phases, ray_offsets, ray_powers
-
-
-@dataclass(frozen=True)
-class SensingTarget:
-    position: Position3D
-    rcs_dbsm: float = 0.0
-    velocity: tuple = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        if not math.isfinite(self.rcs_dbsm):
-            raise ConfigurationError("target RCS must be finite")
 
 
 @dataclass
@@ -41,7 +34,6 @@ class IsacChannelPair:
     shared_sense_idx: np.ndarray   # positions of shared clusters, sense order
     target_sense_idx: np.ndarray   # positions of target-echo clusters
     sense_delay_offset_s: float    # absolute delay of sensing tap 0
-    target_echo_delays_s: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 # The columns of one side's cluster rows, a float (n, 11) array with one
@@ -156,123 +148,134 @@ def cluster_budget(entry: LspTableEntry, los: bool, n_shared: int,
     n_sense_env = n_total - n_shared - n_targets
     if n_shared < 0 or n_comm_env < 0 or n_sense_env < 0:
         raise ConfigurationError(
-            f"cluster budget infeasible: total {n_total}, shared {n_shared}, "
-            f"targets {n_targets}, LOS {los}")
+            f"isac.n_shared: cluster budget infeasible: total {n_total}, "
+            f"shared {n_shared}, targets {n_targets}, LOS {los}")
     return n_comm_env, n_sense_env
 
 
-def build_targets(block: dict, tx_pos: Position3D) -> tuple:
-    """Targets and sensing receiver (None: monostatic) of a checked, filled
-    ``isac`` config block. A target on (or too far from) the transmitter or
-    the sensing receiver, or a sensing receiver on (or too far from) the
-    transmitter, raises ConfigurationError naming the field."""
-    rx_s = block["rx_s_position"]
-    rx_s = None if rx_s is None else Position3D.from_iterable(rx_s)
-    if rx_s is not None:
-        check_apart("isac.rx_s_position", rx_s.distance_to(tx_pos), "bs_position")
-    targets = []
-    for i, t in enumerate(block["targets"]):
-        target = SensingTarget(position=Position3D.from_iterable(t["position"]),
-                               rcs_dbsm=t["rcs_dbsm"], velocity=tuple(t["velocity"]))
-        for name, pos in (("bs_position", tx_pos), ("rx_s_position", rx_s)):
-            if pos is not None:
-                check_apart(f"isac.targets[{i}].position",
-                            target.position.distance_to(pos), name)
-        targets.append(target)
-    return targets, rx_s
+@dataclass(frozen=True)
+class IsacGeometry:
+    """The fixed layout of an ISAC slice, built once by ``build_geometry``:
+    every part of a drop that its draws do not move. Arrays are read-only."""
+    n_shared: int
+    f_hz: float
+    ue_velocity: tuple
+    dirs_c: tuple                   # (aod, aoa, zoa, zod), BS -> UE
+    tau_c: float                    # comm link delay
+    los_row_c: np.ndarray           # the comm side's LOS cluster row
+    echo_delays: np.ndarray         # per target: Tx -> target -> sensing Rx
+    base_abs_s: float               # the nearest echo's delay, else tau_c
+    dirs_s: tuple                   # (aod, aoa, zoa, zod) of sensing clutter
+    rows_s: np.ndarray              # echo rows, then the self-interference row
+    mono_static: bool               # echoes return to the transmitter
+    echo_loss_db: float | None      # the nearest target's; None: no target
 
 
-def gen_isac_drop(entry: LspTableEntry, lsps: LSPSet, tx_pos: Position3D,
-                  rx_c_pos: Position3D, state: str, n_shared: int,
-                  streams, f_hz: float, targets=(),
-                  rx_s_pos: Position3D | None = None,
-                  ue_velocity=(0.0, 0.0, 0.0),
-                  self_interference_db: float | None = None) -> IsacChannelPair:
-    """One coupled communication + sensing drop.
+def build_geometry(block: dict, tx_pos: Position3D, rx_c_pos: Position3D,
+                   f_hz: float, ue_velocity=(0.0, 0.0, 0.0)) -> IsacGeometry:
+    """The geometry of a checked, filled ``isac`` config block with the
+    transmitter at ``tx_pos`` and the comm receiver at ``rx_c_pos``.
 
-    Shared environment clusters are drawn once on a dedicated sub-stream and
-    instantiated in both channels. Target echoes are deterministic from
-    geometry (mono-static when ``rx_s_pos`` is None: echo returns on the
-    departure ray with delay 2|Tx-target|/c) and weighted by their RCS.
-    Per-side shadowing, XPRs and phases come from per-channel streams.
+    A sensing receiver (None: monostatic) on or too far from the
+    transmitter, or a target on or too far from either, raises
+    ConfigurationError naming the field. Target echoes are deterministic:
+    delay |Tx-target| + |target-Rx_S| over c, monostatic echoes returning
+    on the departure ray, each weighted by its RCS. The radar-echo loss of
+    the nearest target scales the sensing tensor; its legs take the 1 m
+    floor of the link losses.
     """
-    los = state.upper() == "LOS"
-    n_targets = len(targets)
-    n_comm_env, n_sense_env = cluster_budget(entry, los, n_shared, n_targets)
+    mono_static = block["rx_s_position"] is None
+    rx_s = tx_pos if mono_static else Position3D.from_iterable(block["rx_s_position"])
+    if not mono_static:
+        check_apart("isac.rx_s_position", rx_s.distance_to(tx_pos), "bs_position")
+    targets = block["targets"]
+    pos = [Position3D.from_iterable(t["position"]) for t in targets]
+    legs = [(tx_pos.distance_to(p), p.distance_to(rx_s)) for p in pos]
+    for i, (d1, d2) in enumerate(legs):
+        check_apart(f"isac.targets[{i}].position", d1, "bs_position")
+        if not mono_static:
+            check_apart(f"isac.targets[{i}].position", d2, "rx_s_position")
 
-    mono_static = rx_s_pos is None
-    rx_s = tx_pos if mono_static else rx_s_pos
-    dirs_c = los_directions(tx_pos, rx_c_pos)
-    d_link_c = tx_pos.distance_to(rx_c_pos)
-    tau_link_c = d_link_c / C_LIGHT
-
-    rng_shared = streams.get("isac_shared")
-    rng_c = streams.get("isac_comm")
-    rng_s = streams.get("isac_sense")
-
-    asd_rad = math.radians(lsps.asd_deg)
-    asa_rad = math.radians(lsps.asa_deg)
-    zsa_rad = math.radians(lsps.zsa_deg)
-    zsd_rad = math.radians(lsps.zsd_deg)
-    r_tau, ds = entry.delay_scaling, lsps.ds_s
-
-    # Shared scatterer draws, consumed identically by both sides.
-    shared_excess = -r_tau * ds * np.log(rng_shared.uniform(size=n_shared))
-    shared_aod = _wrap_pi(dirs_c.aod + rng_shared.normal(0.0, asd_rad, size=n_shared))
-
-    shared = (shared_excess, shared_aod)
-    spreads = (asd_rad, asa_rad, zsa_rad, zsd_rad)
-
-    # --- communication side --------------------------------------------
-    ue_v = tuple(ue_velocity)
-    rows_c = _env_rows(rng_c, n_comm_env, shared, tau_link_c,
-                       (dirs_c.aod, dirs_c.aoa, dirs_c.zoa, dirs_c.zod),
-                       spreads, -r_tau * ds, ue_v)
-    if los:
-        rows_c = np.concatenate([rows_c, _rows(
-            delay=tau_link_c, aod=dirs_c.aod, aoa=dirs_c.aoa, zoa=dirs_c.zoa,
-            zod=dirs_c.zod, velocity=ue_v)])
-    comm, shared_c_idx, shared_c_ids, _, _ = _assemble_side(
-        rows_c, entry, lsps, rng_c, f_hz, los)
-
-    # --- sensing side ----------------------------------------------------
-    dirs_t = [los_directions(tx_pos, t.position) for t in targets]
-    echo_delays = np.array([(tx_pos.distance_to(t.position)
-                             + t.position.distance_to(rx_s)) / C_LIGHT
-                            for t in targets])
-    base_abs_s = float(echo_delays.min()) if n_targets else tau_link_c
+    d_c = los_directions(tx_pos, rx_c_pos)
+    dirs_c = (d_c.aod, d_c.aoa, d_c.zoa, d_c.zod)
+    tau_c = tx_pos.distance_to(rx_c_pos) / C_LIGHT
+    dirs_t = [los_directions(tx_pos, p) for p in pos]
     if mono_static:
-        base_aoa_s, base_zoa_s, base_zod_s = dirs_c.aod, dirs_c.zod, dirs_c.zod
+        dirs_s = (d_c.aod, d_c.aod, d_c.zod, d_c.zod)
         # Echoes return along the departure ray.
         echo_aoa, echo_zoa = [d.aod for d in dirs_t], [d.zod for d in dirs_t]
     else:
         d_s = los_directions(rx_s, tx_pos)
-        base_aoa_s, base_zoa_s, base_zod_s = d_s.aod, d_s.zod, dirs_c.zod
-        back = [los_directions(t.position, rx_s) for t in targets]
+        dirs_s = (d_c.aod, d_s.aod, d_s.zod, d_c.zod)
+        back = [los_directions(p, rx_s) for p in pos]
         echo_aoa, echo_zoa = [b.aoa for b in back], [b.zoa for b in back]
-    rows_s = [
-        _env_rows(rng_s, n_sense_env, shared, base_abs_s,
-                  (dirs_c.aod, base_aoa_s, base_zoa_s, base_zod_s),
-                  spreads, -r_tau * ds, math.nan),
-        _rows(delay=echo_delays, aod=[d.aod for d in dirs_t], aoa=echo_aoa,
-              zoa=echo_zoa, zod=[d.zod for d in dirs_t], target_id=np.arange(n_targets),
-              weight=[10.0 ** (t.rcs_dbsm / 10.0) for t in targets],
-              velocity=np.reshape([t.velocity for t in targets], (-1, 3)))]
-    if self_interference_db is not None:
-        rows_s.append(_rows(
-            delay=tx_pos.distance_to(rx_s) / C_LIGHT,
-            aod=dirs_c.aod, aoa=base_aoa_s, zoa=base_zoa_s, zod=dirs_c.zod,
-            weight=10.0 ** (-self_interference_db / 10.0)))
+    echo_delays = np.array([(d1 + d2) / C_LIGHT for d1, d2 in legs])
+    rows_s = [_rows(delay=echo_delays, aod=[d.aod for d in dirs_t], aoa=echo_aoa,
+                    zoa=echo_zoa, zod=[d.zod for d in dirs_t], target_id=np.arange(len(pos)),
+                    weight=[10.0 ** (t["rcs_dbsm"] / 10.0) for t in targets],
+                    velocity=np.reshape([t["velocity"] for t in targets], (-1, 3)))]
+    if block["self_interference_db"] is not None:
+        rows_s.append(_rows(tx_pos.distance_to(rx_s) / C_LIGHT, *dirs_s,
+                            weight=10.0 ** (-block["self_interference_db"] / 10.0)))
+    echo_loss_db = None
+    if pos:
+        near = int(np.argmin(echo_delays))
+        d1, d2 = legs[near]
+        echo_loss_db = pl_radar_echo(max(d1, 1.0), max(d2, 1.0), f_hz,
+                                     targets[near]["rcs_dbsm"])
+    geo = IsacGeometry(
+        n_shared=block["n_shared"], f_hz=f_hz, ue_velocity=tuple(ue_velocity),
+        dirs_c=dirs_c, tau_c=tau_c, los_row_c=_rows(tau_c, *dirs_c, velocity=ue_velocity),
+        echo_delays=echo_delays, base_abs_s=float(echo_delays.min()) if pos else tau_c,
+        dirs_s=dirs_s, rows_s=np.concatenate(rows_s), mono_static=mono_static,
+        echo_loss_db=echo_loss_db)
+    for a in (geo.los_row_c, geo.echo_delays, geo.rows_s):
+        a.flags.writeable = False   # every drop shares them
+    return geo
+
+
+def gen_isac_drop(geo: IsacGeometry, entry: LspTableEntry, lsps: LSPSet,
+                  state: str, streams) -> IsacChannelPair:
+    """One coupled communication + sensing drop over the slice's geometry.
+
+    Shared environment clusters are drawn once on a dedicated sub-stream and
+    instantiated in both channels; the target echoes and the
+    self-interference row come from ``geo``. Per-side shadowing, XPRs and
+    phases come from per-channel streams.
+    """
+    los = state.upper() == "LOS"
+    n_shared = geo.n_shared
+    n_comm_env, n_sense_env = cluster_budget(entry, los, n_shared, geo.echo_delays.size)
+    rng_shared, rng_c, rng_s = (streams.get(f"isac_{k}") for k in ("shared", "comm", "sense"))
+    spreads = tuple(map(math.radians, (lsps.asd_deg, lsps.asa_deg, lsps.zsa_deg,
+                                       lsps.zsd_deg)))   # asd, asa, zsa, zsd
+    excess_scale = -entry.delay_scaling * lsps.ds_s
+
+    # Shared scatterer draws, consumed identically by both sides.
+    shared = (excess_scale * np.log(rng_shared.uniform(size=n_shared)),
+              _wrap_pi(geo.dirs_c[0] + rng_shared.normal(0.0, spreads[0], size=n_shared)))
+
+    # --- communication side --------------------------------------------
+    rows_c = _env_rows(rng_c, n_comm_env, shared, geo.tau_c, geo.dirs_c, spreads,
+                       excess_scale, geo.ue_velocity)
+    if los:
+        rows_c = np.concatenate([rows_c, geo.los_row_c])
+    comm, shared_c_idx, shared_c_ids, _, _ = _assemble_side(
+        rows_c, entry, lsps, rng_c, geo.f_hz, los)
+
+    # --- sensing side ----------------------------------------------------
+    rows_s = _env_rows(rng_s, n_sense_env, shared, geo.base_abs_s, geo.dirs_s, spreads,
+                       excess_scale, math.nan)
     sense, shared_s_idx, shared_s_ids, target_idx, off_s = _assemble_side(
-        np.concatenate(rows_s), entry, lsps, rng_s, f_hz, False,
-        doppler_scale=2.0 if mono_static else 1.0)
+        np.concatenate([rows_s, geo.rows_s]), entry, lsps, rng_s, geo.f_hz, False,
+        doppler_scale=2.0 if geo.mono_static else 1.0)
 
     # Shared departure rays bitwise identical across the two channels: copy
     # the comm side's ray array rows by shared id.
     comm_of = np.empty(n_shared, dtype=int)
     comm_of[shared_c_ids] = shared_c_idx
     sense.aod[shared_s_idx] = comm.aod[comm_of[shared_s_ids]]
-    if mono_static:
+    if geo.mono_static:
         # Echoes retrace their rays: per-ray arrival equals departure.
         sense.aoa[target_idx] = sense.aod[target_idx]
         sense.zoa[target_idx] = sense.zod[target_idx]
@@ -280,8 +283,7 @@ def gen_isac_drop(entry: LspTableEntry, lsps: LSPSet, tx_pos: Position3D,
     return IsacChannelPair(
         comm=comm, sense=sense,
         shared_comm_idx=shared_c_idx, shared_sense_idx=shared_s_idx,
-        target_sense_idx=target_idx, sense_delay_offset_s=off_s,
-        target_echo_delays_s=echo_delays)
+        target_sense_idx=target_idx, sense_delay_offset_s=off_s)
 
 
 def sharing_degree(pair: IsacChannelPair, side: str) -> float:

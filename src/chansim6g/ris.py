@@ -160,8 +160,10 @@ def build_panel(block: dict, bs_position, ue_position, f_hz: float) -> RisPanel:
     toward its endpoints: with ``bs_incidence_deg`` the normal lies in the
     plane of the two endpoint directions with the BS at that local zenith,
     otherwise it bisects the two endpoint vectors. A panel on or too far from
-    an endpoint, endpoints collinear with the panel or an endpoint behind
-    the panel raises ConfigurationError naming the field."""
+    an endpoint, endpoints collinear with the panel, an endpoint behind the
+    panel, or a BS so near grazing that leg 1's set arrival spread
+    ``asa_deg`` cannot reach inside ``GRAZING_LIMIT_RAD`` (the cascade drops
+    every ray past it) raises ConfigurationError naming the field."""
     ris_pos = np.asarray(block["position"], dtype=np.float64)
     pitch = block["element_pitch"]
     if pitch == "half_wavelength":
@@ -186,6 +188,10 @@ def build_panel(block: dict, bs_position, ue_position, f_hz: float) -> RisPanel:
     for name, u in (("bs_position", u_bs), ("ue_position", u_ue)):
         if not normal @ u > 0.0:
             raise ConfigurationError(f"{field}: puts {name} behind the panel")
+    zen_bs, asa = math.acos(min(normal @ u_bs, 1.0)), block["asa_deg"]
+    if asa is not None and zen_bs - math.radians(asa) >= GRAZING_LIMIT_RAD:
+        raise ConfigurationError(f"{field}: puts bs_position at grazing, where leg 1's "
+                                 f"ris.asa_deg {asa:g} spread leaves no ray in view")
     return RisPanel(nx=block["nx"], ny=block["ny"], d_element=float(pitch),
                     z_e=complex(*block["z_e_ohm"]), z_m=complex(*block["z_m_ohm"]),
                     ideal_reference=block["ideal_reference"], rotation=rotation)

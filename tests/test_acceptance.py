@@ -203,18 +203,23 @@ def test_criterion_06_isac_sharing_degree():
         def lsps_for(streams):
             return generate_lsps(entry, streams.get("lsp"))
 
+        def geometry(n0):
+            block = {"targets": [], "n_shared": n0, "rx_s_position": None,
+                     "self_interference_db": None}
+            return isac.build_geometry(block, tx, rx, 28e9)
+
         # Endpoints exact.
         for n0, expect in ((0, 0.0), (15, 1.0)):
             streams = DropStreams(606, 0)
-            pair = isac.gen_isac_drop(entry, lsps_for(streams), tx, rx, "NLOS",
-                                      n0, streams, 28e9)
+            pair = isac.gen_isac_drop(geometry(n0), entry, lsps_for(streams), "NLOS",
+                                      streams)
             assert isac.sharing_degree(pair, "sensing") == expect
 
         # Bitwise-shared departure angles.
+        geo = geometry(6)
         for d in range(50):
             streams = DropStreams(607, d)
-            pair = isac.gen_isac_drop(entry, lsps_for(streams), tx, rx, "LOS",
-                                      6, streams, 28e9)
+            pair = isac.gen_isac_drop(geo, entry, lsps_for(streams), "LOS", streams)
             cs = pair.shared_comm_idx[np.argsort(
                 pair.comm.delays_s[pair.shared_comm_idx])]
             ss = pair.shared_sense_idx[np.argsort(
@@ -226,10 +231,10 @@ def test_criterion_06_isac_sharing_degree():
         sds = {}
         for n0 in (3, 6, 9):
             vals = np.empty(2000)
+            geo = geometry(n0)
             for d in range(2000):
                 streams = DropStreams(608 + n0, d)
-                pair = isac.gen_isac_drop(entry, lsps_for(streams), tx, rx,
-                                          "LOS", n0, streams, 28e9)
+                pair = isac.gen_isac_drop(geo, entry, lsps_for(streams), "LOS", streams)
                 vals[d] = isac.sharing_degree(pair, "sensing")
             sds[n0] = np.sort(vals)
         grid = np.linspace(0.0, 1.0, 512)

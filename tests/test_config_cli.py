@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -294,6 +295,46 @@ class TestValidation:
         assert np.all(np.isfinite(res.tensors[""].coefficients))
         assert np.isfinite(res.metrics["snr_nonideal_db"])
 
+    # The cascade drops every ray at or past GRAZING_LIMIT_RAD (89 degrees
+    # from the panel normal), and a set asa_deg narrows leg 1's arrival
+    # spread about the BS direction. Each case validated before, then raised
+    # "delay spread undefined for all-zero power" in run_drop: the first
+    # three on drop 0 or within 20 drops, the bisector panel (BS and UE
+    # near 89.9 degrees) on every drop.
+    @pytest.mark.parametrize("link_state, block, field", [
+        ("NLOS", {"bs_incidence_deg": 89.99, "asa_deg": 0.1}, "bs_incidence_deg"),
+        ("LOS", {"bs_incidence_deg": 89.9, "asa_deg": 0.5}, "bs_incidence_deg"),
+        ("LOS", {"bs_incidence_deg": 89.2, "asa_deg": 0.1}, "bs_incidence_deg"),
+        ("NLOS", {"position": [5.01, 4.99, 3.0], "bs_incidence_deg": None,
+                  "asa_deg": 0.1}, "position"),
+    ])
+    def test_ris_bs_at_grazing_rejected(self, link_state, block, field, tmp_path):
+        raw = json.loads(preset_path("ris").read_text())
+        raw["link_state"] = link_state
+        raw["ris"].update(block)
+        raw["ris"] = {k: v for k, v in raw["ris"].items() if v is not None}
+        with pytest.raises(ConfigError, match=rf"ris\.{field}: puts bs_position at grazing"):
+            config_from_dict(raw)
+        path = tmp_path / "ris_grazing.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", "--config", str(path)]) == 1
+
+    # Inside the rule: a spread that reaches back inside the limit, a BS just
+    # inside it, and a UE side at grazing, whose spreads come from the table.
+    @pytest.mark.parametrize("link_state, block", [
+        ("NLOS", {"bs_incidence_deg": 89.5, "asa_deg": 0.6}),
+        ("NLOS", {"bs_incidence_deg": 88.5, "asa_deg": 0.1}),
+        ("LOS", {"position": [5.05, 4.95, 3.0], "bs_incidence_deg": None}),
+    ])
+    def test_ris_near_grazing_runs(self, link_state, block):
+        raw = json.loads(preset_path("ris").read_text())
+        raw["link_state"] = link_state
+        raw["ris"].update(block)
+        raw["ris"] = {k: v for k, v in raw["ris"].items() if v is not None}
+        cfg = config_from_dict(raw)
+        for drop in range(5):
+            assert math.isfinite(run_drop(cfg, drop).metrics["ds_ns"])
+
     @staticmethod
     def isac_raw(scenario, n_targets, link_state, n_shared):
         raw = json.loads(preset_path("isac").read_text())
@@ -350,6 +391,15 @@ class TestValidation:
          "isac.rx_s_position: coincides with bs_position"),
         ("isac", {}, {"rx_s_position": [4.0, 3.0, 1.5]},
          "isac.targets[0].position: coincides with rx_s_position"),
+        # an echo weight 10 ** (rcs / 10) that overflowed (OverflowError in
+        # run_drop) or an echo power that underflowed to 0 ("target power
+        # must be positive")
+        ("isac", {}, {"targets": [{"position": [4.0, 3.0, 1.5], "rcs_dbsm": 4000.0}]},
+         "isac.targets[0].rcs_dbsm: must be a finite number in [-300, 300]"),
+        ("isac", {}, {"targets": [{"position": [4.0, 3.0, 1.5], "rcs_dbsm": -3300.0}]},
+         "isac.targets[0].rcs_dbsm: must be a finite number in [-300, 300]"),
+        ("isac", {}, {"targets": [{"position": [4.0, 3.0, 1.5], "rcs_dbsm": 300.5}]},
+         "isac.targets[0].rcs_dbsm"),
         ("base", {"bs_array": {"type": "ula", "n": 0}}, {}, "bs_array.n"),
         ("base", {"bs_array": {"type": "upa", "n": 4}}, {}, "bs_array.type"),
         ("base", {"bs_array": {"type": "ula", "n": 4, "spacing": -1}}, {},
@@ -420,6 +470,15 @@ class TestValidation:
         raw["isac"]["targets"][0]["position"] = [0.0, 0.0, 1e-160]
         for tensor in run_drop(config_from_dict(raw), 0).tensors.values():
             assert np.all(np.isfinite(tensor.coefficients))
+
+    @pytest.mark.parametrize("rcs", [-300.0, 300.0])
+    def test_rcs_at_its_bound_runs(self, rcs):
+        raw = json.loads(preset_path("isac").read_text())
+        raw["isac"]["targets"][0]["rcs_dbsm"] = rcs
+        result = run_drop(config_from_dict(raw), 0)
+        for tensor in result.tensors.values():
+            assert np.all(np.isfinite(tensor.coefficients))
+        assert math.isfinite(result.metrics["clutter_pr_db"])
 
     @pytest.mark.parametrize("value", [2.0, 3])
     def test_integral_numbers_stored_as_int(self, value):

@@ -2,7 +2,7 @@
 plan. Per drawn link state, every terrestrial feature draws its LSPs there,
 and BASE, THz, E-MIMO, each RIS leg and SAGIN run steps 5-10 as one pass;
 blocks are the only input form of those steps. A RIS slice's panel geometry
-is built once, on the plan. A drop's tensors and metrics must not depend on
+and an ISAC slice's fixed geometry are built once, on the plan. A drop's tensors and metrics must not depend on
 the block it ran in, a failing drop must still be named, and the functions
 perfbench's tracer wraps must still be called through their module
 attributes.
@@ -135,15 +135,35 @@ def test_ris_campaign_builds_its_panel_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_failing_plan_names_its_drop(tmp_path, monkeypatch):
-    """A RIS plan builds the panel. If that raises, the slice's drops run
-    alone, and the first one is named."""
-    def broken(*args):
-        raise ValueError("planted panel failure")
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_isac_campaign_builds_its_geometry_once_per_slice(tmp_path, monkeypatch, jobs):
+    """The targets, echo rows and echo loss are config constants: each
+    slice's plan builds them, not each drop. Each process appends a line per
+    build to one file, so the forked slices are counted too."""
+    real = campaign.isac.build_geometry
+    log = tmp_path / "builds"
 
-    monkeypatch.setattr(campaign.ris, "build_panel", broken)
-    cfg = replace(CONFIGS["ris"], drops=3, seed=5)
-    with pytest.raises(ValueError, match="planted panel failure") as info:
+    def counting(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write("build\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(campaign.isac, "build_geometry", counting)
+    run_campaign(replace(CONFIGS["isac"], drops=30, seed=11), tmp_path / "out", jobs=jobs)
+    assert log.read_text().count("build") == jobs
+
+
+@pytest.mark.parametrize("name, module, builder", [
+    ("ris", campaign.ris, "build_panel"), ("isac", campaign.isac, "build_geometry")])
+def test_failing_plan_names_its_drop(tmp_path, monkeypatch, name, module, builder):
+    """A RIS plan builds the panel and an ISAC plan its geometry. If that
+    raises, the slice's drops run alone, and the first one is named."""
+    def broken(*args):
+        raise ValueError("planted plan failure")
+
+    monkeypatch.setattr(module, builder, broken)
+    cfg = replace(CONFIGS[name], drops=3, seed=5)
+    with pytest.raises(ValueError, match="planted plan failure") as info:
         run_campaign(cfg, tmp_path / "out")
     if sys.version_info >= (3, 11):
         assert "drop 0 (seed 5) failed; run_drop(cfg, 0) replays it alone" \

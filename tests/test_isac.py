@@ -7,8 +7,7 @@ import pytest
 from chansim6g import isac
 from chansim6g.constants import C_LIGHT
 from chansim6g.geometry import ConfigurationError, Position3D
-from chansim6g.isac import (SensingTarget, clutter_power_ratio, gen_isac_drop,
-                            sharing_degree)
+from chansim6g.isac import clutter_power_ratio, gen_isac_drop, sharing_degree
 from chansim6g.largescale import LSPSet
 from chansim6g.seeding import DropStreams
 from chansim6g.smallscale import ClusterSet, _reflect_zenith, _wrap_pi, doppler_per_ray
@@ -25,10 +24,24 @@ def make_lsps(**over):
     return LSPSet(**base)
 
 
+def target(position, rcs_dbsm=0.0, velocity=(0.0, 0.0, 0.0)):
+    """An ``isac.targets`` entry."""
+    return {"position": list(position), "rcs_dbsm": rcs_dbsm, "velocity": list(velocity)}
+
+
+def geometry(n_shared=6, targets=(), rx_s_pos=None, self_interference_db=None,
+             ue_velocity=(0.0, 0.0, 0.0)):
+    """The slice geometry of TX, RX and an ``isac`` block at 28 GHz."""
+    block = {"targets": list(targets), "n_shared": n_shared,
+             "rx_s_position": None if rx_s_pos is None else dataclasses.astuple(rx_s_pos),
+             "self_interference_db": self_interference_db}
+    return isac.build_geometry(block, TX, RX, 28e9, ue_velocity)
+
+
 def drop(seed=0, n_total=15, n_shared=6, state="NLOS", targets=(), **kw):
     entry = make_entry(n_clusters=n_total, rays_per_cluster=10)
-    return gen_isac_drop(entry, make_lsps(), TX, RX, state, n_shared,
-                         DropStreams(seed, 0), 28e9, targets=targets, **kw)
+    return gen_isac_drop(geometry(n_shared, targets, **kw), entry, make_lsps(), state,
+                         DropStreams(seed, 0))
 
 
 class TestSharing:
@@ -89,7 +102,7 @@ class TestSharing:
             drop(n_shared=16)
         with pytest.raises(ConfigurationError):
             drop(n_shared=14, state="LOS",
-                 targets=[SensingTarget(position=Position3D(3.0, 2.0, 1.5))] * 3)
+                 targets=[target((3.0, 2.0, 1.5))] * 3)
 
 
 def _shared_delay_key(cs, idx):
@@ -97,19 +110,19 @@ def _shared_delay_key(cs, idx):
 
 
 class TestTargets:
-    TARGETS = [SensingTarget(position=Position3D(4.0, 3.0, 1.5), rcs_dbsm=0.0,
-                             velocity=(1.0, 0.0, 0.0)),
-               SensingTarget(position=Position3D(7.0, -2.5, 1.5), rcs_dbsm=5.0),
-               SensingTarget(position=Position3D(2.0, -4.0, 1.5), rcs_dbsm=-3.0)]
+    TARGETS = [target((4.0, 3.0, 1.5), rcs_dbsm=0.0, velocity=(1.0, 0.0, 0.0)),
+               target((7.0, -2.5, 1.5), rcs_dbsm=5.0),
+               target((2.0, -4.0, 1.5), rcs_dbsm=-3.0)]
 
     def test_monostatic_echo_delay_exact(self):
         pair = drop(targets=self.TARGETS, n_shared=4)
-        for t, echo in zip(self.TARGETS, pair.target_echo_delays_s):
-            d = TX.distance_to(t.position)
+        echo_delays = geometry(4, self.TARGETS).echo_delays
+        for t, echo in zip(self.TARGETS, echo_delays):
+            d = TX.distance_to(Position3D.from_iterable(t["position"]))
             assert echo == (d + d) / C_LIGHT
         # Tap reconstruction: offset + excess recovers every echo delay.
         abs_delays = pair.sense_delay_offset_s + pair.sense.delays_s
-        for echo in pair.target_echo_delays_s:
+        for echo in echo_delays:
             assert np.min(np.abs(abs_delays - echo)) < 1e-18
 
     def test_monostatic_departure_equals_arrival(self):
@@ -119,8 +132,8 @@ class TestTargets:
             assert np.array_equal(pair.sense.zod[idx], pair.sense.zoa[idx])
 
     def test_rcs_weight_scales_target_power(self):
-        t0 = [SensingTarget(position=Position3D(4.0, 3.0, 1.5), rcs_dbsm=0.0)]
-        t10 = [SensingTarget(position=Position3D(4.0, 3.0, 1.5), rcs_dbsm=10.0)]
+        t0 = [target((4.0, 3.0, 1.5), rcs_dbsm=0.0)]
+        t10 = [target((4.0, 3.0, 1.5), rcs_dbsm=10.0)]
         a = drop(seed=7, targets=t0, n_shared=4)
         b = drop(seed=7, targets=t10, n_shared=4)
         # Same seed, same draws: the RCS weight multiplies the target's power
@@ -132,9 +145,8 @@ class TestTargets:
         assert (pb / env_b) / (pa / env_a) == pytest.approx(10.0, rel=1e-9)
 
     def test_target_doppler_round_trip(self):
-        target = [SensingTarget(position=Position3D(4.0, 0.0, 1.5),
-                                rcs_dbsm=0.0, velocity=(10.0, 0.0, 0.0))]
-        pair = drop(targets=target, n_shared=0)
+        pair = drop(targets=[target((4.0, 0.0, 1.5), rcs_dbsm=0.0, velocity=(10.0, 0.0, 0.0))],
+                    n_shared=0)
         idx = pair.target_sense_idx[0]
         # Mono-static echo Doppler carries the round-trip factor 2; clutter
         # clusters are static.
@@ -157,11 +169,12 @@ class TestTargets:
 class TestBistatic:
     def test_bistatic_echo_delay_and_angles(self):
         rx_s = Position3D(0.0, 5.0, 1.5)
-        target = SensingTarget(position=Position3D(4.0, 3.0, 1.5))
-        pair = drop(targets=[target], n_shared=0, rx_s_pos=rx_s)
-        d1 = TX.distance_to(target.position)
-        d2 = target.position.distance_to(rx_s)
-        assert pair.target_echo_delays_s[0] == (d1 + d2) / C_LIGHT
+        t = target((4.0, 3.0, 1.5))
+        pair = drop(targets=[t], n_shared=0, rx_s_pos=rx_s)
+        position = Position3D.from_iterable(t["position"])
+        d1 = TX.distance_to(position)
+        d2 = position.distance_to(rx_s)
+        assert geometry(0, [t], rx_s).echo_delays[0] == (d1 + d2) / C_LIGHT
         idx = pair.target_sense_idx[0]
         # Scattered leg heads to Rx_S, not back along the departure ray.
         assert not np.array_equal(pair.sense.aoa[idx], pair.sense.aod[idx])
@@ -180,7 +193,7 @@ class TestClutterPowerRatio:
             prs = []
             for seed in range(200):
                 pair = drop(seed=seed, n_total=n_total, n_shared=0,
-                            targets=[SensingTarget(position=Position3D(4.0, 3.0, 1.5))])
+                            targets=[target((4.0, 3.0, 1.5))])
                 p_t = pair.sense.powers[pair.target_sense_idx].sum()
                 env = np.delete(pair.sense.powers, pair.target_sense_idx)
                 prs.append(clutter_power_ratio(float(p_t), env))
@@ -281,9 +294,8 @@ def assert_pairs_equal(a, b):
             assert np.array_equal(x, y), f.name
 
 
-TWO_TARGETS = (SensingTarget(position=Position3D(6.0, 4.0, 1.5), rcs_dbsm=5.0,
-                             velocity=(1.0, -2.0, 0.0)),
-               SensingTarget(position=Position3D(-3.0, 8.0, 2.5), rcs_dbsm=-3.0))
+TWO_TARGETS = (target((6.0, 4.0, 1.5), rcs_dbsm=5.0, velocity=(1.0, -2.0, 0.0)),
+               target((-3.0, 8.0, 2.5), rcs_dbsm=-3.0))
 
 
 @pytest.mark.parametrize("case", [
@@ -311,8 +323,8 @@ def test_env_rows_match_scalar_draws(monkeypatch, case, seed):
 
     def run():
         streams = RecordingStreams(seed, 3)
-        pair = gen_isac_drop(entry, make_lsps(), TX, RX, state, n_shared,
-                             streams, 28e9, **case)
+        pair = gen_isac_drop(geometry(n_shared, **case), entry, make_lsps(), state,
+                             streams)
         return pair, streams.states()
 
     vec_pair, vec_states = run()
@@ -338,12 +350,11 @@ def per_row_doppler(velocity, arrival, f_hz, scale):
 # Fifteen targets in three velocity groups, and a pair whose velocities
 # differ only in the sign of a zero.
 GROUPED_TARGETS = tuple(
-    SensingTarget(position=Position3D(2.0 + i % 5, -4.0 + 3.0 * (i // 5), 1.0 + 0.5 * (i % 3)),
-                  rcs_dbsm=-5.0 + i,
-                  velocity=[(1.0, 0.0, 0.0), (0.0, -0.8, 0.0), (0.6, 0.6, 0.2)][i % 3])
+    target((2.0 + i % 5, -4.0 + 3.0 * (i // 5), 1.0 + 0.5 * (i % 3)), rcs_dbsm=-5.0 + i,
+           velocity=[(1.0, 0.0, 0.0), (0.0, -0.8, 0.0), (0.6, 0.6, 0.2)][i % 3])
     for i in range(15)) + (
-    SensingTarget(position=Position3D(-3.0, 2.0, 1.5), velocity=(-0.0, 0.0, 0.0)),
-    SensingTarget(position=Position3D(-2.0, -3.0, 2.0), velocity=(0.0, 0.0, 0.0)))
+    target((-3.0, 2.0, 1.5), velocity=(-0.0, 0.0, 0.0)),
+    target((-2.0, -3.0, 2.0), velocity=(0.0, 0.0, 0.0)))
 
 
 @pytest.mark.parametrize("case", [
@@ -361,8 +372,8 @@ def test_grouped_doppler_matches_per_row(monkeypatch, case, seed):
     state, n_shared = case.pop("state"), case.pop("n_shared")
 
     def run():
-        return gen_isac_drop(entry, make_lsps(), TX, RX, state, n_shared,
-                             DropStreams(seed, 1), 28e9, **case)
+        return gen_isac_drop(geometry(n_shared, **case), entry, make_lsps(), state,
+                             DropStreams(seed, 1))
 
     grouped = run()
     monkeypatch.setattr(isac, "_doppler", per_row_doppler)
