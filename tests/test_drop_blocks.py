@@ -153,21 +153,22 @@ def test_isac_campaign_builds_its_geometry_once_per_slice(tmp_path, monkeypatch,
     assert log.read_text().count("build") == jobs
 
 
-@pytest.mark.parametrize("name, module, builder", [
-    ("ris", campaign.ris, "build_panel"), ("isac", campaign.isac, "build_geometry")])
-def test_failing_plan_names_its_drop(tmp_path, monkeypatch, name, module, builder):
+def test_failing_plan_names_its_drop(tmp_path, monkeypatch):
     """A RIS plan builds the panel and an ISAC plan its geometry. If that
     raises, the slice's drops run alone, and the first one is named."""
     def broken(*args):
         raise ValueError("planted plan failure")
 
-    monkeypatch.setattr(module, builder, broken)
-    cfg = replace(CONFIGS[name], drops=3, seed=5)
-    with pytest.raises(ValueError, match="planted plan failure") as info:
-        run_campaign(cfg, tmp_path / "out")
-    if sys.version_info >= (3, 11):
-        assert "drop 0 (seed 5) failed; run_drop(cfg, 0) replays it alone" \
-            in info.value.__notes__
+    for name, module, builder in (("ris", campaign.ris, "build_panel"),
+                                  ("isac", campaign.isac, "build_geometry")):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, builder, broken)
+            cfg = replace(CONFIGS[name], drops=3, seed=5)
+            with pytest.raises(ValueError, match="planted plan failure") as info:
+                run_campaign(cfg, tmp_path / name)
+        if sys.version_info >= (3, 11):
+            assert "drop 0 (seed 5) failed; run_drop(cfg, 0) replays it alone" \
+                in info.value.__notes__, name
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
