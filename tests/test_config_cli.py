@@ -391,15 +391,6 @@ class TestValidation:
          "isac.rx_s_position: coincides with bs_position"),
         ("isac", {}, {"rx_s_position": [4.0, 3.0, 1.5]},
          "isac.targets[0].position: coincides with rx_s_position"),
-        # an echo weight 10 ** (rcs / 10) that overflowed (OverflowError in
-        # run_drop) or an echo power that underflowed to 0 ("target power
-        # must be positive")
-        ("isac", {}, {"targets": [{"position": [4.0, 3.0, 1.5], "rcs_dbsm": 4000.0}]},
-         "isac.targets[0].rcs_dbsm: must be a finite number in [-300, 300]"),
-        ("isac", {}, {"targets": [{"position": [4.0, 3.0, 1.5], "rcs_dbsm": -3300.0}]},
-         "isac.targets[0].rcs_dbsm: must be a finite number in [-300, 300]"),
-        ("isac", {}, {"targets": [{"position": [4.0, 3.0, 1.5], "rcs_dbsm": 300.5}]},
-         "isac.targets[0].rcs_dbsm"),
         ("base", {"bs_array": {"type": "ula", "n": 0}}, {}, "bs_array.n"),
         ("base", {"bs_array": {"type": "upa", "n": 4}}, {}, "bs_array.type"),
         ("base", {"bs_array": {"type": "ula", "n": 4, "spacing": -1}}, {},
@@ -447,6 +438,15 @@ class TestValidation:
         # ignored sagin.elevation_deg
         ("sagin", {"scenario": "umi"}, {},
          "scenario: 'umi' is not elevation-keyed; SAGIN needs an elevation-keyed"),
+        # an echo weight 10 ** (rcs / 10) that overflowed (OverflowError in
+        # run_drop) or an echo power that underflowed to 0 ("target power
+        # must be positive")
+        ("isac", {}, {"targets": [{"position": [4.0, 3.0, 1.5], "rcs_dbsm": 4000.0}]},
+         "isac.targets[0].rcs_dbsm: must be a finite number in [-300, 300]"),
+        ("isac", {}, {"targets": [{"position": [4.0, 3.0, 1.5], "rcs_dbsm": -3300.0}]},
+         "isac.targets[0].rcs_dbsm: must be a finite number in [-300, 300]"),
+        ("isac", {}, {"targets": [{"position": [4.0, 3.0, 1.5], "rcs_dbsm": 300.5}]},
+         "isac.targets[0].rcs_dbsm"),
     ])
     def test_validate_names_rejected_field(self, preset, top, block, field,
                                            tmp_path, capsys):
