@@ -362,9 +362,9 @@ def _cascade_taps(panels, design_u, in_zen, in_az, a_vec, p_in,
         for m in (1, 2, 3):
             w *= g[m]
             den *= g[m + 4]
-        near = np.abs(den) < bound
-        if near.any():
-            i, j = np.nonzero(near)
+        near = np.flatnonzero(np.abs(den) < bound)
+        if near.size:
+            i, j = np.divmod(near, n_out)
             den[i, j] = 1.0
             w /= den
             x = p_arg[:, lo + i] + q_arg[:, j]
