@@ -62,21 +62,6 @@ def _check_finite(coefficients: np.ndarray) -> None:
         raise ValueError("non-finite channel coefficient")
 
 
-def _polarization_matrices(clusters: ClusterSet) -> np.ndarray:
-    """(n, m, 2, 2) phase/XPR matrices; the LOS specular ray gets the
-    deterministic co-polar form diag(1, -1)."""
-    ph = clusters.phases
-    inv_sqrt_kappa = 1.0 / np.sqrt(clusters.kappa)
-    mat = np.empty(ph.shape[:2] + (2, 2), dtype=np.complex128)
-    mat[..., 0, 0] = np.exp(1j * ph[..., 0])
-    mat[..., 0, 1] = inv_sqrt_kappa * np.exp(1j * ph[..., 1])
-    mat[..., 1, 0] = inv_sqrt_kappa * np.exp(1j * ph[..., 2])
-    mat[..., 1, 1] = np.exp(1j * ph[..., 3])
-    if clusters.state == "LOS":
-        mat[0, 0] = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-    return mat
-
-
 def _array_phases(array: ArrayGeometry, zen, az, lam: float) -> np.ndarray:
     """Element phase factors exp(j 2 pi r.p / lam) of the rays arriving or
     leaving along (zen, az), shape ``zen.shape + (elements,)``."""
@@ -98,7 +83,7 @@ def synthesize_cir(clusters: ClusterSet, tx: ArrayGeometry, rx: ArrayGeometry,
     lam = wavelength(f_hz)
     t = np.zeros(1) if times is None else np.asarray(times, dtype=np.float64)
     # The theta-theta entry of each ray's phase/XPR matrix: 1 on the LOS
-    # specular ray, as in _polarization_matrices.
+    # specular ray, whose matrix is the co-polar diag(1, -1).
     tt = np.exp(1j * clusters.phases[..., 0])
     if clusters.state == "LOS":
         tt[0, 0] = 1.0

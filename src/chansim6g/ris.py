@@ -36,7 +36,7 @@ import numpy as np
 from .constants import Z0_OHM, wavelength
 from .geometry import ArrayGeometry, ConfigurationError, check_apart, unit_vector
 from .smallscale import ClusterSet
-from .cir import CirTensor, _array_phases, _polarization_matrices
+from .cir import CirTensor, _array_phases
 
 # Directions within a degree of grazing (or behind the panel) are treated
 # as outside the panel's field of view; finite-thickness edges make the
@@ -389,6 +389,20 @@ def _cascade_taps(panels, design_u, in_zen, in_az, a_vec, p_in,
 # Cascaded CIR
 # ---------------------------------------------------------------------------
 
+def _theta_entries(clusters: ClusterSet, cross: int) -> np.ndarray:
+    """(n m, 2) theta-theta and cross entries of each ray's phase/XPR
+    matrix: with the cross phase ``cross`` = 2 its first column (leg 1, theta
+    at the Tx), with 1 its first row (leg 2, theta at the Rx). The LOS
+    specular ray's matrix is diag(1, -1), so its entries are [1, 0]."""
+    ph = clusters.phases
+    vec = np.empty(ph.shape[:2] + (2,), dtype=np.complex128)
+    vec[..., 0] = np.exp(1j * ph[..., 0])
+    vec[..., 1] = (1.0 / np.sqrt(clusters.kappa)) * np.exp(1j * ph[..., cross])
+    if clusters.state == "LOS":
+        vec[0, 0] = (1.0, 0.0)
+    return vec.reshape(-1, 2)
+
+
 def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels, design_u,
                       tx: ArrayGeometry, rx: ArrayGeometry, f_hz: float,
                       times=None) -> list:
@@ -413,11 +427,8 @@ def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels, design_u,
 
     n1, m1 = leg1.ray_powers.shape
     n2, m2 = leg2.ray_powers.shape
-    mat1 = _polarization_matrices(leg1).reshape(n1 * m1, 2, 2)
-    mat2 = _polarization_matrices(leg2).reshape(n2 * m2, 2, 2)
-
-    a_vec = mat1[:, :, 0]                             # (n1*m1, 2)
-    b_vec = mat2[:, 0, :]                             # (n2*m2, 2)
+    a_vec = _theta_entries(leg1, 2)                   # (n1*m1, 2)
+    b_vec = _theta_entries(leg2, 1)                   # (n2*m2, 2)
 
     # Tx array phases [a, s, b] of leg-1 ray b of cluster a; Rx array phase
     # times Doppler [c, d, (t, u)] of leg-2 ray d of cluster c.

@@ -31,6 +31,21 @@ def element_reflection(z_e: complex, z_m: complex, theta_in: float,
     return complex(val)
 
 
+def polarization_matrices(clusters) -> np.ndarray:
+    """(n, m, 2, 2) phase/XPR matrices; the LOS specular ray gets the
+    deterministic co-polar form diag(1, -1)."""
+    ph = clusters.phases
+    inv_sqrt_kappa = 1.0 / np.sqrt(clusters.kappa)
+    mat = np.empty(ph.shape[:2] + (2, 2), dtype=np.complex128)
+    mat[..., 0, 0] = np.exp(1j * ph[..., 0])
+    mat[..., 0, 1] = inv_sqrt_kappa * np.exp(1j * ph[..., 1])
+    mat[..., 1, 0] = inv_sqrt_kappa * np.exp(1j * ph[..., 2])
+    mat[..., 1, 1] = np.exp(1j * ph[..., 3])
+    if clusters.state == "LOS":
+        mat[0, 0] = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+    return mat
+
+
 def grid_coords(panel: RisPanel):
     """Element center coordinates about the panel center, meters."""
     xs = (np.arange(1, panel.nx + 1) - (1 + panel.nx) / 2.0) * panel.d_element

@@ -13,6 +13,7 @@ from chansim6g.constants import wavelength
 from chansim6g.geometry import build_ula, single_element
 from chansim6g.pathloss import PathLossSample
 from chansim6g.smallscale import ClusterSet
+from ris_oracle import polarization_matrices
 
 
 def make_clusters(delays, powers, aoa, zoa=None, aod=None, zod=None, m=1,
@@ -148,7 +149,7 @@ def test_synthesis_matches_ray_sum(n, m, u, s, nt, los, seed):
     tx, rx = build_ula(s, spacing=lam / 2), build_ula(u, spacing=lam / 2)
     times = np.arange(nt) * 1e-4
     got = synthesize_cir(cs, tx, rx, f, times).coefficients
-    amp = np.sqrt(cs.ray_powers) * cir._polarization_matrices(cs)[..., 0, 0]
+    amp = np.sqrt(cs.ray_powers) * polarization_matrices(cs)[..., 0, 0]
     phase_rx = cir._array_phases(rx, cs.zoa, cs.aoa, lam)
     phase_tx = cir._array_phases(tx, cs.zod, cs.aod, lam)
     dop = np.exp(2j * np.pi * cs.doppler_hz[..., None] * times)

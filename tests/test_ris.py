@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from chansim6g.cir import _polarization_matrices
 from chansim6g.constants import Z0_OHM, wavelength
 from chansim6g.geometry import build_ula, single_element, unit_vector
 from chansim6g.ris import (CASCADE_TILE, GRAZING_LIMIT_RAD, RisPanel,
@@ -11,7 +10,7 @@ from chansim6g.ris import (CASCADE_TILE, GRAZING_LIMIT_RAD, RisPanel,
                            rotation_with_incidence, steering_codebook,
                            uniform_codebook)
 from ris_oracle import (element_pattern, element_reflection, grid_coords,
-                        overall_pattern)
+                        overall_pattern, polarization_matrices)
 from test_cir import make_clusters
 
 F = 28e9
@@ -178,8 +177,8 @@ def broadcast_cascade(leg1, leg2, panel, cb, tx=None, rx=None, times=None):
     f_ris = overall_pattern(panel, cb, (in_zen[:, :, None, None],
                                         in_az[:, :, None, None]),
                             (out_zen, out_az), F)
-    a = _polarization_matrices(leg1)[..., :, 0]      # theta-polarized Tx
-    b = _polarization_matrices(leg2)[..., 0, :]      # theta-polarized Rx
+    a = polarization_matrices(leg1)[..., :, 0]      # theta-polarized Tx
+    b = polarization_matrices(leg2)[..., 0, :]      # theta-polarized Rx
     amp = np.sqrt(leg1.ray_powers[:, :, None, None] * leg2.ray_powers)
     ph_tx = np.exp(2j * np.pi / LAM * (unit_vector(leg1.zod, leg1.aod)
                                        @ tx.element_positions.T))
