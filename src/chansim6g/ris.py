@@ -16,14 +16,16 @@ codebook is its tangential design vector ``u`` (2,): element phases
 -k u.d, which modulate the reflected-field part only; the incident-field
 part of the equivalent currents is codebook-independent.
 
-The cascade kernel (``_cascade_taps``) never forms the (I, J) grid of
-leg-1/leg-2 ray pairs. It takes the leg-1 rays in front of the panel
-CASCADE_TILE at a time; builds the tile's real pattern weight (two sincs
-and two Dirichlet kernels, each a ratio of angle-addition or sum grids)
-from K=2 GEMMs of per-side vectors, with one division; contracts the
-polarizations with one K=4 GEMM per panel, all scalings folded into the
-per-side matrices; and reduces the tile straight onto leg-2 clusters. The
-leg-1 cluster reduction follows once per drop.
+The cascade kernel (``_cascade_taps``) builds the real pattern weight of
+every front leg-1/leg-2 ray pair once per drop, for all panels: CASCADE_TILE
+leg-1 rays at a time (two sincs and two Dirichlet kernels, each a ratio of
+angle-addition or sum grids, from K=2 GEMMs of per-side vectors, with one
+division), then the near-singular entries of all tiles in one pass. Per tile
+and leg-2 cluster, one real GEMM contracts the weights with the leg-2
+projections, array phases and Doppler, shared by the panels; each panel
+combines its incident currents with the result, four terms per entry, all
+scalings folded into the per-side matrices. The leg-1 cluster reduction
+follows once per drop.
 """
 
 from __future__ import annotations
@@ -271,10 +273,9 @@ def _cascade_taps(panels, design_u, in_zen, in_az, a_vec, p_in,
     term[i, j] = sqrt(p_in[i] p_out[j])
                  * sum_{q, p} a_vec[i, q] F_panel[i, j, q, p] b_vec[j, p],
 
-    reduced one tile of front leg-1 rays at a time onto leg-2 clusters, so
-    the (I, J) ray-pair grid is never formed; the leg-1 cluster reduction
-    follows once. Rays are ordered by cluster (a or c), then ray (b or d).
-    ``row_w`` (N1, S, M1) holds the leg-1 array phases, ``col_w``
+    reduced onto leg-2 clusters one tile of front leg-1 rays at a time, then
+    onto leg-1 clusters once. Rays are ordered by cluster (a or c), then ray
+    (b or d). ``row_w`` (N1, S, M1) holds the leg-1 array phases, ``col_w``
     (N2, M2, TU) the leg-2 array phases and Doppler. Every product spans
     one tile or one cluster: one long contraction over all front rays
     instead rounded differently at one and at two OpenBLAS threads.
@@ -283,16 +284,22 @@ def _cascade_taps(panels, design_u, in_zen, in_az, a_vec, p_in,
     factors cancelled term = 1j (-k / lam) area w amp (j.t1 + m.t2) with a
     real pattern weight w = Sx Sy Dx Dy. The currents j, m are tangential,
     so the incident-side factors, the 1j and sqrt(p_in) fold into one (I, 4)
-    matrix [j_x, j_y, m_x, m_y] per panel; sqrt(p_out) and the grazing mask
-    fold into the (4, J) projection onto [t1; t2]. Each tile then costs one
-    K=2 GEMM per grid of w (see ``_weight_factors``), one division, and per
-    panel one K=4 GEMM, the product with w and a per-cluster column
-    reduction. Leg-1 rays past the grazing limit contribute nothing and are
-    skipped.
+    matrix cur = [j_x, j_y, m_x, m_y] per panel; sqrt(p_out) and the grazing
+    mask fold into the (4, J) projection proj onto [t1; t2]. The weight
+    grid w (I, J) is built once for all panels, one K=2 GEMM per grid (see
+    ``_weight_factors``) and one division per tile, and its near-singular
+    entries are evaluated once over all tiles. With P[c, d, tu, q] =
+    proj[q, (c, d)] col_w[c, d, tu] as real pairs, each tile then costs one
+    real GEMM per leg-2 cluster,
+
+    T[i, c, tu, q] = sum_d w[i, (c, d)] P[c, d, tu, q],
+
+    shared by the panels, and per panel one matrix-vector product per ray,
+    sum_q T[i, c, tu, q] cur[i, q]. Leg-1 rays past the grazing limit
+    contribute nothing and are skipped.
 
     ``panels`` must share geometry (grid and pitch) and may differ in
-    reflection behavior; the weight grids are computed once. ``design_u``
-    (2,) is the codebook's design vector.
+    reflection behavior. ``design_u`` (2,) is the codebook's design vector.
     """
     ref_panel = panels[0]
     for p in panels[1:]:
@@ -347,40 +354,54 @@ def _cascade_taps(panels, design_u, in_zen, in_az, a_vec, p_in,
     # bound (every singular one does: a sinc argument under 1e-9 or a
     # Dirichlet |sin| under 1e-12, the other factors being at most k edge
     # and 1) are evaluated one by one with _sinc and _dirichlet, which also
-    # apply the singular limits.
+    # apply the singular limits, once all tiles are done.
     bound = 1e-7 * max(1.0, k * edge) ** 2
-    rows_max = min(CASCADE_TILE, front.size)
-    n_out = r_out.shape[0]
-    grids = np.empty((8, rows_max, n_out))
-    prod_buf = np.empty((rows_max, n_out), dtype=np.complex128)
-    reduced = [np.empty((n2, front.size, n_tu), dtype=np.complex128)
-               for _ in panels]
-    for lo in range(0, front.size, CASCADE_TILE):
-        rows = slice(lo, min(lo + CASCADE_TILE, front.size))
-        g = np.matmul(left[:, rows], right, out=grids[:, :rows.stop - lo])
-        w, den = g[0], g[4]
+    n_in, n_out = front.size, r_out.shape[0]
+    rows_max = min(CASCADE_TILE, n_in)
+    grids = np.empty((4, rows_max, n_out))
+    w = np.empty((n_in, n_out))
+    near = np.empty((n_in, n_out), dtype=bool)
+    for lo in range(0, n_in, CASCADE_TILE):
+        hi = min(lo + CASCADE_TILE, n_in)
+        g, w_t, near_t = grids[:, :hi - lo], w[lo:hi], near[lo:hi]
+        # The four numerator grids, then the four denominator grids.
+        np.matmul(left[:4, lo:hi], right[:4], out=g)
+        np.multiply(g[0], g[1], out=w_t)
+        w_t *= g[2]
+        w_t *= g[3]
+        den = np.matmul(left[4:, lo:hi], right[4:], out=g)[0]
         for m in (1, 2, 3):
-            w *= g[m]
-            den *= g[m + 4]
-        near = np.flatnonzero(np.abs(den) < bound)
-        if near.size:
-            i, j = np.divmod(near, n_out)
-            den[i, j] = 1.0
-            w /= den
-            x = p_arg[:, lo + i] + q_arg[:, j]
-            w[i, j] = np.prod(_sinc(x[:2]), axis=0) \
-                * np.prod(_dirichlet(2.0 * x[2:], n[2:]), axis=0)
-        else:
-            w /= den
-        prod = prod_buf[:rows.stop - lo]
-        by_cluster = prod.reshape(-1, n2, m2).transpose(1, 0, 2)
+            den *= g[m]
+        np.less(np.abs(den, out=g[1]), bound, out=near_t)
+        np.copyto(den, 1.0, where=near_t)
+        w_t /= den
+    i, j = np.divmod(np.flatnonzero(near), n_out)
+    if i.size:
+        x = p_arg[:, i] + q_arg[:, j]
+        w[i, j] = np.prod(_sinc(x[:2]), axis=0) \
+            * np.prod(_dirichlet(2.0 * x[2:], n[2:]), axis=0)
+
+    # P[c, d, tu, q] = proj[q, (c, d)] col_w[c, d, tu] as real pairs, so that
+    # T[i, c, (tu, q)] = sum_d w[i, (c, d)] P[c, d, tu, q] is one real GEMM
+    # per tile and leg-2 cluster, shared by the panels. Each panel then
+    # combines its currents with T, four terms per entry: one matrix-vector
+    # product per front ray.
+    p_mat = (proj.reshape(4, n2, m2).transpose(1, 2, 0)[:, :, None, :]
+             * col_w[..., None]).view(np.float64).reshape(n2, m2, 8 * n_tu)
+    w_by_cluster = w.reshape(n_in, n2, m2).transpose(1, 0, 2)
+    t_buf = np.empty((rows_max, n2, 8 * n_tu))
+    reduced = [np.empty((n_in, n2 * n_tu, 1), dtype=np.complex128)
+               for _ in panels]
+    for lo in range(0, n_in, CASCADE_TILE):
+        hi = min(lo + CASCADE_TILE, n_in)
+        t_real = t_buf[:hi - lo]
+        np.matmul(w_by_cluster[:, lo:hi], p_mat, out=t_real.transpose(1, 0, 2))
+        t_cplx = t_real.view(np.complex128).reshape(hi - lo, n2 * n_tu, 4)
         for c, red in zip(cur, reduced):
-            np.matmul(c[rows], proj, out=prod)
-            prod *= w
-            np.matmul(by_cluster, col_w, out=red[:, rows])
-    rays = np.zeros((n1 * m1, n2, n_tu), dtype=np.complex128)
+            np.matmul(t_cplx, c[lo:hi, :, None], out=red[lo:hi])
+    rays = np.zeros((n1 * m1, n2 * n_tu), dtype=np.complex128)
     for t, red in zip(taps, reduced):
-        rays[front] = red.transpose(1, 0, 2)
+        rays[front] = red[..., 0]
         np.matmul(row_w, rays.reshape(n1, m1, n2 * n_tu), out=t)
     return taps
 

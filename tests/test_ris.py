@@ -459,6 +459,46 @@ class TestTiledKernel:
               else uniform_codebook())
         self.compare(leg1, leg2, cb)
 
+    DESIGN = ((0.5, 0.7), (0.3, -2.0))
+
+    def singular_legs(self, rng, rows, cb_kind, m1=12):
+        """Legs whose leg-1 rays ``rows`` (indices among the 6 * m1 front
+        rays) pair singularly with leg-2 rays 9 and 19: at the panel normal
+        (uniform codebook) or at the steering design directions."""
+        leg1, leg2 = grazing_legs(rng, np.arange(6 * m1), m1=m1)
+        zen_in, az_in = (0.0, 0.4) if cb_kind == "uniform" else self.DESIGN[0]
+        for r in rows:
+            leg1.zoa.flat[r], leg1.aoa.flat[r] = zen_in, az_in
+        leg2.zod.flat[9], leg2.aod.flat[9] = 0.0, 0.4
+        leg2.zod.flat[19], leg2.aod.flat[19] = self.DESIGN[1]
+        cb = (steering_codebook(*self.DESIGN) if cb_kind == "steering"
+              else uniform_codebook())
+        return leg1, leg2, cb
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([CASCADE_TILE + 8], id="later-tile"),
+        pytest.param([5, CASCADE_TILE + 3], id="two-tiles"),
+        pytest.param([CASCADE_TILE, 2 * CASCADE_TILE + 7], id="second-and-last"),
+    ])
+    @pytest.mark.parametrize("cb_kind", ["steering", "uniform"])
+    def test_singular_entries_past_the_first_tile(self, rows, cb_kind):
+        # 72 front rays make three tiles; the singular pairs sit in tiles
+        # other than the first, alone or with another tile's.
+        rng = np.random.default_rng([19, cb_kind == "uniform", rows[-1]])
+        leg1, leg2, cb = self.singular_legs(rng, rows, cb_kind)
+        self.compare(leg1, leg2, cb)
+
+    @pytest.mark.parametrize("cb_kind", ["steering", "uniform"])
+    def test_singular_entries_with_arrays_and_time_samples(self, cb_kind):
+        # Four Tx elements (S = 4) and two Rx elements at two sample times
+        # (T U = 4), with singular pairs in the first and second tile.
+        rng = np.random.default_rng([20, cb_kind == "uniform"])
+        leg1, leg2, cb = self.singular_legs(rng, [3, CASCADE_TILE + 12],
+                                            cb_kind, m1=8)
+        got = self.compare(leg1, leg2, cb, tx=build_ula(4, LAM / 2),
+                           rx=build_ula(2, LAM / 2), times=np.array([0.0, 1e-3]))
+        assert got[0].coefficients.shape[:3] == (2, 2, 4)
+
 
 class TestRotations:
     def test_rotation_facing_maps_normal_to_z(self):
