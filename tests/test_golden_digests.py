@@ -50,6 +50,11 @@ The 8 ``isac-drawn/*`` digests were pinned from the code before ISAC's
 fixed geometry moved onto the campaign plan, so they guard that change
 with ISAC drops of both link states in one slice (drops 0-2 draw LOS,
 NLOS, LOS), which no other pinned ISAC config draws.
+The 25 ``ris*/*`` digests were re-pinned when the RIS cascade kernel
+began to contract the pattern weights with the leg-2 terms once for both
+panels: only the order of the tap sums changed, so those files moved by
+rounding (the tensors by at most 4.6e-16 of the largest tap, the CSV
+values by at most 2.9e-14) and the other 103 stayed the same.
 38 digests were re-pinned when the angle-spread calibration moved from a
 bisection to a safeguarded Newton solve and synthesis contracted its rays
 with a batched matmul instead of einsum. The Newton solve lands gamma
