@@ -263,6 +263,38 @@ def _weight_factors(k: float, panel: RisPanel, design_u, r_in, r_out):
     return left, right, p, q, n
 
 
+def _pattern_weights(left, right, p, q, n, bound: float) -> np.ndarray:
+    """The (I, J) pattern weight grid w = Sx Sy Dx Dy from the per-side
+    stacks of ``_weight_factors``, CASCADE_TILE rows at a time: per tile the
+    four numerator grids and their product, then the four denominator grids
+    and theirs, and one division. Entries whose denominator product falls
+    under ``bound`` are then evaluated with _sinc and _dirichlet, in one
+    pass over all tiles."""
+    n_in, n_out = p.shape[1], q.shape[1]
+    grids = np.empty((4, min(CASCADE_TILE, n_in), n_out))
+    w = np.empty((n_in, n_out))
+    near = np.empty((n_in, n_out), dtype=bool)
+    for lo in range(0, n_in, CASCADE_TILE):
+        hi = min(lo + CASCADE_TILE, n_in)
+        g, w_t, near_t = grids[:, :hi - lo], w[lo:hi], near[lo:hi]
+        np.matmul(left[:4, lo:hi], right[:4], out=g)
+        np.multiply(g[0], g[1], out=w_t)
+        w_t *= g[2]
+        w_t *= g[3]
+        den = np.matmul(left[4:, lo:hi], right[4:], out=g)[0]
+        for m in (1, 2, 3):
+            den *= g[m]
+        np.less(np.abs(den, out=g[1]), bound, out=near_t)
+        np.copyto(den, 1.0, where=near_t)
+        w_t /= den
+    i, j = np.divmod(np.flatnonzero(near), n_out)
+    if i.size:
+        x = p[:, i] + q[:, j]
+        w[i, j] = np.prod(_sinc(x[:2]), axis=0) \
+            * np.prod(_dirichlet(2.0 * x[2:], n[2:]), axis=0)
+    return w
+
+
 def _cascade_taps(panels, design_u, in_zen, in_az, a_vec, p_in,
                   out_zen, out_az, b_vec, p_out, row_w, col_w,
                   f_hz: float) -> list:
@@ -347,39 +379,16 @@ def _cascade_taps(panels, design_u, in_zen, in_az, a_vec, p_in,
     proj = (gain[:, None] * np.concatenate(
         [b0 * th_out + b1 * ph_out, b0 * ph_out - b1 * th_out], axis=1)).T
 
-    left, right, p_arg, q_arg, n = _weight_factors(k, ref_panel, design_u, r_in,
-                                                   r_out)
     # Angle addition loses relative accuracy as a denominator nears zero,
     # where w peaks. Entries whose denominator product falls under this
     # bound (every singular one does: a sinc argument under 1e-9 or a
     # Dirichlet |sin| under 1e-12, the other factors being at most k edge
     # and 1) are evaluated one by one with _sinc and _dirichlet, which also
-    # apply the singular limits, once all tiles are done.
-    bound = 1e-7 * max(1.0, k * edge) ** 2
-    n_in, n_out = front.size, r_out.shape[0]
+    # apply the singular limits.
+    w = _pattern_weights(*_weight_factors(k, ref_panel, design_u, r_in, r_out),
+                         bound=1e-7 * max(1.0, k * edge) ** 2)
+    n_in = front.size
     rows_max = min(CASCADE_TILE, n_in)
-    grids = np.empty((4, rows_max, n_out))
-    w = np.empty((n_in, n_out))
-    near = np.empty((n_in, n_out), dtype=bool)
-    for lo in range(0, n_in, CASCADE_TILE):
-        hi = min(lo + CASCADE_TILE, n_in)
-        g, w_t, near_t = grids[:, :hi - lo], w[lo:hi], near[lo:hi]
-        # The four numerator grids, then the four denominator grids.
-        np.matmul(left[:4, lo:hi], right[:4], out=g)
-        np.multiply(g[0], g[1], out=w_t)
-        w_t *= g[2]
-        w_t *= g[3]
-        den = np.matmul(left[4:, lo:hi], right[4:], out=g)[0]
-        for m in (1, 2, 3):
-            den *= g[m]
-        np.less(np.abs(den, out=g[1]), bound, out=near_t)
-        np.copyto(den, 1.0, where=near_t)
-        w_t /= den
-    i, j = np.divmod(np.flatnonzero(near), n_out)
-    if i.size:
-        x = p_arg[:, i] + q_arg[:, j]
-        w[i, j] = np.prod(_sinc(x[:2]), axis=0) \
-            * np.prod(_dirichlet(2.0 * x[2:], n[2:]), axis=0)
 
     # P[c, d, tu, q] = proj[q, (c, d)] col_w[c, d, tu] as real pairs, so that
     # T[i, c, (tu, q)] = sum_d w[i, (c, d)] P[c, d, tu, q] is one real GEMM
