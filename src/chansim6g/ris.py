@@ -318,9 +318,9 @@ def _cascade_taps(panels, design_u, in_zen, in_az, a_vec, p_in,
     so the incident-side factors, the 1j and sqrt(p_in) fold into one (I, 4)
     matrix cur = [j_x, j_y, m_x, m_y] per panel; sqrt(p_out) and the grazing
     mask fold into the (4, J) projection proj onto [t1; t2]. The weight
-    grid w (I, J) is built once for all panels, one K=2 GEMM per grid (see
-    ``_weight_factors``) and one division per tile, and its near-singular
-    entries are evaluated once over all tiles. With P[c, d, tu, q] =
+    grid w (I, J) is built once for all panels by ``_pattern_weights``: one
+    K=2 GEMM per grid (see ``_weight_factors``) and one division per tile,
+    then the near-singular entries of all tiles. With P[c, d, tu, q] =
     proj[q, (c, d)] col_w[c, d, tu] as real pairs, each tile then costs one
     real GEMM per leg-2 cluster,
 
