@@ -390,11 +390,9 @@ def _cascade_taps(panels, design_u, in_zen, in_az, a_vec, p_in,
     n_in = front.size
     rows_max = min(CASCADE_TILE, n_in)
 
-    # P[c, d, tu, q] = proj[q, (c, d)] col_w[c, d, tu] as real pairs, so that
-    # T[i, c, (tu, q)] = sum_d w[i, (c, d)] P[c, d, tu, q] is one real GEMM
-    # per tile and leg-2 cluster, shared by the panels. Each panel then
-    # combines its currents with T, four terms per entry: one matrix-vector
-    # product per front ray.
+    # P as real pairs, so that T (see above) is a real GEMM; T's rows are
+    # the tile's front rays, so a panel's combination is one batched
+    # matrix-vector product whatever TU is.
     p_mat = (proj.reshape(4, n2, m2).transpose(1, 2, 0)[:, :, None, :]
              * col_w[..., None]).view(np.float64).reshape(n2, m2, 8 * n_tu)
     w_by_cluster = w.reshape(n_in, n2, m2).transpose(1, 0, 2)
