@@ -482,8 +482,8 @@ class TestTiledKernel:
     ])
     @pytest.mark.parametrize("cb_kind", ["steering", "uniform"])
     def test_singular_entries_past_the_first_tile(self, rows, cb_kind):
-        # 72 front rays make three tiles; the singular pairs sit in tiles
-        # other than the first, alone or with another tile's.
+        # 72 front rays make three tiles; singular pairs sit in a later
+        # tile, alone or together with another tile's.
         rng = np.random.default_rng([19, cb_kind == "uniform", rows[-1]])
         leg1, leg2, cb = self.singular_legs(rng, rows, cb_kind)
         self.compare(leg1, leg2, cb)
