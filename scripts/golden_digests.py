@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """SHA-256 digests of the output bytes of fixed campaigns.
 
-Runs the five shipped presets, four BASE configs with ``link_state`` null
+Runs the five shipped presets, five BASE configs with ``link_state`` null
 (uma: 8x2 ULAs, moving UE; umi, rma and inh_office: single elements, each
-placed so its 3 drops draw LOS, NLOS, LOS) and thirteen preset variants at
+placed so its 3 drops draw LOS, NLOS, LOS; ``base-inh-near``: inh_office
+with the UE 1.12 m from the BS horizontally, where the LOS probability is
+1) and thirteen preset variants at
 seed 42 with 3 drops each: ``ris-ula`` (4x2 ULAs, moving UE, two time
 samples, uniform codebook, 70 degree incidence), ``isac-bistatic`` (a
 sensing receiver at (8, 4, 1.5) and a 30 dB self-interference row),
@@ -70,8 +72,9 @@ ANALYZE_METRICS = "ds,gini,rsrp,xcorr"
 
 # BASE configs, all with a link-state draw. "base" is the config of the
 # benchmark's light workloads (uma, MIMO synthesis, time evolution); the
-# others run the other LOS-probability families, each at a distance where
-# the draws of seed 42 give both states.
+# next three run the other LOS-probability families, each at a distance
+# where the draws of seed 42 give both states, and "base-inh-near" runs
+# inh_office's branch at or below 1.2 m.
 _BASE = {"feature": "BASE", "bandwidth_hz": 20e6, "link_state": None}
 BASES = {
     "base": {
@@ -91,6 +94,10 @@ BASES = {
                  "bs_position": [0.0, 0.0, 35.0], "ue_position": [1200.0, 900.0, 1.5]},
     "base-inh": {**_BASE, "scenario": "inh_office", "center_freq_hz": 28e9,
                  "bs_position": [0.0, 0.0, 3.0], "ue_position": [8.0, 6.0, 1.5]},
+    # 1.12 m apart horizontally: inh_office's LOS probability is 1 at or
+    # below 1.2 m, so every drop draws LOS.
+    "base-inh-near": {**_BASE, "scenario": "inh_office", "center_freq_hz": 28e9,
+                      "bs_position": [0.0, 0.0, 3.0], "ue_position": [1.0, 0.5, 1.5]},
 }
 
 

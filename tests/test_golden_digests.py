@@ -3,9 +3,10 @@
 ``tests/golden_digests.json`` pins the SHA-256 of every ``.cir`` /
 ``.cir.sense`` file, ``metrics.csv`` and the ``analysis.csv`` of
 ``chansim6g analyze --metrics ds,gini,rsrp,xcorr``, for the five presets,
-four BASE configs with a link-state draw (uma: 8x2 ULAs, moving UE; umi, rma
+five BASE configs with a link-state draw (uma: 8x2 ULAs, moving UE; umi, rma
 and inh_office, so every LOS-probability family runs and each draws both
-states) and thirteen preset variants (``ris-ula``: 4x2 ULAs, moving UE, two
+states; ``base-inh-near``: inh_office within 1.2 m, where LOS is certain)
+and thirteen preset variants (``ris-ula``: 4x2 ULAs, moving UE, two
 time samples, uniform codebook; ``isac-bistatic``: a bistatic sensing
 receiver and a self-interference row; ``thz-table``: the sparsity K from the
 scenario table; ``isac-moving``: three time samples and a moving UE;
@@ -14,7 +15,7 @@ of its endpoint vectors; ``isac-echoes``: 15 monostatic targets in three
 velocity groups, no shared clusters, three time samples; ``ris-drawn``: a
 drawn link state and no leg overrides; ``isac-drawn``: a drawn ISAC link
 state; ``<preset>-nlos``: each preset with ``link_state`` NLOS) at seed 42,
-3 drops each: 128 digests. The digests were pinned on numpy 2.4.6, scipy
+3 drops each: 133 digests. The digests were pinned on numpy 2.4.6, scipy
 1.17.1 and OpenBLAS 0.3.31; another toolchain may round differently.
 A deliberate change of output bytes re-baselines them with
 ``python3 scripts/golden_digests.py --write``; ``--keep`` and ``--compare``
@@ -50,6 +51,9 @@ The 8 ``isac-drawn/*`` digests were pinned from the code before ISAC's
 fixed geometry moved onto the campaign plan, so they guard that change
 with ISAC drops of both link states in one slice (drops 0-2 draw LOS,
 NLOS, LOS), which no other pinned ISAC config draws.
+The 5 ``base-inh-near/*`` digests were pinned from the code before the
+RIS cascade kernel became two functions, so they guard inh_office's LOS
+probability at or below 1.2 m, a branch no other pinned config reaches.
 The 25 ``ris*/*`` digests were re-pinned when the RIS cascade kernel
 began to contract the pattern weights with the leg-2 terms once for both
 panels: only the order of the tap sums changed, so those files moved by
