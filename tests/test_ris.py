@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from chansim6g.constants import Z0_OHM, wavelength
-from chansim6g.geometry import build_ula, single_element, unit_vector
+from chansim6g.geometry import (ConfigurationError, build_ula, single_element,
+                                unit_vector)
 from chansim6g.ris import (CASCADE_TILE, GRAZING_LIMIT_RAD, RisPanel,
                            cascade_cir_multi, rotation_facing,
                            rotation_with_incidence, steering_codebook,
@@ -316,6 +317,14 @@ class TestCascade:
             assert np.max(np.abs(cir.coefficients - expected)) \
                 <= 1e-12 * np.max(np.abs(expected))
         assert not np.allclose(got[0].coefficients, got[1].coefficients)
+
+    def test_panels_must_share_geometry(self):
+        leg = make_clusters([0.0], [1.0], aoa=[0.3], zoa=[1.2], aod=[0.1], zod=[1.1])
+        panels = [RisPanel(nx=4, ny=4, d_element=LAM / 2, z_e=150.0, z_m=900.0),
+                  RisPanel(nx=5, ny=4, d_element=LAM / 2, ideal=True)]
+        with pytest.raises(ConfigurationError, match="must share geometry"):
+            cascade_cir_multi(leg, leg, panels, uniform_codebook(), single_element(),
+                              single_element(), F)
 
 
 def grazing_legs(rng, front_rows, n1=6, m1=8, n2=5, m2=8, away_cols=()):
