@@ -33,7 +33,6 @@ class IsacChannelPair:
     shared_comm_idx: np.ndarray    # positions of shared clusters, comm order
     shared_sense_idx: np.ndarray   # positions of shared clusters, sense order
     target_sense_idx: np.ndarray   # positions of target-echo clusters
-    sense_delay_offset_s: float    # absolute delay of sensing tap 0
 
 
 # The columns of one side's cluster rows, a float (n, 11) array with one
@@ -107,7 +106,7 @@ def _assemble_side(rows, entry, lsps, rng, f_hz, specular, doppler_scale=1.0):
                     state="LOS" if specular else "NLOS")
     shared_idx = np.flatnonzero(rows[:, _SHARED] >= 0)
     target_idx = np.flatnonzero(rows[:, _TARGET] >= 0)
-    return cs, shared_idx, rows[shared_idx, _SHARED].astype(int), target_idx, offset
+    return cs, shared_idx, rows[shared_idx, _SHARED].astype(int), target_idx
 
 
 def _env_rows(rng, n_env, shared, base_abs, base_dirs, spreads, excess_scale,
@@ -260,13 +259,13 @@ def gen_isac_drop(geo: IsacGeometry, entry: LspTableEntry, lsps: LSPSet,
                        excess_scale, geo.ue_velocity)
     if los:
         rows_c = np.concatenate([rows_c, geo.los_row_c])
-    comm, shared_c_idx, shared_c_ids, _, _ = _assemble_side(
+    comm, shared_c_idx, shared_c_ids, _ = _assemble_side(
         rows_c, entry, lsps, rng_c, geo.f_hz, los)
 
     # --- sensing side ----------------------------------------------------
     rows_s = _env_rows(rng_s, n_sense_env, shared, geo.base_abs_s, geo.dirs_s, spreads,
                        excess_scale, math.nan)
-    sense, shared_s_idx, shared_s_ids, target_idx, off_s = _assemble_side(
+    sense, shared_s_idx, shared_s_ids, target_idx = _assemble_side(
         np.concatenate([rows_s, geo.rows_s]), entry, lsps, rng_s, geo.f_hz, False,
         doppler_scale=2.0 if geo.mono_static else 1.0)
 
@@ -283,7 +282,7 @@ def gen_isac_drop(geo: IsacGeometry, entry: LspTableEntry, lsps: LSPSet,
     return IsacChannelPair(
         comm=comm, sense=sense,
         shared_comm_idx=shared_c_idx, shared_sense_idx=shared_s_idx,
-        target_sense_idx=target_idx, sense_delay_offset_s=off_s)
+        target_sense_idx=target_idx)
 
 
 def sharing_degree(pair: IsacChannelPair, side: str) -> float:

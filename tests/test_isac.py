@@ -120,8 +120,9 @@ class TestTargets:
         for t, echo in zip(self.TARGETS, echo_delays):
             d = TX.distance_to(Position3D.from_iterable(t["position"]))
             assert echo == (d + d) / C_LIGHT
-        # Tap reconstruction: offset + excess recovers every echo delay.
-        abs_delays = pair.sense_delay_offset_s + pair.sense.delays_s
+        # Tap reconstruction: offset + excess recovers every echo delay, the
+        # offset being the nearest echo's delay (clutter comes later).
+        abs_delays = echo_delays.min() + pair.sense.delays_s
         for echo in echo_delays:
             assert np.min(np.abs(abs_delays - echo)) < 1e-18
 
@@ -160,10 +161,12 @@ class TestTargets:
     def test_self_interference_tap(self):
         pair = drop(targets=self.TARGETS, n_shared=4,
                     self_interference_db=40.0)
-        # One extra cluster at the zero-range tap (mono-static SI).
+        # One extra cluster at the zero-range tap (mono-static SI), so the
+        # sensing taps' offset is 0 and every echo sits at its own delay.
         assert pair.sense.n_clusters == 16
-        assert pair.sense_delay_offset_s == 0.0
         assert pair.sense.delays_s[0] == 0.0
+        for echo in geometry(4, self.TARGETS, self_interference_db=40.0).echo_delays:
+            assert np.min(np.abs(pair.sense.delays_s - echo)) < 1e-18
 
 
 class TestBistatic:
