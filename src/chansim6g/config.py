@@ -21,7 +21,7 @@ import numpy as np
 from .constants import C_LIGHT, wavelength
 from .geometry import ArrayGeometry, ConfigurationError, Position3D, \
     build_ula, check_apart, single_element
-from .isac import build_geometry, cluster_budget
+from .isac import build_geometry, check_echo_powers, cluster_budget
 from .largescale import data_dir, elevation_keyed, lookup_lsp_table
 from .ris import build_panel
 
@@ -251,12 +251,14 @@ class ScenarioConfig:
                 build_panel(blk, self.bs_position, self.ue_position,
                             self.center_freq_hz)
             elif self.feature == "ISAC":
-                build_geometry(blk, self.bs_position3d(), self.ue_position3d(),
-                               self.center_freq_hz, self.ue_velocity)
-                # Every state a drop can take must leave room for the clusters.
+                geo = build_geometry(blk, self.bs_position3d(), self.ue_position3d(),
+                                     self.center_freq_hz, self.ue_velocity)
+                # Every state a drop can take must leave room for the clusters
+                # and keep every echo's power above 0.
                 for state in [self.link_state] if self.link_state else ["LOS", "NLOS"]:
                     e = lookup_lsp_table(self.scenario, state, self.center_freq_hz)
                     cluster_budget(e, state == "LOS", blk["n_shared"], len(blk["targets"]))
+                    check_echo_powers(geo, e)
         except ConfigurationError as exc:
             raise ConfigError(str(exc)) from None
         return self

@@ -152,6 +152,38 @@ def cluster_budget(entry: LspTableEntry, los: bool, n_shared: int,
     return n_comm_env, n_sense_env
 
 
+def check_echo_powers(geo: IsacGeometry, entry: LspTableEntry) -> None:
+    """Reject a target whose echo cluster power can underflow to 0 in a drop
+    on ``entry``'s table, naming ``isac.targets[i].position``.
+
+    ``_assemble_side`` gives echo i, at excess delay x_i past the first
+    sensing row (the self-interference row or the nearest echo: clutter
+    comes after the nearest echo), the power exp(-x_i (r - 1) / (r DS))
+    10^(-z_i / 10) over the sum of that term over the side's n rows, times
+    its RCS weight w_i over the sum of the weighted powers. The bound takes
+    the drawn DS at or above DS_min = 10^(mu - 6 sigma) of the table's lg
+    DS and every shadow z within 6 zeta dB of 0. A row's term is then at
+    most 10^(6 zeta / 10) and the weighted sum at most max(1, w_max), so the
+    echo stays at or above the smallest normal float when
+
+        x_i (r - 1) / (r DS_min) + (12 zeta / 10) ln 10 + ln n
+            + ln max(1, w_max) - ln w_i <= -ln(smallest normal).
+    """
+    if geo.echo_delays.size == 0:
+        return
+    r, delays, weights = entry.delay_scaling, geo.rows_s[:, _DELAY], geo.rows_s[:, _WEIGHT]
+    ds_min = 10.0 ** (entry.lsp_mu[0] - 6.0 * entry.lsp_sigma[0])
+    n = entry.n_clusters + len(delays) - geo.echo_delays.size
+    budget = -math.log(np.finfo(np.float64).tiny) - 1.2 * entry.per_cluster_shadow_db \
+        * math.log(10.0) - math.log(n) - math.log(max(1.0, weights.max()))
+    for i, (x, w) in enumerate(zip(geo.echo_delays - delays.min(),
+                                   weights[:geo.echo_delays.size])):
+        if x * (r - 1.0) / (r * ds_min) > budget + math.log(w):
+            raise ConfigurationError(
+                f"isac.targets[{i}].position: its echo arrives {x:.3g} s after the "
+                f"first sensing tap, where its power can underflow to 0")
+
+
 @dataclass(frozen=True)
 class IsacGeometry:
     """The fixed layout of an ISAC slice, built once by ``build_geometry``:

@@ -375,6 +375,46 @@ class TestValidation:
             states.add(m["state"])
         assert states == ({"LOS", "NLOS"} if link_state is None else {link_state})
 
+    @staticmethod
+    def far_target_raw(distance_m, link_state):
+        """The isac preset with one target ``distance_m`` out along x and a
+        30 dB self-interference row at delay 0."""
+        raw = json.loads(preset_path("isac").read_text())
+        raw["link_state"] = link_state
+        raw["isac"].update(targets=[{"position": [distance_m, 0.0, 1.5]}],
+                           self_interference_db=30.0)
+        return raw
+
+    # The 10 km echo comes about 67 us after the self-interference tap, where
+    # the delay decay underflows: it validated, then run_drop raised "target
+    # power must be positive, got 0.0".
+    @pytest.mark.parametrize("link_state", ["LOS", "NLOS", None])
+    def test_isac_far_target_rejected(self, link_state, tmp_path):
+        raw = self.far_target_raw(10e3, link_state)
+        with pytest.raises(ConfigError, match=r"isac\.targets\[0\]\.position: .* underflow"):
+            config_from_dict(raw)
+        path = tmp_path / "isac_far.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["validate", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("link_state", ["LOS", "NLOS"])
+    def test_isac_farthest_accepted_target_runs(self, link_state):
+        def accepted(d):
+            try:
+                return config_from_dict(self.far_target_raw(d, link_state))
+            except ConfigError:
+                return None
+
+        near, far = 10.0, 10e3
+        assert accepted(near) and not accepted(far)
+        while far - near > 1e-3:
+            mid = 0.5 * (near + far)
+            near, far = (mid, far) if accepted(mid) else (near, mid)
+        cfg = accepted(near)
+        for drop in range(200):
+            m = run_drop(cfg, drop).metrics
+            assert m["state"] == link_state and math.isfinite(m["clutter_pr_db"])
+
     # Each of these validated and then raised in run_drop, ran with another
     # meaning (a typo ignored, a truncated count, a string frequency, a
     # negative or infinite number), or made validate die with a traceback
