@@ -452,7 +452,7 @@ def cascade_cir_multi(leg1: ClusterSet, leg2: ClusterSet, panels, design_u,
     for red in reduced:
         rays[front] = red[..., 0]
         taps.append(np.matmul(row_w, rays.reshape(n1, m1, n2 * n_tu)))
-    # Free the kernel's buffers before the output tensors are allocated.
+    # Free the kernel's buffers, so that the output tensors reuse their pages.
     del w, w_by_cluster, p_mat, t_real, t_cplx, cur, reduced, red, rays
 
     delays = (leg1.delays_s[:, None] + leg2.delays_s[None, :]).ravel()
