@@ -63,24 +63,22 @@ def referenced_names(trees):
     return names
 
 
+def defined_names(node):
+    """The names a def, class or assignment statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def public_definitions(trees):
     """(module, name, top-level statement) of every public def, class and
     assigned name."""
-    out = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) \
-                    else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            out += [(module, name, node) for name in names
-                    if not name.startswith("_")]
-    return out
+    return [(module, name, node) for module, tree in trees.items()
+            for node in tree.body for name in defined_names(node)
+            if not name.startswith("_")]
 
 
 def unreached_public(trees, outside_names):
@@ -97,23 +95,10 @@ def unreached_public(trees, outside_names):
 def member_definitions(trees):
     """(module, class, name, statement) of every method, property and
     class-level field of the module-level classes, dunders aside."""
-    out = []
-    for module, tree in trees.items():
-        for cls in tree.body:
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for node in cls.body:
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    names = [node.name]
-                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    targets = node.targets if isinstance(node, ast.Assign) \
-                        else [node.target]
-                    names = [t.id for t in targets if isinstance(t, ast.Name)]
-                else:
-                    continue
-                out += [(module, cls.name, name, node) for name in names
-                        if not (name.startswith("__") and name.endswith("__"))]
-    return out
+    return [(module, cls.name, name, node) for module, tree in trees.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body for name in defined_names(node)
+            if not (name.startswith("__") and name.endswith("__"))]
 
 
 def attribute_reads(node) -> Counter:
