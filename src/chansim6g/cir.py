@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,14 +137,16 @@ def write_cir(cir: CirTensor, path) -> None:
 
 
 def read_cir(path) -> CirTensor:
-    path = Path(path)
-    with path.open("rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        dims = tuple(header["dims"])
-        count = int(np.prod(dims))
-        raw = np.frombuffer(fh.read(count * 16), dtype="<c16")
-    if raw.size != count:
-        raise ValueError(f"truncated tensor file {path}")
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    nl = blob.find(b"\n") + 1 or len(blob)
+    header = json.loads(blob[:nl].decode("utf-8"))
+    dims = tuple(header["dims"])
+    size = math.prod(dims) * 16
+    if len(blob) - nl != size:
+        raise ValueError(f"{path}: tensor payload is {len(blob) - nl} B, "
+                         f"dims {list(dims)} need {size} B")
+    raw = np.frombuffer(blob[nl:], dtype="<c16")
     return CirTensor(coefficients=raw.reshape(dims),
                      tap_delays_s=np.array(header["tap_delays_s"]),
                      sample_times_s=np.array(header["sample_times_s"]),

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -252,4 +253,14 @@ class TestFileFormat:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(ValueError):
+            read_cir(path)
+
+    @pytest.mark.parametrize("extra", [16, 1])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        cir = self._tensor()
+        path = tmp_path / "t.cir"
+        write_cir(cir, path)
+        path.write_bytes(path.read_bytes() + b"\0" * extra)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: tensor payload is {192 + extra} B, dims [2, 2, 1, 3] need 192 B")):
             read_cir(path)
