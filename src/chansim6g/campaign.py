@@ -305,12 +305,13 @@ def _run_ris(d: _Drop) -> tuple[dict, dict]:
     cir_ni = apply_large_scale(cir_ni, pl)
     cir_id = apply_large_scale(cir_id, pl)
     noise = blk["noise_floor_dbm"]
-    snr_ni = rsrp(cir_ni, cfg.tx_power_dbm) - noise
+    rsrp_ni = rsrp(cir_ni, cfg.tx_power_dbm)
+    snr_ni = rsrp_ni - noise
     snr_id = rsrp(cir_id, cfg.tx_power_dbm) - noise
     return {"": cir_ni}, {
         "ds_ns": rms_delay_spread(
             np.abs(cir_ni.coefficients[0, 0, 0]) ** 2, cir_ni.tap_delays_s) * 1e9,
-        "rsrp_dbm": rsrp(cir_ni, cfg.tx_power_dbm),
+        "rsrp_dbm": rsrp_ni,
         "snr_nonideal_db": snr_ni,
         "snr_ideal_db": snr_id,
         "snr_gap_db": snr_id - snr_ni,
