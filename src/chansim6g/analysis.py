@@ -14,16 +14,25 @@ from pathlib import Path
 import numpy as np
 
 
-def rms_delay_spread(powers, delays_s) -> float:
-    """Power-weighted second central moment of the delay profile, seconds."""
+def _float_or_array(values):
+    """A reduction's result: a float for one profile, an array for many."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def rms_delay_spread(powers, delays_s):
+    """Power-weighted second central moment of the delay profile, seconds.
+
+    Reduces over the last axis: ``powers`` and ``delays_s`` (..., n) give one
+    spread per leading index, a float for a single profile.
+    """
     p = np.asarray(powers, dtype=np.float64)
     tau = np.asarray(delays_s, dtype=np.float64)
-    total = p.sum()
-    if total <= 0:
+    total = p.sum(axis=-1)
+    if (total <= 0).any():
         raise ValueError("delay spread undefined for all-zero power")
-    m1 = float(np.sum(p * tau) / total)
-    m2 = float(np.sum(p * tau * tau) / total)
-    return math.sqrt(max(m2 - m1 * m1, 0.0))
+    m1 = (p * tau).sum(axis=-1) / total
+    m2 = (p * tau * tau).sum(axis=-1) / total
+    return _float_or_array(np.sqrt(np.maximum(m2 - m1 * m1, 0.0)))
 
 
 def circular_angular_spread(powers, angles_rad) -> float:
@@ -43,22 +52,24 @@ def circular_angular_spread(powers, angles_rad) -> float:
     return math.degrees(math.sqrt(-2.0 * math.log(r)))
 
 
-def gini_index(powers) -> float:
+def gini_index(powers):
     """Lorenz-curve sparsity measure in [0, 1).
 
     Mean-absolute-difference form, G = sum_ij |x_i - x_j| / (2 n^2 mean):
     exactly 0 for equal powers and (n-1)/n for a single nonzero entry.
-    Computed via the equivalent sorted form.
+    Computed via the equivalent sorted form. Reduces over the last axis:
+    one index per leading index of ``powers`` (..., n), a float for a
+    single profile.
     """
-    x = np.sort(np.asarray(powers, dtype=np.float64))
-    if x.size == 0 or np.any(x < 0):
+    x = np.sort(np.asarray(powers, dtype=np.float64), axis=-1)
+    if x.size == 0 or (x < 0).any():
         raise ValueError("powers must be non-negative and non-empty")
-    total = x.sum()
-    if total <= 0:
+    total = x.sum(axis=-1)
+    if (total <= 0).any():
         raise ValueError("Gini undefined for all-zero power")
-    n = x.size
+    n = x.shape[-1]
     i = np.arange(1, n + 1, dtype=np.float64)
-    return float(2.0 * np.sum(i * x) / (n * total) - (n + 1.0) / n)
+    return _float_or_array(2.0 * (i * x).sum(axis=-1) / (n * total) - (n + 1.0) / n)
 
 
 def array_cross_correlation(cfr: np.ndarray, ref_index: int = 0):
@@ -85,14 +96,20 @@ def array_cross_correlation(cfr: np.ndarray, ref_index: int = 0):
     return rho, defined
 
 
-def rsrp(cir, tx_power_dbm: float = 0.0) -> float:
-    """Received power: tx power plus the antenna-averaged tap-energy sum."""
-    coeffs = np.asarray(cir.coefficients, dtype=np.complex128)
-    energy = np.sum(np.abs(coeffs) ** 2, axis=-1)  # sum over taps
-    mean_energy = float(np.mean(energy))           # mean over time x rx x tx
-    if mean_energy <= 0:
-        return -math.inf
-    return tx_power_dbm + 10.0 * math.log10(mean_energy)
+def rsrp(cir, tx_power_dbm: float = 0.0):
+    """Received power: tx power plus the antenna-averaged tap-energy sum.
+
+    ``cir`` is a tensor or its coefficients (..., t, u, s, n). Reduces over
+    the four trailing axes: one power per leading index, a float for a
+    single tensor, and -inf for zero energy.
+    """
+    coeffs = np.asarray(getattr(cir, "coefficients", cir), dtype=np.complex128)
+    energy = (np.abs(coeffs) ** 2).sum(axis=-1)             # sum over taps
+    mean_energy = energy.mean(axis=(-3, -2, -1))            # mean over time x rx x tx
+    # math.log10 per value: numpy's log10 kernels vary with the SIMD level.
+    dbm = [-math.inf if e <= 0 else tx_power_dbm + 10.0 * math.log10(e)
+           for e in mean_energy.ravel()]
+    return dbm[0] if mean_energy.ndim == 0 else np.reshape(dbm, mean_energy.shape)
 
 
 # ---------------------------------------------------------------------------

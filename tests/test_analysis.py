@@ -137,6 +137,28 @@ class TestRsrp:
         assert rsrp(cir, 0.0) == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(5, 1, 1, 1, 3), (7, 1, 1, 1, 8), (3, 1, 1, 1, 255),
+                                   (4, 2, 3, 2, 7), (6, 4, 2, 8, 20), (2, 1, 256, 1, 16)])
+def test_stacked_metrics_equal_each_row_alone(shape):
+    """ds, gini and rsrp over stacked profiles give, row by row, exactly
+    their value for that row alone; n < 8 and n >= 8 take different
+    summation paths. A zero row gives rsrp -inf."""
+    rng = np.random.default_rng(sum(shape))
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    c *= rng.exponential(1.0, size=shape) ** 3
+    powers = np.mean(np.abs(c) ** 2, axis=(1, 2, 3))
+    delays = np.sort(rng.uniform(0.0, 1e-6, size=powers.shape), axis=-1)
+    ds, gini, power = rms_delay_spread(powers, delays), gini_index(powers), rsrp(c, 3.0)
+    for i in range(shape[0]):
+        assert ds[i] == rms_delay_spread(powers[i], delays[i])
+        assert gini[i] == gini_index(powers[i])
+        assert power[i] == rsrp(make_tensor(c[i]), 3.0)
+    c[1] = 0.0
+    power = rsrp(c, 3.0)
+    assert power[1] == -math.inf
+    assert list(power) == [rsrp(make_tensor(row), 3.0) for row in c]
+
+
 class TestExports:
     def test_cdf_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from chansim6g.campaign import run_campaign, run_drop
+from chansim6g.cir import CirTensor, read_cir, write_cir
 from chansim6g.cli import main as cli_main
 from chansim6g.config import (ConfigError, ScenarioConfig, config_from_dict,
                               config_hash, load_config, load_preset, preset_path)
@@ -707,6 +708,56 @@ class TestCli:
         (gap / "drop00002.cir").rename(gap / "drop100000.cir")
         (gap / "drop00000.cir").rename(gap / "drop99999.cir")
         assert list(analyzed(gap)) == ["99999", "100000"]
+
+    @staticmethod
+    def _zero_drop(tmp_path):
+        """A 3-drop thz campaign whose drop 1 holds an all-zero tensor of
+        the others' shape, so analyze stacks it with them."""
+        out = tmp_path / "campaign"
+        assert cli_main(["run", "--preset", "thz", "--drops", "3",
+                         "--seed", "9", "--out", str(out)]) == 0
+        path = out / "drop00001.cir"
+        cir = read_cir(path)
+        write_cir(CirTensor(np.zeros_like(cir.coefficients), cir.tap_delays_s,
+                            cir.sample_times_s, cir.meta), path)
+        return out, path
+
+    @pytest.mark.parametrize("metric, message", [
+        ("ds", "delay spread undefined for all-zero power"),
+        ("gini", "Gini undefined for all-zero power")])
+    def test_analyze_names_the_failing_file(self, tmp_path, capsys, metric, message):
+        out, path = self._zero_drop(tmp_path)
+        capsys.readouterr()
+        assert cli_main(["analyze", "--in", str(out), "--metrics", metric]) == 1
+        assert capsys.readouterr().err == f"analyze: {path}: {message}\n"
+        assert not (out / "analysis.csv").exists()
+
+    def test_analyze_names_a_file_of_the_wrong_size(self, tmp_path, capsys):
+        out, path = self._zero_drop(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        capsys.readouterr()
+        assert cli_main(["analyze", "--in", str(out), "--metrics", "rsrp"]) == 1
+        assert capsys.readouterr().err.startswith(f"analyze: {path}: tensor payload is ")
+
+    def test_analyze_writes_minus_inf_rsrp_for_a_zero_tensor(self, tmp_path):
+        out, _ = self._zero_drop(tmp_path)
+        assert cli_main(["analyze", "--in", str(out), "--metrics", "rsrp"]) == 0
+        with (out / "analysis.csv").open() as fh:
+            rsrp = [row["rsrp_dbm"] for row in csv.DictReader(fh)]
+        assert rsrp[1] == "-inf"
+        assert all(math.isfinite(float(v)) for v in (rsrp[0], rsrp[2]))
+
+    def test_main_twice_in_one_process(self, tmp_path):
+        """The parser is built once per process; each call parses its own
+        arguments."""
+        out, elsewhere = tmp_path / "campaign", tmp_path / "elsewhere"
+        assert cli_main(["run", "--preset", "thz", "--drops", "2",
+                         "--seed", "9", "--out", str(out)]) == 0
+        assert cli_main(["analyze", "--in", str(out), "--out", str(elsewhere)]) == 0
+        (elsewhere / "analysis.csv").unlink()
+        assert cli_main(["analyze", "--in", str(out)]) == 0
+        assert (out / "analysis.csv").exists()
+        assert not (elsewhere / "analysis.csv").exists()
 
     def test_validate_paths(self, tmp_path, capsys):
         good = tmp_path / "good.json"

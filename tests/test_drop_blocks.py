@@ -15,13 +15,16 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import chansim6g.campaign as campaign
+from chansim6g import analysis
 from chansim6g.campaign import run_campaign, run_drop
 from chansim6g.cir import read_cir
+from chansim6g.cli import main as cli_main
 from chansim6g.config import config_from_dict, load_preset
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -110,6 +113,34 @@ def test_campaign_drops_match_run_drop_alone(name, jobs, tmp_path):
         states.add(alone.metrics["state"])
     if name in ("base", "ris-drawn", "isac-drawn"):
         assert states == {"LOS", "NLOS"}
+
+
+def _file_by_file(out, path):
+    """The ds, gini and rsrp rows of ``out``'s tensors, one file at a time,
+    written to ``path`` as ``analysis.csv`` holds them."""
+    report = analysis.MetricReport()
+    for tensor in sorted(out.glob("drop*.cir")):     # drop order below 10^5
+        cir = read_cir(tensor)
+        powers = np.mean(np.abs(cir.coefficients) ** 2, axis=(0, 1, 2))
+        report.add(int(tensor.name[4:9]),
+                   ds_ns=analysis.rms_delay_spread(powers, cir.tap_delays_s) * 1e9,
+                   gini=analysis.gini_index(powers), rsrp_dbm=analysis.rsrp(cir))
+    analysis.export_metrics_csv(report, path)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_analyze_matches_file_by_file(name, tmp_path):
+    """30 drops, so analyze reads a full chunk and a partial one; base and
+    the drawn RIS and ISAC configs mix tensor shapes within a chunk, and
+    ISAC's ``.cir.sense`` files are not analyzed."""
+    out = tmp_path / "out"
+    run_campaign(replace(CONFIGS[name], drops=30, seed=20261019), out)
+    shapes = {read_cir(path).shape for path in out.glob("drop*.cir")}
+    if name in ("base", "ris-drawn", "isac-drawn"):
+        assert len(shapes) == 2
+    assert cli_main(["analyze", "--in", str(out), "--metrics", "ds,gini,rsrp"]) == 0
+    _file_by_file(out, tmp_path / "want.csv")
+    assert (out / "analysis.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def _fail_at(bad_drop, real):
@@ -230,6 +261,24 @@ def _targets():
 def test_every_tracer_target_resolves():
     for module, attr, _span in _targets():
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+def test_cli_calls_its_command_through_the_module_attribute(tmp_path, monkeypatch):
+    """``main`` builds its parser once per process; a command replaced after
+    that is still the one called."""
+    import chansim6g.cli as cli
+    out = tmp_path / "out"
+    run_campaign(replace(CONFIGS["thz"], drops=2), out)
+    assert cli_main(["analyze", "--in", str(out)]) == 0
+    real, calls = cli._cmd_analyze, []
+
+    def wrapped(args):
+        calls.append(args.in_dir)
+        return real(args)
+
+    monkeypatch.setattr(cli, "_cmd_analyze", wrapped)
+    assert cli_main(["analyze", "--in", str(out)]) == 0
+    assert calls == [str(out)]
 
 
 @pytest.mark.parametrize("name", ["thz", "isac", "sagin", "emimo", "ris", "base"])
